@@ -25,10 +25,7 @@ from .core import (
     Quantity,
     Rational,
     Unit,
-    format_rational,
-    parse_rational,
     puzzle,
-    rational_normalize,
 )
 from .errors import (
     Infeasible,
@@ -37,7 +34,6 @@ from .errors import (
     MalformedTree,
     NoMeeting,
     PuzzleError,
-    ZeroDenominator,
 )
 from .pigeonhole import (
     PigeonholeInstance,
@@ -111,12 +107,10 @@ __all__ = [
     "Weigh",
     "WeighingAnswer",
     "WeighingInstance",
-    "ZeroDenominator",
     "adversarial_sequence",
     "build_strategy",
     "ceil_subjects",
     "completed_scenario",
-    "format_rational",
     "format_survey",
     "formula_applicable",
     "guarantee_draws_formula",
@@ -124,10 +118,8 @@ __all__ = [
     "min_weighings_formula",
     "min_weighings_oracle",
     "parse_puzzles",
-    "parse_rational",
     "puzzle",
     "rate_constant",
-    "rational_normalize",
     "render_strategy",
     "serialize_puzzle",
     "simulate_strategy",

@@ -1,24 +1,21 @@
 """Command-line front end: solve puzzle files, run formula-vs-oracle sweeps.
 
 Exit codes: 0 when everything solved (and, with --check, agreed); 1 on
-parse or I/O errors; 2 on a formula/oracle disagreement or bad sweep
-bounds.
+parse, I/O or decoding errors; 2 on a formula/oracle disagreement or bad
+sweep bounds.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Sequence
 
 from .classics import (
-    DrawnIsMoved,
     StationInstance,
     TransferInstance,
     format_survey,
@@ -48,7 +45,6 @@ from .weighing import (
     strategy_to_dict,
 )
 
-THREADS_ENV = "RIDDLE_FORGE_THREADS"
 WEIGHING_SWEEP_LIMIT = 3 ** 8
 PIGEONHOLE_SWEEP_LIMITS = {"colors": 4, "count": 6, "required": 4}
 TRANSFER_SWEEP_LIMIT = 8
@@ -315,7 +311,7 @@ def cmd_solve(paths: Sequence[str], opts: SolveOptions) -> int:
     for path in paths:
         try:
             text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
             failed = True
             continue
@@ -339,28 +335,6 @@ def cmd_solve(paths: Sequence[str], opts: SolveOptions) -> int:
 
 # ----------------------------------------------------------------------
 # Sweeps
-
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if not raw:
-        return 1
-    try:
-        count = int(raw)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise InvalidBounds(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    return count
-
-
-def _map_ordered(fn: Callable, items: Sequence) -> list:
-    """Apply fn to items, optionally in a thread pool, preserving order."""
-    workers = _thread_count()
-    if workers <= 1 or len(items) < 2:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
 
 def _sweep_weighing(max_objects: int) -> int:
     if max_objects < 1 or max_objects > WEIGHING_SWEEP_LIMIT:
@@ -413,30 +387,27 @@ def _sweep_pigeonhole(max_colors: int, max_count: int, max_required: int) -> int
     if not (1 <= max_required <= limits["required"]):
         raise InvalidBounds(f"required bound must be in [1, {limits['required']}]")
 
-    instances = list(_pigeonhole_family(max_colors, max_count, max_required))
-
-    def compare(item):
-        pairs, required = item
-        inst = PigeonholeInstance(pairs, required)
-        if not formula_applicable(inst):
-            return None
-        formula = guarantee_draws_formula(len(pairs), required)
-        oracle = guarantee_draws_oracle(inst)
-        return (pairs, required, formula, oracle)
-
-    results = _map_ordered(compare, instances)
-    applicable = [r for r in results if r is not None]
-    mismatches = [r for r in applicable if r[2] != r[3]]
+    instances = [
+        PigeonholeInstance(pairs, required)
+        for pairs, required in _pigeonhole_family(max_colors, max_count, max_required)
+    ]
+    applicable = [
+        (inst, guarantee_draws_formula(len(inst.color_counts), inst.required),
+         guarantee_draws_oracle(inst))
+        for inst in instances
+        if formula_applicable(inst)
+    ]
+    mismatches = [r for r in applicable if r[1] != r[2]]
     print(
         f"pigeonhole sweep, colors <= {max_colors}, counts <= {max_count}, "
         f"required <= {max_required}: {len(applicable)} applicable instances, "
         f"{len(applicable) - len(mismatches)} matched, {len(mismatches)} mismatched "
-        f"({len(results) - len(applicable)} outside the formula's assumptions skipped)"
+        f"({len(instances) - len(applicable)} outside the formula's assumptions skipped)"
     )
     if mismatches:
-        pairs, required, formula, oracle = mismatches[0]
+        inst, formula, oracle = mismatches[0]
         print(
-            f"first mismatch: counts={dict(pairs)} required={required} "
+            f"first mismatch: counts={dict(inst.color_counts)} required={inst.required} "
             f"formula={formula} oracle={oracle}"
         )
         return 2
@@ -465,21 +436,6 @@ def _sweep_transfer(max_n: int, max_d: int, out: str) -> int:
             )
             break
     return 0
-
-
-def cmd_sweep(kind: str, bounds: Mapping[str, int], out: str | None = None) -> int:
-    """Run a formula-vs-oracle sweep for one puzzle kind."""
-    if kind == "weighing":
-        return _sweep_weighing(bounds.get("max", WEIGHING_SWEEP_LIMIT))
-    if kind == "pigeonhole":
-        return _sweep_pigeonhole(
-            bounds.get("colors", 4), bounds.get("count", 6), bounds.get("required", 4)
-        )
-    if kind == "transfer":
-        return _sweep_transfer(
-            bounds.get("n", 4), bounds.get("d", 4), out or "transfer_survey.tsv"
-        )
-    raise InvalidBounds(f"unknown sweep kind {kind!r}")
 
 
 # ----------------------------------------------------------------------
@@ -513,9 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
                           f"{WEIGHING_SWEEP_LIMIT})")
 
     pigeonhole = sweep_sub.add_parser("pigeonhole")
-    pigeonhole.add_argument("--max-colors", type=int, default=4)
-    pigeonhole.add_argument("--max-count", type=int, default=6)
-    pigeonhole.add_argument("--max-required", type=int, default=4)
+    for bound, limit in PIGEONHOLE_SWEEP_LIMITS.items():
+        pigeonhole.add_argument(f"--max-{bound}", type=int, default=limit)
 
     transfer = sweep_sub.add_parser("transfer")
     transfer.add_argument("--max-n", type=int, default=4)
@@ -538,17 +493,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             )
             return cmd_solve(args.paths, opts)
         if args.sweep_kind == "weighing":
-            return cmd_sweep("weighing", {"max": args.max})
+            return _sweep_weighing(args.max)
         if args.sweep_kind == "pigeonhole":
-            return cmd_sweep(
-                "pigeonhole",
-                {
-                    "colors": args.max_colors,
-                    "count": args.max_count,
-                    "required": args.max_required,
-                },
-            )
-        return cmd_sweep("transfer", {"n": args.max_n, "d": args.max_d}, out=args.out)
+            return _sweep_pigeonhole(args.max_colors, args.max_count, args.max_required)
+        return _sweep_transfer(args.max_n, args.max_d, args.out)
     except InvalidBounds as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

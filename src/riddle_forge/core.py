@@ -7,41 +7,16 @@ between threads.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Any
 
-from .errors import InvalidInstance, ZeroDenominator
+from .errors import InvalidInstance
 
 # All solver arithmetic is exact.  Fraction already guarantees lowest terms
 # with a positive denominator, which is exactly the invariant we need.
 Rational = Fraction
-
-
-def rational_normalize(numerator: int, denominator: int) -> Rational:
-    """Lowest-terms rational with a positive denominator; sign on the numerator."""
-    if denominator == 0:
-        raise ZeroDenominator(f"{numerator}/0 is not a rational number")
-    return Fraction(numerator, denominator)
-
-
-_RATIONAL_RE = re.compile(r"(-?\d+)(?:\s*/\s*(\d+))?")
-
-
-def parse_rational(text: str) -> Rational:
-    """Parse the textual form 'p/q' or a bare integer 'p'."""
-    match = _RATIONAL_RE.fullmatch(text.strip())
-    if match is None:
-        raise InvalidInstance(f"not a rational literal: {text!r}")
-    numerator = int(match.group(1))
-    denominator = int(match.group(2)) if match.group(2) else 1
-    return rational_normalize(numerator, denominator)
-
-
-def format_rational(value: Rational) -> str:
-    return str(value)  # Fraction renders 'p/q', or just 'p' when q == 1
 
 
 def _exact(value: int | Fraction, what: str) -> Fraction:

@@ -5,10 +5,6 @@ class PuzzleError(Exception):
     """Base class for every error this package raises on purpose."""
 
 
-class ZeroDenominator(PuzzleError):
-    """A rational number was given a zero denominator."""
-
-
 class InvalidInstance(PuzzleError):
     """A puzzle instance, query, or argument violates its invariants."""
 

@@ -70,6 +70,7 @@ class ParseFailure(Exception):
 class _Tok(Enum):
     IDENT = auto()
     NUMBER = auto()
+    HUGE_NUMBER = auto()  # more digits than int() accepts
     PUNCT = auto()
     NEWLINE = auto()
     BAD = auto()
@@ -85,6 +86,7 @@ class _Token:
 
 
 _PUNCT = set("{}()=;,:/")
+_DIGITS = set("0123456789")  # ASCII only: str.isdigit() also accepts '²'
 
 
 def _lex(source: str) -> list[_Token]:
@@ -111,14 +113,16 @@ def _lex(source: str) -> list[_Token]:
             tokens.append(_Token(_Tok.IDENT, source[i:j], SourceSpan(line, col, j - i)))
             col += j - i
             i = j
-        elif ch.isdigit() or (ch == "-" and i + 1 < n and source[i + 1].isdigit()):
+        elif ch in _DIGITS or (ch == "-" and i + 1 < n and source[i + 1] in _DIGITS):
             j = i + 1
-            while j < n and source[j].isdigit():
+            while j < n and source[j] in _DIGITS:
                 j += 1
             text = source[i:j]
-            tokens.append(
-                _Token(_Tok.NUMBER, text, SourceSpan(line, col, j - i), value=int(text))
-            )
+            span = SourceSpan(line, col, j - i)
+            try:
+                tokens.append(_Token(_Tok.NUMBER, text, span, value=int(text)))
+            except ValueError:  # past the interpreter's int-max-str-digits limit
+                tokens.append(_Token(_Tok.HUGE_NUMBER, text, span))
             col += j - i
             i = j
         elif ch in _PUNCT:
@@ -138,6 +142,8 @@ def _describe(tok: _Token) -> str:
         return "end of input"
     if tok.type is _Tok.NEWLINE:
         return "end of line"
+    if tok.type is _Tok.HUGE_NUMBER:
+        return f"an integer literal too long to read ({tok.span.length} characters)"
     return f"'{tok.text}'"
 
 
@@ -168,10 +174,6 @@ class _IdentValue:
 _Value = Union[_NumberValue, _ColorListValue, _IdentValue]
 
 
-def _value_span(value: _Value) -> SourceSpan:
-    return value.span
-
-
 def _value_what(value: _Value) -> str:
     if isinstance(value, _NumberValue):
         return "a number"
@@ -200,10 +202,6 @@ class _BlockError(Exception):
 
     def __init__(self, error: ParseError):
         self.error = error
-
-
-def _err(span: SourceSpan, kind: ParseErrorKind, message: str) -> ParseError:
-    return ParseError(span, kind, message)
 
 
 _KIND_NAMES = {kind.value for kind in PuzzleKind}
@@ -244,26 +242,17 @@ class _Parser:
         tok = self._peek()
         if not self._at_punct(text):
             raise _BlockError(
-                _err(tok.span, ParseErrorKind.SYNTAX,
-                     f"expected '{text}', found {_describe(tok)}")
+                ParseError(tok.span, ParseErrorKind.SYNTAX,
+                           f"expected '{text}', found {_describe(tok)}")
             )
         return self._advance()
 
-    def _expect_ident(self, what: str) -> _Token:
+    def _expect(self, tok_type: _Tok, what: str) -> _Token:
         tok = self._peek()
-        if tok.type is not _Tok.IDENT:
+        if tok.type is not tok_type:
             raise _BlockError(
-                _err(tok.span, ParseErrorKind.SYNTAX,
-                     f"expected {what}, found {_describe(tok)}")
-            )
-        return self._advance()
-
-    def _expect_number(self, what: str) -> _Token:
-        tok = self._peek()
-        if tok.type is not _Tok.NUMBER:
-            raise _BlockError(
-                _err(tok.span, ParseErrorKind.SYNTAX,
-                     f"expected {what}, found {_describe(tok)}")
+                ParseError(tok.span, ParseErrorKind.SYNTAX,
+                           f"expected {what}, found {_describe(tok)}")
             )
         return self._advance()
 
@@ -287,8 +276,8 @@ class _Parser:
                         specs.append(spec)
             else:
                 self.errors.append(
-                    _err(tok.span, ParseErrorKind.SYNTAX,
-                         f"expected 'puzzle', found {_describe(tok)}")
+                    ParseError(tok.span, ParseErrorKind.SYNTAX,
+                               f"expected 'puzzle', found {_describe(tok)}")
                 )
                 self._advance()
                 self._recover()
@@ -308,7 +297,7 @@ class _Parser:
 
     def _parse_block(self) -> PuzzleSpec | None:
         self._advance()  # the 'puzzle' keyword
-        kind_tok = self._expect_ident("a puzzle kind")
+        kind_tok = self._expect(_Tok.IDENT, "a puzzle kind")
         self._skip_newlines()
         self._expect_punct("{")
         assigns: list[_Assign] = []
@@ -321,8 +310,8 @@ class _Parser:
                 break
             if tok.type is _Tok.EOF:
                 raise _BlockError(
-                    _err(tok.span, ParseErrorKind.SYNTAX,
-                         "unterminated block: expected '}'")
+                    ParseError(tok.span, ParseErrorKind.SYNTAX,
+                               "unterminated block: expected '}'")
                 )
             if tok.type is _Tok.IDENT and tok.text == "find":
                 finds.append(self._parse_find())
@@ -330,14 +319,14 @@ class _Parser:
                 assigns.append(self._parse_assign())
             else:
                 raise _BlockError(
-                    _err(tok.span, ParseErrorKind.SYNTAX,
-                         f"expected a statement, found {_describe(tok)}")
+                    ParseError(tok.span, ParseErrorKind.SYNTAX,
+                               f"expected a statement, found {_describe(tok)}")
                 )
         if kind_tok.text not in _KIND_NAMES:
             self.errors.append(
-                _err(kind_tok.span, ParseErrorKind.UNKNOWN_KIND,
-                     f"unknown puzzle kind '{kind_tok.text}'; expected one of "
-                     "rate, weighing, pigeonhole, transfer, station")
+                ParseError(kind_tok.span, ParseErrorKind.UNKNOWN_KIND,
+                           f"unknown puzzle kind '{kind_tok.text}'; expected one of "
+                           "rate, weighing, pigeonhole, transfer, station")
             )
             return None
         return self._build(PuzzleKind(kind_tok.text), kind_tok, assigns, finds)
@@ -349,16 +338,16 @@ class _Parser:
 
     def _parse_find(self) -> _Find:
         find_tok = self._advance()
-        target_tok = self._expect_ident("a field to find")
-        where_tok = self._expect_ident("'where'")
+        target_tok = self._expect(_Tok.IDENT, "a field to find")
+        where_tok = self._expect(_Tok.IDENT, "'where'")
         if where_tok.text != "where":
             raise _BlockError(
-                _err(where_tok.span, ParseErrorKind.SYNTAX,
-                     f"expected 'where', found '{where_tok.text}'")
+                ParseError(where_tok.span, ParseErrorKind.SYNTAX,
+                           f"expected 'where', found '{where_tok.text}'")
             )
         clauses: list[_Assign] = []
         while True:
-            key_tok = self._expect_ident("a key")
+            key_tok = self._expect(_Tok.IDENT, "a key")
             self._expect_punct("=")
             clauses.append(_Assign(key_tok.text, key_tok.span, self._parse_value()))
             if self._at_punct(","):
@@ -379,8 +368,8 @@ class _Parser:
             self._advance()
             return _IdentValue(tok.text, tok.span)
         raise _BlockError(
-            _err(tok.span, ParseErrorKind.SYNTAX,
-                 f"expected a value, found {_describe(tok)}")
+            ParseError(tok.span, ParseErrorKind.SYNTAX,
+                       f"expected a value, found {_describe(tok)}")
         )
 
     def _parse_number_value(self) -> _NumberValue:
@@ -389,16 +378,16 @@ class _Parser:
         span = num_tok.span
         if self._at_punct("/"):
             self._advance()
-            den_tok = self._expect_number("a denominator")
+            den_tok = self._expect(_Tok.NUMBER, "a denominator")
             if den_tok.value == 0:
                 raise _BlockError(
-                    _err(den_tok.span, ParseErrorKind.SYNTAX,
-                         "denominator must not be zero")
+                    ParseError(den_tok.span, ParseErrorKind.SYNTAX,
+                               "denominator must not be zero")
                 )
             if den_tok.value < 0:
                 raise _BlockError(
-                    _err(den_tok.span, ParseErrorKind.SYNTAX,
-                         "denominator must be positive")
+                    ParseError(den_tok.span, ParseErrorKind.SYNTAX,
+                               "denominator must be positive")
                 )
             value = Fraction(num_tok.value, den_tok.value)
             if den_tok.span.line == num_tok.span.line:
@@ -423,14 +412,14 @@ class _Parser:
             return _ColorListValue((), open_tok.span)
         while True:
             self._skip_newlines()
-            name_tok = self._expect_ident("a color name")
+            name_tok = self._expect(_Tok.IDENT, "a color name")
             self._expect_punct(":")
             self._skip_newlines()
-            count_tok = self._expect_number("a count")
+            count_tok = self._expect(_Tok.NUMBER, "a count")
             if self._at_punct("/"):
                 raise _BlockError(
-                    _err(self._peek().span, ParseErrorKind.SYNTAX,
-                         "color counts must be integers")
+                    ParseError(self._peek().span, ParseErrorKind.SYNTAX,
+                               "color counts must be integers")
                 )
             items.append((name_tok.text, count_tok.value, name_tok.span, count_tok.span))
             self._skip_newlines()
@@ -455,15 +444,15 @@ class _Parser:
         for assign in assigns:
             if assign.key in table:
                 errors.append(
-                    _err(assign.key_span, ParseErrorKind.DUPLICATE_KEY,
-                         f"duplicate key '{assign.key}'")
+                    ParseError(assign.key_span, ParseErrorKind.DUPLICATE_KEY,
+                               f"duplicate key '{assign.key}'")
                 )
             else:
                 table[assign.key] = assign
         if finds and kind is not PuzzleKind.RATE:
             errors.append(
-                _err(finds[0].span, ParseErrorKind.SYNTAX,
-                     f"'find' is only meaningful in rate puzzles, not {kind.value}")
+                ParseError(finds[0].span, ParseErrorKind.SYNTAX,
+                           f"'find' is only meaningful in rate puzzles, not {kind.value}")
             )
 
         label = None
@@ -482,8 +471,8 @@ class _Parser:
 
         for assign in table.values():
             errors.append(
-                _err(assign.key_span, ParseErrorKind.SYNTAX,
-                     f"unexpected key '{assign.key}' in a {kind.value} puzzle")
+                ParseError(assign.key_span, ParseErrorKind.SYNTAX,
+                           f"unexpected key '{assign.key}' in a {kind.value} puzzle")
             )
         if errors or payload is None:
             self.errors.extend(errors)
@@ -501,8 +490,8 @@ class _Parser:
         assign = table.pop(key, None)
         if assign is None:
             errors.append(
-                _err(kind_tok.span, ParseErrorKind.MISSING_KEY,
-                     f"{kind_name} puzzle is missing key '{key}'")
+                ParseError(kind_tok.span, ParseErrorKind.MISSING_KEY,
+                           f"{kind_name} puzzle is missing key '{key}'")
             )
         return assign
 
@@ -512,33 +501,42 @@ class _Parser:
         value = assign.value
         if not isinstance(value, _IdentValue):
             errors.append(
-                _err(_value_span(value), ParseErrorKind.TYPE_MISMATCH,
-                     f"key '{assign.key}' expects a word, found {_value_what(value)}")
+                ParseError(value.span, ParseErrorKind.TYPE_MISMATCH,
+                           f"key '{assign.key}' expects a word, found {_value_what(value)}")
             )
             return None
         return value.name
 
-    def _as_count_quantity(
-        self, assign: _Assign, errors: list[ParseError]
-    ) -> Quantity | None:
+    def _as_number(
+        self, assign: _Assign, errors: list[ParseError], expects: str, counts: bool
+    ) -> _NumberValue | None:
+        """The assigned number; with ``counts``, one that carries no time unit."""
         value = assign.value
         if not isinstance(value, _NumberValue):
             errors.append(
-                _err(_value_span(value), ParseErrorKind.TYPE_MISMATCH,
-                     f"key '{assign.key}' expects a number, found {_value_what(value)}")
+                ParseError(value.span, ParseErrorKind.TYPE_MISMATCH,
+                           f"key '{assign.key}' expects {expects}, found {_value_what(value)}")
             )
             return None
-        if value.word in _TIME_UNITS:
+        if counts and value.word in _TIME_UNITS:
             errors.append(
-                _err(value.word_span, ParseErrorKind.BAD_UNIT,
-                     f"key '{assign.key}' counts objects; time unit "
-                     f"'{value.word}' is not allowed here")
+                ParseError(value.word_span, ParseErrorKind.BAD_UNIT,
+                           f"key '{assign.key}' counts objects; time unit "
+                           f"'{value.word}' is not allowed here")
             )
+            return None
+        return value
+
+    def _as_count_quantity(
+        self, assign: _Assign, errors: list[ParseError]
+    ) -> Quantity | None:
+        value = self._as_number(assign, errors, "a number", counts=True)
+        if value is None:
             return None
         if value.value <= 0:
             errors.append(
-                _err(value.span, ParseErrorKind.NEGATIVE_COUNT,
-                     f"key '{assign.key}' must be strictly positive, got {value.value}")
+                ParseError(value.span, ParseErrorKind.NEGATIVE_COUNT,
+                           f"key '{assign.key}' must be strictly positive, got {value.value}")
             )
             return None
         return Quantity(value.value, Unit.COUNT, value.word)
@@ -546,28 +544,24 @@ class _Parser:
     def _as_time_quantity(
         self, assign: _Assign, errors: list[ParseError]
     ) -> Quantity | None:
-        value = assign.value
-        if not isinstance(value, _NumberValue):
-            errors.append(
-                _err(_value_span(value), ParseErrorKind.TYPE_MISMATCH,
-                     f"key '{assign.key}' expects a number, found {_value_what(value)}")
-            )
+        value = self._as_number(assign, errors, "a number", counts=False)
+        if value is None:
             return None
         scale = 1
         if value.word is not None:
             if value.word not in _TIME_UNITS:
                 errors.append(
-                    _err(value.word_span, ParseErrorKind.BAD_UNIT,
-                         f"unknown time unit '{value.word}' for key "
-                         f"'{assign.key}'; expected 'min' or 'h'")
+                    ParseError(value.word_span, ParseErrorKind.BAD_UNIT,
+                               f"unknown time unit '{value.word}' for key "
+                               f"'{assign.key}'; expected 'min' or 'h'")
                 )
                 return None
             scale = _TIME_UNITS[value.word]
         magnitude = value.value * scale
         if magnitude <= 0:
             errors.append(
-                _err(value.span, ParseErrorKind.NEGATIVE_COUNT,
-                     f"key '{assign.key}' must be strictly positive, got {value.value}")
+                ParseError(value.span, ParseErrorKind.NEGATIVE_COUNT,
+                           f"key '{assign.key}' must be strictly positive, got {value.value}")
             )
             return None
         return Quantity(magnitude, Unit.MINUTES)
@@ -575,31 +569,20 @@ class _Parser:
     def _as_int(
         self, assign: _Assign, errors: list[ParseError], minimum: int
     ) -> int | None:
-        value = assign.value
-        if not isinstance(value, _NumberValue):
-            errors.append(
-                _err(_value_span(value), ParseErrorKind.TYPE_MISMATCH,
-                     f"key '{assign.key}' expects an integer, found {_value_what(value)}")
-            )
-            return None
-        if value.word in _TIME_UNITS:
-            errors.append(
-                _err(value.word_span, ParseErrorKind.BAD_UNIT,
-                     f"key '{assign.key}' counts objects; time unit "
-                     f"'{value.word}' is not allowed here")
-            )
+        value = self._as_number(assign, errors, "an integer", counts=True)
+        if value is None:
             return None
         if value.value.denominator != 1:
             errors.append(
-                _err(value.span, ParseErrorKind.TYPE_MISMATCH,
-                     f"key '{assign.key}' expects an integer, got {value.value}")
+                ParseError(value.span, ParseErrorKind.TYPE_MISMATCH,
+                           f"key '{assign.key}' expects an integer, got {value.value}")
             )
             return None
         number = int(value.value)
         if number < minimum:
             errors.append(
-                _err(value.span, ParseErrorKind.NEGATIVE_COUNT,
-                     f"key '{assign.key}' must be at least {minimum}, got {number}")
+                ParseError(value.span, ParseErrorKind.NEGATIVE_COUNT,
+                           f"key '{assign.key}' must be at least {minimum}, got {number}")
             )
             return None
         return number
@@ -610,15 +593,15 @@ class _Parser:
         value = assign.value
         if not isinstance(value, _ColorListValue):
             errors.append(
-                _err(_value_span(value), ParseErrorKind.TYPE_MISMATCH,
-                     f"key '{assign.key}' expects a color list like "
-                     f"(blue: 2, red: 3), found {_value_what(value)}")
+                ParseError(value.span, ParseErrorKind.TYPE_MISMATCH,
+                           f"key '{assign.key}' expects a color list like "
+                           f"(blue: 2, red: 3), found {_value_what(value)}")
             )
             return None
         if at_least_one and not value.items:
             errors.append(
-                _err(value.span, ParseErrorKind.TYPE_MISMATCH,
-                     f"key '{assign.key}' needs at least one color")
+                ParseError(value.span, ParseErrorKind.TYPE_MISMATCH,
+                           f"key '{assign.key}' needs at least one color")
             )
             return None
         seen: dict[str, SourceSpan] = {}
@@ -626,15 +609,15 @@ class _Parser:
         for name, count, name_span, count_span in value.items:
             if name in seen:
                 errors.append(
-                    _err(name_span, ParseErrorKind.DUPLICATE_KEY,
-                         f"duplicate color '{name}'")
+                    ParseError(name_span, ParseErrorKind.DUPLICATE_KEY,
+                               f"duplicate color '{name}'")
                 )
                 ok = False
             seen[name] = name_span
             if count < 0:
                 errors.append(
-                    _err(count_span, ParseErrorKind.NEGATIVE_COUNT,
-                         f"count for color '{name}' must be >= 0, got {count}")
+                    ParseError(count_span, ParseErrorKind.NEGATIVE_COUNT,
+                               f"count for color '{name}' must be >= 0, got {count}")
                 )
                 ok = False
         if not ok:
@@ -653,23 +636,23 @@ class _Parser:
 
         if not finds:
             errors.append(
-                _err(kind_tok.span, ParseErrorKind.MISSING_KEY,
-                     "rate puzzle needs a 'find' clause")
+                ParseError(kind_tok.span, ParseErrorKind.MISSING_KEY,
+                           "rate puzzle needs a 'find' clause")
             )
             return None
         if len(finds) > 1:
             errors.append(
-                _err(finds[1].span, ParseErrorKind.DUPLICATE_KEY,
-                     "only one 'find' clause is allowed")
+                ParseError(finds[1].span, ParseErrorKind.DUPLICATE_KEY,
+                           "only one 'find' clause is allowed")
             )
             return None
         find = finds[0]
         field_names = {f.value for f in RateField}
         if find.target not in field_names:
             errors.append(
-                _err(find.target_span, ParseErrorKind.SYNTAX,
-                     f"find target must be one of work, subjects, time; "
-                     f"got '{find.target}'")
+                ParseError(find.target_span, ParseErrorKind.SYNTAX,
+                           f"find target must be one of work, subjects, time; "
+                           f"got '{find.target}'")
             )
             return None
         target = RateField(find.target)
@@ -678,14 +661,14 @@ class _Parser:
         for clause in find.clauses:
             if clause.key in clause_table:
                 errors.append(
-                    _err(clause.key_span, ParseErrorKind.DUPLICATE_KEY,
-                         f"duplicate key '{clause.key}' in where-clause")
+                    ParseError(clause.key_span, ParseErrorKind.DUPLICATE_KEY,
+                               f"duplicate key '{clause.key}' in where-clause")
                 )
             elif clause.key not in expected:
                 errors.append(
-                    _err(clause.key_span, ParseErrorKind.SYNTAX,
-                         f"unexpected key '{clause.key}' in where-clause; "
-                         f"expected {' and '.join(sorted(expected))}")
+                    ParseError(clause.key_span, ParseErrorKind.SYNTAX,
+                               f"unexpected key '{clause.key}' in where-clause; "
+                               f"expected {' and '.join(sorted(expected))}")
                 )
             else:
                 clause_table[clause.key] = clause
@@ -694,8 +677,8 @@ class _Parser:
             clause = clause_table.get(name)
             if clause is None:
                 errors.append(
-                    _err(find.span, ParseErrorKind.MISSING_KEY,
-                         f"where-clause is missing key '{name}'")
+                    ParseError(find.span, ParseErrorKind.MISSING_KEY,
+                               f"where-clause is missing key '{name}'")
                 )
                 continue
             if name == "time":
@@ -715,7 +698,7 @@ class _Parser:
                 time=given.get("time"),
             )
         except InvalidInstance as exc:
-            errors.append(_err(kind_tok.span, ParseErrorKind.SYNTAX, str(exc)))
+            errors.append(ParseError(kind_tok.span, ParseErrorKind.SYNTAX, str(exc)))
             return None
 
     def _build_weighing(self, kind_tok, table, finds, errors):
@@ -749,7 +732,7 @@ class _Parser:
         try:
             return TransferInstance(pairs_a, pairs_b, count, event)
         except InvalidInstance as exc:
-            errors.append(_err(moved.value.span, ParseErrorKind.SYNTAX, str(exc)))
+            errors.append(ParseError(moved.value.span, ParseErrorKind.SYNTAX, str(exc)))
             return None
 
     def _build_station(self, kind_tok, table, finds, errors):
@@ -762,7 +745,7 @@ class _Parser:
         try:
             return StationInstance(early_q.magnitude, saved_q.magnitude)
         except InvalidInstance as exc:
-            errors.append(_err(kind_tok.span, ParseErrorKind.SYNTAX, str(exc)))
+            errors.append(ParseError(kind_tok.span, ParseErrorKind.SYNTAX, str(exc)))
             return None
 
 

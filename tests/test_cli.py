@@ -4,12 +4,26 @@ import json
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import riddle_forge.cli as cli
 from riddle_forge.cli import main
 
 CORPUS = resources.files("riddle_forge") / "corpus" / "classic_problems.speck"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+MIXED_SOURCE = "\n".join(
+    [
+        "puzzle rate { work = 6; subjects = 6; time = 6 min; "
+        "find subjects where work = 100, time = 50 min }",
+        "puzzle weighing { objects = 5 }",
+        "puzzle pigeonhole { counts = (a: 3, b: 3); required = 2 }",
+        "puzzle transfer { container_a = (red: 2); container_b = (blue: 2); "
+        "moved = 1; query = red }",
+        "puzzle station { early = 60 min; saved = 10 min }",
+    ]
+) + "\n"
 
 
 @pytest.fixture
@@ -215,36 +229,9 @@ def test_sweep_transfer_writes_report(tmp_path, capsys):
     assert len(lines) == 1 + 30  # sum over n<=2 of 2n times sum over d<=2 of d+1
 
 
-def test_threads_env_does_not_change_results(monkeypatch, capsys):
-    argv = ["sweep", "pigeonhole", "--max-colors", "2", "--max-count", "3",
-            "--max-required", "2"]
-    code1, out1, _ = run_main(argv, capsys)
-    monkeypatch.setenv("RIDDLE_FORGE_THREADS", "4")
-    code2, out2, _ = run_main(argv, capsys)
-    assert (code1, out1) == (code2, out2)
-
-
-def test_threads_env_rejects_garbage(monkeypatch, capsys):
-    monkeypatch.setenv("RIDDLE_FORGE_THREADS", "zero")
-    code, _, err = run_main(["sweep", "pigeonhole", "--max-colors", "2"], capsys)
-    assert code == 2
-    assert "RIDDLE_FORGE_THREADS" in err
-
-
 def test_explain_is_nonempty_for_every_kind(tmp_path, capsys):
-    source = "\n".join(
-        [
-            "puzzle rate { work = 6; subjects = 6; time = 6 min; "
-            "find subjects where work = 100, time = 50 min }",
-            "puzzle weighing { objects = 5 }",
-            "puzzle pigeonhole { counts = (a: 3, b: 3); required = 2 }",
-            "puzzle transfer { container_a = (red: 2); container_b = (blue: 2); "
-            "moved = 1; query = red }",
-            "puzzle station { early = 60 min; saved = 10 min }",
-        ]
-    )
     path = tmp_path / "mixed.speck"
-    path.write_text(source + "\n", encoding="utf-8")
+    path.write_text(MIXED_SOURCE, encoding="utf-8")
     _, out, _ = run_main(
         ["solve", str(path), "--explain", "--check", "--format", "json"], capsys
     )
@@ -264,3 +251,49 @@ def test_module_entry_point(corpus_path):
     )
     assert result.returncode == 0
     assert "tailor_buttons [pigeonhole] answer = 13" in result.stdout
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"\xff\n",
+        "puzzle weighing { objects = \u00b2 }\n".encode("utf-8"),
+        b"puzzle weighing { objects = " + b"7" * 5000 + b" }\n",
+    ],
+    ids=["not-utf8", "superscript-digit", "5000-digit-literal"],
+)
+def test_bad_file_is_reported_next_to_a_good_one(tmp_path, corpus_path, content):
+    bad = tmp_path / "bad.speck"
+    bad.write_bytes(content)
+    result = subprocess.run(
+        [sys.executable, "-m", "riddle_forge", "solve", str(bad), str(corpus_path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert str(bad) in result.stderr
+    assert "tailor_buttons [pigeonhole] answer = 13" in result.stdout
+
+
+def test_benchmark_tracer_leaves_output_unchanged(tmp_path, capsys, monkeypatch):
+    """The benchmark's traced mode rebinds solver names in the cli module."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracer import LAYER_OF, Tracer
+
+    path = tmp_path / "mixed.speck"
+    path.write_text(MIXED_SOURCE, encoding="utf-8")
+    argv = ["solve", str(path), "--check", "--explain", "--format", "json",
+            "--ceil-subjects"]
+    _, plain, _ = run_main(argv, capsys)
+
+    for span_name in LAYER_OF:
+        module, _, attr = span_name.partition(".")
+        if module != "cli":
+            monkeypatch.setattr(cli, attr, getattr(cli, attr))  # restored afterwards
+    tracer = Tracer(0)
+    tracer.install(cli)
+    tracer.main(argv)
+    assert capsys.readouterr().out == plain
+    assert set(tracer.summary()["layers"]) == set(LAYER_OF.values())

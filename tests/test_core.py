@@ -1,10 +1,8 @@
-"""Core value types: exact rationals, quantities, the puzzle union."""
+"""Core value types: quantities and the puzzle union."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from riddle_forge import (
     InvalidInstance,
@@ -13,61 +11,8 @@ from riddle_forge import (
     Quantity,
     Unit,
     WeighingInstance,
-    ZeroDenominator,
-    format_rational,
-    parse_rational,
     puzzle,
-    rational_normalize,
 )
-
-
-def test_normalize_known_values():
-    assert rational_normalize(100, 75) == Fraction(4, 3)
-    assert rational_normalize(0, 5) == Fraction(0, 1)
-    assert rational_normalize(-6, -4) == Fraction(3, 2)
-
-
-def test_normalize_zero_denominator():
-    with pytest.raises(ZeroDenominator):
-        rational_normalize(1, 0)
-
-
-@given(st.integers(), st.integers().filter(bool))
-def test_normalize_lowest_terms(n, d):
-    value = rational_normalize(n, d)
-    assert value.denominator > 0
-    import math
-
-    assert math.gcd(abs(value.numerator), value.denominator) == 1
-
-
-@given(
-    st.integers(-10**6, 10**6),
-    st.integers(-10**6, 10**6).filter(bool),
-    st.integers(-10**6, 10**6),
-    st.integers(-10**6, 10**6).filter(bool),
-)
-def test_addition_matches_cross_multiplication(p1, q1, p2, q2):
-    left = rational_normalize(p1, q1) + rational_normalize(p2, q2)
-    assert left == rational_normalize(p1 * q2 + p2 * q1, q1 * q2)
-
-
-@given(st.fractions())
-def test_rational_text_round_trip(value):
-    assert parse_rational(format_rational(value)) == value
-
-
-def test_parse_rational_forms():
-    assert parse_rational("3/2") == Fraction(3, 2)
-    assert parse_rational("-3/2") == Fraction(-3, 2)
-    assert parse_rational("  7 ") == Fraction(7)
-    assert parse_rational("4 / 6") == Fraction(2, 3)
-    with pytest.raises(InvalidInstance):
-        parse_rational("1.5")
-    with pytest.raises(InvalidInstance):
-        parse_rational("3/-2")
-    with pytest.raises(ZeroDenominator):
-        parse_rational("3/0")
 
 
 def test_quantity_units():

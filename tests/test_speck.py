@@ -107,6 +107,19 @@ def test_syntax_errors_name_the_offender():
     assert "'puzzle'" in error.message
     assert error.span.line == 1
 
+    # '²' passes str.isdigit() but is no DSL digit.
+    (error,) = errors_of("puzzle weighing { objects = ² }")
+    assert error.kind is ParseErrorKind.SYNTAX
+    assert "'²'" in error.message
+    assert (error.span.column, error.span.length) == (29, 1)
+
+    # Past the interpreter's int-max-str-digits limit; the message stays short.
+    (error,) = errors_of("puzzle weighing { objects = " + "7" * 5000 + " }")
+    assert error.kind is ParseErrorKind.SYNTAX
+    assert "5000" in error.message
+    assert len(error.message) < 100
+    assert (error.span.column, error.span.length) == (29, 5000)
+
 
 def test_recovery_collects_errors_from_every_block():
     source = (
