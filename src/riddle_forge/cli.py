@@ -26,7 +26,7 @@ from .classics import (
     transfer_probability_formula,
 )
 from .core import PuzzleKind, PuzzleSpec
-from .errors import Infeasible, InvalidBounds
+from .errors import Infeasible, InvalidBounds, InvalidInstance, NoMeeting
 from .pigeonhole import (
     PigeonholeInstance,
     adversarial_sequence,
@@ -251,18 +251,30 @@ def _solve_station_report(
         report.checked = True
         if y < x:
             # A parameter family realising (X, Y): car speed 1, walker speed
-            # Y/(2X - Y) < 1, any distance beyond the meeting point.
-            sim_walked, sim_saved = station_walk_simulate(
-                distance=float(x),
-                car_speed=1.0,
-                walk_speed=float(y / (2 * x - y)),
-                early_minutes=float(x),
-            )
-            report.oracle = f"{sim_walked:.12g}"
-            report.agreement = (
-                abs(sim_walked - float(walked)) <= STATION_TOLERANCE
-                and abs(sim_saved - float(y)) <= STATION_TOLERANCE
-            )
+            # Y/(2X - Y) < 1, any distance beyond the meeting point.  Exactly,
+            # the pair always meets; in floats the values may overflow,
+            # underflow to zero, or round the walker up to the car's speed or
+            # the meeting point onto the station.
+            try:
+                sim_walked, sim_saved = station_walk_simulate(
+                    distance=float(x),
+                    car_speed=1.0,
+                    walk_speed=float(y / (2 * x - y)),
+                    early_minutes=float(x),
+                )
+            except (OverflowError, InvalidInstance, NoMeeting) as exc:
+                report.oracle = None
+                report.agreement = None
+                report.explanation.append(
+                    "kinematic check skipped: the simulation cannot represent "
+                    f"this instance in floating point ({exc})"
+                )
+            else:
+                report.oracle = f"{sim_walked:.12g}"
+                report.agreement = (
+                    abs(sim_walked - float(walked)) <= STATION_TOLERANCE
+                    and abs(sim_saved - float(y)) <= STATION_TOLERANCE
+                )
         else:
             # saved >= early needs a walker at least as fast as the car,
             # outside the simulation's preconditions.

@@ -7,7 +7,16 @@ separated by semicolons or newlines; ``#`` starts a comment running to the
 end of the line.  Values are integers, rationals ``p/q``, optionally
 followed by a unit or label word, parenthesised color lists
 ``(blue: 10, red: 8)``, or bare identifiers (used by ``query`` and
-``label`` keys).
+``label`` keys).  Identifiers are ASCII: ``[A-Za-z_][A-Za-z0-9_]*``.
+
+The lexer turns the source into plain tuples ``(type, text, offset,
+value)``, one compiled regular expression match each.  ``type`` is
+``"ident"``, ``"number"``, ``"huge_number"`` (a literal too long for
+``int()``), ``"bad"`` (any other character), ``"eof"``, or, for
+punctuation and newlines, the character itself; ``offset`` counts
+characters from the start of the source; ``value`` is the integer of a
+number and 0 otherwise.  The parser carries ``(offset, length)`` pairs and
+works out line and column only for the errors it reports.
 
 Errors carry precise source spans and a kind; parsing recovers at block
 boundaries so one bad block does not hide errors in the next.
@@ -15,10 +24,12 @@ boundaries so one bad block does not hide errors in the next.
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
 from dataclasses import dataclass
-from enum import Enum, auto
+from enum import Enum
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 from .classics import DrawnHasColor, DrawnIsMoved, StationInstance, TransferInstance
 from .core import PuzzleKind, PuzzleSpec, Quantity, Unit
@@ -31,7 +42,7 @@ from .weighing import WeighingInstance
 @dataclass(frozen=True)
 class SourceSpan:
     line: int  # 1-based
-    column: int  # 1-based
+    column: int  # 1-based, one per character (a tab counts as one)
     length: int
 
 
@@ -67,108 +78,104 @@ class ParseFailure(Exception):
 # ----------------------------------------------------------------------
 # Lexer
 
-class _Tok(Enum):
-    IDENT = auto()
-    NUMBER = auto()
-    HUGE_NUMBER = auto()  # more digits than int() accepts
-    PUNCT = auto()
-    NEWLINE = auto()
-    BAD = auto()
-    EOF = auto()
+# Token types.  The regular expression's group names are types too
+# ("ident", "number", "bad"); a punctuation token or a newline has its own
+# character as its type, so a punctuation test is one comparison.
+_IDENT = "ident"
+_NUMBER = "number"
+_HUGE_NUMBER = "huge_number"  # more digits than int() accepts
+_EOF = "eof"
 
+# Identifiers are ASCII, so every parsed word can be written back out.
+_IDENT_PATTERN = r"[A-Za-z_][A-Za-z0-9_]*"
 
-@dataclass(frozen=True)
-class _Token:
-    type: _Tok
-    text: str
-    span: SourceSpan
-    value: int = 0  # NUMBER only
+# Each match is the blanks and comment before one token, then the token.
+# Only at the end of input does a match carry no token.
+_TOKEN_RE = re.compile(
+    rf"""[ \t\r]*(?:\#[^\n]*)?
+    (?:(?P<ident>{_IDENT_PATTERN})
+      |(?P<number>-?[0-9]+)  # ASCII digits only: str.isdigit() also accepts '²'
+      |(?P<punct>[{{}}()=;,:/\n])
+      |(?P<bad>.)
+    )?""",
+    re.VERBOSE | re.DOTALL,
+)
 
-
-_PUNCT = set("{}()=;,:/")
-_DIGITS = set("0123456789")  # ASCII only: str.isdigit() also accepts '²'
+# (type, text, offset, value), as described in the module docstring.
+_Token = tuple[str, str, int, int]
+# (offset, length) of a source range.
+_Span = tuple[int, int]
+# (span, kind, message): a ParseError before its line and column are known.
+_Error = tuple[_Span, ParseErrorKind, str]
 
 
 def _lex(source: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col, i, n = 1, 1, 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            tokens.append(_Token(_Tok.NEWLINE, "\n", SourceSpan(line, col, 1)))
-            i += 1
-            line += 1
-            col = 1
-        elif ch in " \t\r":
-            i += 1
-            col += 1
-        elif ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-                col += 1
-        elif ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(_Token(_Tok.IDENT, source[i:j], SourceSpan(line, col, j - i)))
-            col += j - i
-            i = j
-        elif ch in _DIGITS or (ch == "-" and i + 1 < n and source[i + 1] in _DIGITS):
-            j = i + 1
-            while j < n and source[j] in _DIGITS:
-                j += 1
-            text = source[i:j]
-            span = SourceSpan(line, col, j - i)
+    append = tokens.append
+    for match in _TOKEN_RE.finditer(source):
+        kind = match.lastgroup
+        if kind is None:
+            continue
+        text = match[kind]
+        offset = match.start(kind)
+        if kind == "punct":
+            append((text, text, offset, 0))
+        elif kind == _NUMBER:
             try:
-                tokens.append(_Token(_Tok.NUMBER, text, span, value=int(text)))
+                append((_NUMBER, text, offset, int(text)))
             except ValueError:  # past the interpreter's int-max-str-digits limit
-                tokens.append(_Token(_Tok.HUGE_NUMBER, text, span))
-            col += j - i
-            i = j
-        elif ch in _PUNCT:
-            tokens.append(_Token(_Tok.PUNCT, ch, SourceSpan(line, col, 1)))
-            i += 1
-            col += 1
+                append((_HUGE_NUMBER, text, offset, 0))
         else:
-            tokens.append(_Token(_Tok.BAD, ch, SourceSpan(line, col, 1)))
-            i += 1
-            col += 1
-    tokens.append(_Token(_Tok.EOF, "", SourceSpan(line, col, 0)))
+            append((kind, text, offset, 0))
+    append((_EOF, "", len(source), 0))
     return tokens
 
 
+def _span(tok: _Token) -> _Span:
+    return tok[2], len(tok[1])
+
+
 def _describe(tok: _Token) -> str:
-    if tok.type is _Tok.EOF:
+    if tok[0] == _EOF:
         return "end of input"
-    if tok.type is _Tok.NEWLINE:
+    if tok[0] == "\n":
         return "end of line"
-    if tok.type is _Tok.HUGE_NUMBER:
-        return f"an integer literal too long to read ({tok.span.length} characters)"
-    return f"'{tok.text}'"
+    if tok[0] == _HUGE_NUMBER:
+        return f"an integer literal too long to read ({len(tok[1])} characters)"
+    return f"'{tok[1]}'"
+
+
+def _locate(source: str, errors: list[_Error]) -> list[ParseError]:
+    """Give each error its line and column, from one table of line starts."""
+    starts = [0]
+    starts.extend(match.end() for match in re.finditer("\n", source))
+    located = []
+    for (offset, length), kind, message in errors:
+        line = bisect_right(starts, offset)
+        column = offset - starts[line - 1] + 1
+        located.append(ParseError(SourceSpan(line, column, length), kind, message))
+    return located
 
 
 # ----------------------------------------------------------------------
 # Parsed value forms (parser-internal)
 
-@dataclass(frozen=True)
-class _NumberValue:
-    value: Fraction
-    span: SourceSpan
+class _NumberValue(NamedTuple):
+    value: int | Fraction
+    span: _Span
     word: str | None  # trailing unit-or-label word, if any
-    word_span: SourceSpan | None
+    word_span: _Span | None
 
 
-@dataclass(frozen=True)
-class _ColorListValue:
+class _ColorListValue(NamedTuple):
     # (name, count, name_span, count_span) per item, declaration order
-    items: tuple[tuple[str, int, SourceSpan, SourceSpan], ...]
-    span: SourceSpan
+    items: tuple[tuple[str, int, _Span, _Span], ...]
+    span: _Span
 
 
-@dataclass(frozen=True)
-class _IdentValue:
+class _IdentValue(NamedTuple):
     name: str
-    span: SourceSpan
+    span: _Span
 
 
 _Value = Union[_NumberValue, _ColorListValue, _IdentValue]
@@ -182,29 +189,28 @@ def _value_what(value: _Value) -> str:
     return f"the word '{value.name}'"
 
 
-@dataclass(frozen=True)
-class _Assign:
+class _Assign(NamedTuple):
     key: str
-    key_span: SourceSpan
+    key_span: _Span
     value: _Value
 
 
-@dataclass(frozen=True)
-class _Find:
+class _Find(NamedTuple):
     target: str
-    target_span: SourceSpan
+    target_span: _Span
     clauses: tuple[_Assign, ...]
-    span: SourceSpan  # span of the 'find' keyword
+    span: _Span  # span of the 'find' keyword
 
 
 class _BlockError(Exception):
     """Internal: a syntax error that aborts the current block."""
 
-    def __init__(self, error: ParseError):
-        self.error = error
+    def __init__(self, span: _Span, message: str):
+        self.error = (span, ParseErrorKind.SYNTAX, message)
 
 
-_KIND_NAMES = {kind.value for kind in PuzzleKind}
+_KINDS = {kind.value: kind for kind in PuzzleKind}
+_RATE_FIELDS = {field.value for field in RateField}
 _TIME_UNITS = {"min": 1, "h": 60}
 
 
@@ -215,46 +221,34 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
-        self.errors: list[ParseError] = []
+        self.errors: list[_Error] = []
 
     def _peek(self) -> _Token:
         return self.tokens[self.pos]
 
     def _advance(self) -> _Token:
         tok = self.tokens[self.pos]
-        if tok.type is not _Tok.EOF:
+        if tok[0] != _EOF:
             self.pos += 1
         return tok
 
     def _at_punct(self, text: str) -> bool:
-        tok = self._peek()
-        return tok.type is _Tok.PUNCT and tok.text == text
+        return self.tokens[self.pos][0] == text
 
     def _skip_newlines(self) -> None:
-        while self._peek().type is _Tok.NEWLINE:
-            self._advance()
+        while self.tokens[self.pos][0] == "\n":
+            self.pos += 1
 
     def _skip_separators(self) -> None:
-        while self._peek().type is _Tok.NEWLINE or self._at_punct(";"):
-            self._advance()
+        while self.tokens[self.pos][0] in ("\n", ";"):
+            self.pos += 1
 
-    def _expect_punct(self, text: str) -> _Token:
-        tok = self._peek()
-        if not self._at_punct(text):
-            raise _BlockError(
-                ParseError(tok.span, ParseErrorKind.SYNTAX,
-                           f"expected '{text}', found {_describe(tok)}")
-            )
-        return self._advance()
-
-    def _expect(self, tok_type: _Tok, what: str) -> _Token:
-        tok = self._peek()
-        if tok.type is not tok_type:
-            raise _BlockError(
-                ParseError(tok.span, ParseErrorKind.SYNTAX,
-                           f"expected {what}, found {_describe(tok)}")
-            )
-        return self._advance()
+    def _expect(self, tok_type: str, what: str) -> _Token:
+        tok = self.tokens[self.pos]
+        if tok[0] != tok_type:
+            raise _BlockError(_span(tok), f"expected {what}, found {_describe(tok)}")
+        self.pos += 1  # a matched token is never EOF
+        return tok
 
     # -- file / block structure ----------------------------------------
 
@@ -263,9 +257,9 @@ class _Parser:
         while True:
             self._skip_separators()
             tok = self._peek()
-            if tok.type is _Tok.EOF:
+            if tok[0] == _EOF:
                 return specs
-            if tok.type is _Tok.IDENT and tok.text == "puzzle":
+            if tok[0] == _IDENT and tok[1] == "puzzle":
                 try:
                     spec = self._parse_block()
                 except _BlockError as abort:
@@ -276,8 +270,8 @@ class _Parser:
                         specs.append(spec)
             else:
                 self.errors.append(
-                    ParseError(tok.span, ParseErrorKind.SYNTAX,
-                               f"expected 'puzzle', found {_describe(tok)}")
+                    (_span(tok), ParseErrorKind.SYNTAX,
+                     f"expected 'puzzle', found {_describe(tok)}")
                 )
                 self._advance()
                 self._recover()
@@ -286,149 +280,129 @@ class _Parser:
         """Skip forward to the next block boundary."""
         while True:
             tok = self._peek()
-            if tok.type is _Tok.EOF:
+            if tok[0] == _EOF:
                 return
-            if tok.type is _Tok.IDENT and tok.text == "puzzle":
-                return
-            if tok.type is _Tok.PUNCT and tok.text == "}":
-                self._advance()
+            if tok[0] == _IDENT and tok[1] == "puzzle":
                 return
             self._advance()
+            if tok[0] == "}":
+                return
 
     def _parse_block(self) -> PuzzleSpec | None:
         self._advance()  # the 'puzzle' keyword
-        kind_tok = self._expect(_Tok.IDENT, "a puzzle kind")
+        kind_tok = self._expect(_IDENT, "a puzzle kind")
         self._skip_newlines()
-        self._expect_punct("{")
+        self._expect("{", "'{'")
         assigns: list[_Assign] = []
         finds: list[_Find] = []
         while True:
             self._skip_separators()
             tok = self._peek()
-            if self._at_punct("}"):
+            if tok[0] == "}":
                 self._advance()
                 break
-            if tok.type is _Tok.EOF:
-                raise _BlockError(
-                    ParseError(tok.span, ParseErrorKind.SYNTAX,
-                               "unterminated block: expected '}'")
-                )
-            if tok.type is _Tok.IDENT and tok.text == "find":
-                finds.append(self._parse_find())
-            elif tok.type is _Tok.IDENT:
-                assigns.append(self._parse_assign())
+            if tok[0] == _EOF:
+                raise _BlockError(_span(tok), "unterminated block: expected '}'")
+            if tok[0] == _IDENT:
+                if tok[1] == "find":
+                    finds.append(self._parse_find())
+                else:
+                    assigns.append(self._parse_assign())
             else:
                 raise _BlockError(
-                    ParseError(tok.span, ParseErrorKind.SYNTAX,
-                               f"expected a statement, found {_describe(tok)}")
+                    _span(tok), f"expected a statement, found {_describe(tok)}"
                 )
-        if kind_tok.text not in _KIND_NAMES:
+        kind = _KINDS.get(kind_tok[1])
+        if kind is None:
             self.errors.append(
-                ParseError(kind_tok.span, ParseErrorKind.UNKNOWN_KIND,
-                           f"unknown puzzle kind '{kind_tok.text}'; expected one of "
-                           "rate, weighing, pigeonhole, transfer, station")
+                (_span(kind_tok), ParseErrorKind.UNKNOWN_KIND,
+                 f"unknown puzzle kind '{kind_tok[1]}'; expected one of "
+                 "rate, weighing, pigeonhole, transfer, station")
             )
             return None
-        return self._build(PuzzleKind(kind_tok.text), kind_tok, assigns, finds)
+        return self._build(kind, kind_tok, assigns, finds)
 
     def _parse_assign(self) -> _Assign:
         key_tok = self._advance()
-        self._expect_punct("=")
-        return _Assign(key_tok.text, key_tok.span, self._parse_value())
+        self._expect("=", "'='")
+        return _Assign(key_tok[1], _span(key_tok), self._parse_value())
 
     def _parse_find(self) -> _Find:
         find_tok = self._advance()
-        target_tok = self._expect(_Tok.IDENT, "a field to find")
-        where_tok = self._expect(_Tok.IDENT, "'where'")
-        if where_tok.text != "where":
+        target_tok = self._expect(_IDENT, "a field to find")
+        where_tok = self._expect(_IDENT, "'where'")
+        if where_tok[1] != "where":
             raise _BlockError(
-                ParseError(where_tok.span, ParseErrorKind.SYNTAX,
-                           f"expected 'where', found '{where_tok.text}'")
+                _span(where_tok), f"expected 'where', found '{where_tok[1]}'"
             )
         clauses: list[_Assign] = []
         while True:
-            key_tok = self._expect(_Tok.IDENT, "a key")
-            self._expect_punct("=")
-            clauses.append(_Assign(key_tok.text, key_tok.span, self._parse_value()))
+            key_tok = self._expect(_IDENT, "a key")
+            self._expect("=", "'='")
+            clauses.append(_Assign(key_tok[1], _span(key_tok), self._parse_value()))
             if self._at_punct(","):
                 self._advance()
                 continue
             break
-        return _Find(target_tok.text, target_tok.span, tuple(clauses), find_tok.span)
+        return _Find(target_tok[1], _span(target_tok), tuple(clauses), _span(find_tok))
 
     # -- values ----------------------------------------------------------
 
     def _parse_value(self) -> _Value:
         tok = self._peek()
-        if tok.type is _Tok.NUMBER:
+        if tok[0] == _NUMBER:
             return self._parse_number_value()
-        if self._at_punct("("):
+        if tok[0] == "(":
             return self._parse_colorlist()
-        if tok.type is _Tok.IDENT:
+        if tok[0] == _IDENT:
             self._advance()
-            return _IdentValue(tok.text, tok.span)
-        raise _BlockError(
-            ParseError(tok.span, ParseErrorKind.SYNTAX,
-                       f"expected a value, found {_describe(tok)}")
-        )
+            return _IdentValue(tok[1], _span(tok))
+        raise _BlockError(_span(tok), f"expected a value, found {_describe(tok)}")
 
     def _parse_number_value(self) -> _NumberValue:
         num_tok = self._advance()
-        value = Fraction(num_tok.value)
-        span = num_tok.span
+        value: int | Fraction = num_tok[3]
+        span = _span(num_tok)
         if self._at_punct("/"):
             self._advance()
-            den_tok = self._expect(_Tok.NUMBER, "a denominator")
-            if den_tok.value == 0:
-                raise _BlockError(
-                    ParseError(den_tok.span, ParseErrorKind.SYNTAX,
-                               "denominator must not be zero")
-                )
-            if den_tok.value < 0:
-                raise _BlockError(
-                    ParseError(den_tok.span, ParseErrorKind.SYNTAX,
-                               "denominator must be positive")
-                )
-            value = Fraction(num_tok.value, den_tok.value)
-            if den_tok.span.line == num_tok.span.line:
-                span = SourceSpan(
-                    num_tok.span.line,
-                    num_tok.span.column,
-                    den_tok.span.column + den_tok.span.length - num_tok.span.column,
-                )
+            den_tok = self._expect(_NUMBER, "a denominator")
+            if den_tok[3] == 0:
+                raise _BlockError(_span(den_tok), "denominator must not be zero")
+            if den_tok[3] < 0:
+                raise _BlockError(_span(den_tok), "denominator must be positive")
+            value = Fraction(num_tok[3], den_tok[3])
+            # p, '/' and q sit on one line: a newline between them is a token.
+            span = (num_tok[2], den_tok[2] + len(den_tok[1]) - num_tok[2])
         word = None
         word_span = None
-        if self._peek().type is _Tok.IDENT:
+        if self._peek()[0] == _IDENT:
             word_tok = self._advance()
-            word, word_span = word_tok.text, word_tok.span
+            word, word_span = word_tok[1], _span(word_tok)
         return _NumberValue(value, span, word, word_span)
 
     def _parse_colorlist(self) -> _ColorListValue:
         open_tok = self._advance()
         self._skip_newlines()
-        items: list[tuple[str, int, SourceSpan, SourceSpan]] = []
+        items: list[tuple[str, int, _Span, _Span]] = []
         if self._at_punct(")"):
             self._advance()
-            return _ColorListValue((), open_tok.span)
+            return _ColorListValue((), _span(open_tok))
         while True:
             self._skip_newlines()
-            name_tok = self._expect(_Tok.IDENT, "a color name")
-            self._expect_punct(":")
+            name_tok = self._expect(_IDENT, "a color name")
+            self._expect(":", "':'")
             self._skip_newlines()
-            count_tok = self._expect(_Tok.NUMBER, "a count")
+            count_tok = self._expect(_NUMBER, "a count")
             if self._at_punct("/"):
-                raise _BlockError(
-                    ParseError(self._peek().span, ParseErrorKind.SYNTAX,
-                               "color counts must be integers")
-                )
-            items.append((name_tok.text, count_tok.value, name_tok.span, count_tok.span))
+                raise _BlockError(_span(self._peek()), "color counts must be integers")
+            items.append((name_tok[1], count_tok[3], _span(name_tok), _span(count_tok)))
             self._skip_newlines()
             if self._at_punct(","):
                 self._advance()
                 continue
             break
-        self._expect_punct(")")
-        return _ColorListValue(tuple(items), open_tok.span)
+        self._expect(")", "')'")
+        return _ColorListValue(tuple(items), _span(open_tok))
 
     # -- semantics: turn statements into payloads -------------------------
 
@@ -439,20 +413,20 @@ class _Parser:
         assigns: list[_Assign],
         finds: list[_Find],
     ) -> PuzzleSpec | None:
-        errors: list[ParseError] = []
+        errors: list[_Error] = []
         table: dict[str, _Assign] = {}
         for assign in assigns:
             if assign.key in table:
                 errors.append(
-                    ParseError(assign.key_span, ParseErrorKind.DUPLICATE_KEY,
-                               f"duplicate key '{assign.key}'")
+                    (assign.key_span, ParseErrorKind.DUPLICATE_KEY,
+                     f"duplicate key '{assign.key}'")
                 )
             else:
                 table[assign.key] = assign
         if finds and kind is not PuzzleKind.RATE:
             errors.append(
-                ParseError(finds[0].span, ParseErrorKind.SYNTAX,
-                           f"'find' is only meaningful in rate puzzles, not {kind.value}")
+                (finds[0].span, ParseErrorKind.SYNTAX,
+                 f"'find' is only meaningful in rate puzzles, not {kind.value}")
             )
 
         label = None
@@ -460,19 +434,13 @@ class _Parser:
         if label_assign is not None:
             label = self._as_ident(label_assign, errors)
 
-        builders = {
-            PuzzleKind.RATE: self._build_rate,
-            PuzzleKind.WEIGHING: self._build_weighing,
-            PuzzleKind.PIGEONHOLE: self._build_pigeonhole,
-            PuzzleKind.TRANSFER: self._build_transfer,
-            PuzzleKind.STATION: self._build_station,
-        }
-        payload = builders[kind](kind_tok, table, finds, errors)
+        build = getattr(self, f"_build_{kind.value}")  # one builder per kind
+        payload = build(kind_tok, table, finds, errors)
 
         for assign in table.values():
             errors.append(
-                ParseError(assign.key_span, ParseErrorKind.SYNTAX,
-                           f"unexpected key '{assign.key}' in a {kind.value} puzzle")
+                (assign.key_span, ParseErrorKind.SYNTAX,
+                 f"unexpected key '{assign.key}' in a {kind.value} puzzle")
             )
         if errors or payload is None:
             self.errors.extend(errors)
@@ -485,64 +453,64 @@ class _Parser:
         key: str,
         kind_tok: _Token,
         kind_name: str,
-        errors: list[ParseError],
+        errors: list[_Error],
     ) -> _Assign | None:
         assign = table.pop(key, None)
         if assign is None:
             errors.append(
-                ParseError(kind_tok.span, ParseErrorKind.MISSING_KEY,
-                           f"{kind_name} puzzle is missing key '{key}'")
+                (_span(kind_tok), ParseErrorKind.MISSING_KEY,
+                 f"{kind_name} puzzle is missing key '{key}'")
             )
         return assign
 
     # value coercers; each appends an error and returns None on failure
 
-    def _as_ident(self, assign: _Assign, errors: list[ParseError]) -> str | None:
+    def _as_ident(self, assign: _Assign, errors: list[_Error]) -> str | None:
         value = assign.value
         if not isinstance(value, _IdentValue):
             errors.append(
-                ParseError(value.span, ParseErrorKind.TYPE_MISMATCH,
-                           f"key '{assign.key}' expects a word, found {_value_what(value)}")
+                (value.span, ParseErrorKind.TYPE_MISMATCH,
+                 f"key '{assign.key}' expects a word, found {_value_what(value)}")
             )
             return None
         return value.name
 
     def _as_number(
-        self, assign: _Assign, errors: list[ParseError], expects: str, counts: bool
+        self, assign: _Assign, errors: list[_Error], expects: str, counts: bool
     ) -> _NumberValue | None:
         """The assigned number; with ``counts``, one that carries no time unit."""
         value = assign.value
         if not isinstance(value, _NumberValue):
             errors.append(
-                ParseError(value.span, ParseErrorKind.TYPE_MISMATCH,
-                           f"key '{assign.key}' expects {expects}, found {_value_what(value)}")
+                (value.span, ParseErrorKind.TYPE_MISMATCH,
+                 f"key '{assign.key}' expects {expects}, found {_value_what(value)}")
             )
             return None
         if counts and value.word in _TIME_UNITS:
             errors.append(
-                ParseError(value.word_span, ParseErrorKind.BAD_UNIT,
-                           f"key '{assign.key}' counts objects; time unit "
-                           f"'{value.word}' is not allowed here")
+                (value.word_span, ParseErrorKind.BAD_UNIT,
+                 f"key '{assign.key}' counts objects; time unit "
+                 f"'{value.word}' is not allowed here")
             )
             return None
         return value
 
     def _as_count_quantity(
-        self, assign: _Assign, errors: list[ParseError]
+        self, assign: _Assign, errors: list[_Error]
     ) -> Quantity | None:
         value = self._as_number(assign, errors, "a number", counts=True)
         if value is None:
             return None
         if value.value <= 0:
             errors.append(
-                ParseError(value.span, ParseErrorKind.NEGATIVE_COUNT,
-                           f"key '{assign.key}' must be strictly positive, got {value.value}")
+                (value.span, ParseErrorKind.NEGATIVE_COUNT,
+                 f"key '{assign.key}' must be strictly positive, got {value.value}")
             )
             return None
         return Quantity(value.value, Unit.COUNT, value.word)
 
     def _as_time_quantity(
-        self, assign: _Assign, errors: list[ParseError]
+        self, assign: _Assign, errors: list[_Error]
     ) -> Quantity | None:
         value = self._as_number(assign, errors, "a number", counts=False)
         if value is None:
@@ -551,73 +519,73 @@ class _Parser:
         if value.word is not None:
             if value.word not in _TIME_UNITS:
                 errors.append(
-                    ParseError(value.word_span, ParseErrorKind.BAD_UNIT,
-                               f"unknown time unit '{value.word}' for key "
-                               f"'{assign.key}'; expected 'min' or 'h'")
+                    (value.word_span, ParseErrorKind.BAD_UNIT,
+                     f"unknown time unit '{value.word}' for key "
+                     f"'{assign.key}'; expected 'min' or 'h'")
                 )
                 return None
             scale = _TIME_UNITS[value.word]
         magnitude = value.value * scale
         if magnitude <= 0:
             errors.append(
-                ParseError(value.span, ParseErrorKind.NEGATIVE_COUNT,
-                           f"key '{assign.key}' must be strictly positive, got {value.value}")
+                (value.span, ParseErrorKind.NEGATIVE_COUNT,
+                 f"key '{assign.key}' must be strictly positive, got {value.value}")
             )
             return None
         return Quantity(magnitude, Unit.MINUTES)
 
     def _as_int(
-        self, assign: _Assign, errors: list[ParseError], minimum: int
+        self, assign: _Assign, errors: list[_Error], minimum: int
     ) -> int | None:
         value = self._as_number(assign, errors, "an integer", counts=True)
         if value is None:
             return None
         if value.value.denominator != 1:
             errors.append(
-                ParseError(value.span, ParseErrorKind.TYPE_MISMATCH,
-                           f"key '{assign.key}' expects an integer, got {value.value}")
+                (value.span, ParseErrorKind.TYPE_MISMATCH,
+                 f"key '{assign.key}' expects an integer, got {value.value}")
             )
             return None
         number = int(value.value)
         if number < minimum:
             errors.append(
-                ParseError(value.span, ParseErrorKind.NEGATIVE_COUNT,
-                           f"key '{assign.key}' must be at least {minimum}, got {number}")
+                (value.span, ParseErrorKind.NEGATIVE_COUNT,
+                 f"key '{assign.key}' must be at least {minimum}, got {number}")
             )
             return None
         return number
 
     def _as_colorlist(
-        self, assign: _Assign, errors: list[ParseError], at_least_one: bool
+        self, assign: _Assign, errors: list[_Error], at_least_one: bool
     ) -> tuple[tuple[str, int], ...] | None:
         value = assign.value
         if not isinstance(value, _ColorListValue):
             errors.append(
-                ParseError(value.span, ParseErrorKind.TYPE_MISMATCH,
-                           f"key '{assign.key}' expects a color list like "
-                           f"(blue: 2, red: 3), found {_value_what(value)}")
+                (value.span, ParseErrorKind.TYPE_MISMATCH,
+                 f"key '{assign.key}' expects a color list like "
+                 f"(blue: 2, red: 3), found {_value_what(value)}")
             )
             return None
         if at_least_one and not value.items:
             errors.append(
-                ParseError(value.span, ParseErrorKind.TYPE_MISMATCH,
-                           f"key '{assign.key}' needs at least one color")
+                (value.span, ParseErrorKind.TYPE_MISMATCH,
+                 f"key '{assign.key}' needs at least one color")
             )
             return None
-        seen: dict[str, SourceSpan] = {}
+        seen: dict[str, _Span] = {}
         ok = True
         for name, count, name_span, count_span in value.items:
             if name in seen:
                 errors.append(
-                    ParseError(name_span, ParseErrorKind.DUPLICATE_KEY,
-                               f"duplicate color '{name}'")
+                    (name_span, ParseErrorKind.DUPLICATE_KEY,
+                     f"duplicate color '{name}'")
                 )
                 ok = False
             seen[name] = name_span
             if count < 0:
                 errors.append(
-                    ParseError(count_span, ParseErrorKind.NEGATIVE_COUNT,
-                               f"count for color '{name}' must be >= 0, got {count}")
+                    (count_span, ParseErrorKind.NEGATIVE_COUNT,
+                     f"count for color '{name}' must be >= 0, got {count}")
                 )
                 ok = False
         if not ok:
@@ -636,39 +604,38 @@ class _Parser:
 
         if not finds:
             errors.append(
-                ParseError(kind_tok.span, ParseErrorKind.MISSING_KEY,
-                           "rate puzzle needs a 'find' clause")
+                (_span(kind_tok), ParseErrorKind.MISSING_KEY,
+                 "rate puzzle needs a 'find' clause")
             )
             return None
         if len(finds) > 1:
             errors.append(
-                ParseError(finds[1].span, ParseErrorKind.DUPLICATE_KEY,
-                           "only one 'find' clause is allowed")
+                (finds[1].span, ParseErrorKind.DUPLICATE_KEY,
+                 "only one 'find' clause is allowed")
             )
             return None
         find = finds[0]
-        field_names = {f.value for f in RateField}
-        if find.target not in field_names:
+        if find.target not in _RATE_FIELDS:
             errors.append(
-                ParseError(find.target_span, ParseErrorKind.SYNTAX,
-                           f"find target must be one of work, subjects, time; "
-                           f"got '{find.target}'")
+                (find.target_span, ParseErrorKind.SYNTAX,
+                 f"find target must be one of work, subjects, time; "
+                 f"got '{find.target}'")
             )
             return None
         target = RateField(find.target)
-        expected = field_names - {find.target}
+        expected = _RATE_FIELDS - {find.target}
         clause_table: dict[str, _Assign] = {}
         for clause in find.clauses:
             if clause.key in clause_table:
                 errors.append(
-                    ParseError(clause.key_span, ParseErrorKind.DUPLICATE_KEY,
-                               f"duplicate key '{clause.key}' in where-clause")
+                    (clause.key_span, ParseErrorKind.DUPLICATE_KEY,
+                     f"duplicate key '{clause.key}' in where-clause")
                 )
             elif clause.key not in expected:
                 errors.append(
-                    ParseError(clause.key_span, ParseErrorKind.SYNTAX,
-                               f"unexpected key '{clause.key}' in where-clause; "
-                               f"expected {' and '.join(sorted(expected))}")
+                    (clause.key_span, ParseErrorKind.SYNTAX,
+                     f"unexpected key '{clause.key}' in where-clause; "
+                     f"expected {' and '.join(sorted(expected))}")
                 )
             else:
                 clause_table[clause.key] = clause
@@ -677,8 +644,8 @@ class _Parser:
             clause = clause_table.get(name)
             if clause is None:
                 errors.append(
-                    ParseError(find.span, ParseErrorKind.MISSING_KEY,
-                               f"where-clause is missing key '{name}'")
+                    (find.span, ParseErrorKind.MISSING_KEY,
+                     f"where-clause is missing key '{name}'")
                 )
                 continue
             if name == "time":
@@ -698,7 +665,7 @@ class _Parser:
                 time=given.get("time"),
             )
         except InvalidInstance as exc:
-            errors.append(ParseError(kind_tok.span, ParseErrorKind.SYNTAX, str(exc)))
+            errors.append((_span(kind_tok), ParseErrorKind.SYNTAX, str(exc)))
             return None
 
     def _build_weighing(self, kind_tok, table, finds, errors):
@@ -732,7 +699,7 @@ class _Parser:
         try:
             return TransferInstance(pairs_a, pairs_b, count, event)
         except InvalidInstance as exc:
-            errors.append(ParseError(moved.value.span, ParseErrorKind.SYNTAX, str(exc)))
+            errors.append((moved.value.span, ParseErrorKind.SYNTAX, str(exc)))
             return None
 
     def _build_station(self, kind_tok, table, finds, errors):
@@ -745,7 +712,7 @@ class _Parser:
         try:
             return StationInstance(early_q.magnitude, saved_q.magnitude)
         except InvalidInstance as exc:
-            errors.append(ParseError(kind_tok.span, ParseErrorKind.SYNTAX, str(exc)))
+            errors.append((_span(kind_tok), ParseErrorKind.SYNTAX, str(exc)))
             return None
 
 
@@ -759,20 +726,18 @@ def parse_puzzles(source: str) -> list[PuzzleSpec]:
     parser = _Parser(_lex(source))
     specs = parser.parse_file()
     if parser.errors:
-        raise ParseFailure(parser.errors)
+        raise ParseFailure(_locate(source, parser.errors))
     return specs
 
 
 # ----------------------------------------------------------------------
 # Serialization (canonical single-line form; parse(serialize(s)) == [s])
 
-_IDENT_OK = r"[A-Za-z_][A-Za-z0-9_]*"
+_IDENT_RE = re.compile(_IDENT_PATTERN)
 
 
 def _ident_or_raise(word: str, what: str) -> str:
-    import re
-
-    if not re.fullmatch(_IDENT_OK, word):
+    if not _IDENT_RE.fullmatch(word):
         raise InvalidInstance(f"{what} {word!r} is not expressible in the DSL")
     return word
 

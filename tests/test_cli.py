@@ -140,6 +140,33 @@ def test_station_check_outside_simulation_regime(tmp_path, capsys):
     assert report["agreement"] is None
 
 
+@pytest.mark.parametrize(
+    "early, saved",
+    [
+        (str(10 ** 400), "1"),  # float() overflows
+        (f"1/{10 ** 400}", f"1/{3 * 10 ** 400}"),  # float() underflows to zero
+        ("100000000000000000001", "100000000000000000000"),  # walker speed rounds to 1
+        ("100000000000000000000", "1"),  # meeting point rounds onto the station
+    ],
+    ids=["overflow", "underflow", "walker-speed", "meeting-point"],
+)
+def test_station_check_beyond_float_range_is_unverifiable(
+    tmp_path, capsys, early, saved
+):
+    path = tmp_path / "station.speck"
+    source = f"puzzle station {{ early = {early} min; saved = {saved} min }}\n"
+    path.write_text(source, "utf-8")
+    code, out, err = run_main(
+        ["solve", str(path), "--format", "json", "--check", "--explain"], capsys
+    )
+    assert code == 0
+    assert err == ""
+    (report,) = json.loads(out)
+    assert report["oracle"] is None
+    assert report["agreement"] is None
+    assert any("kinematic check skipped" in line for line in report["explanation"])
+
+
 def test_ceil_subjects_flag(tmp_path, capsys):
     source = (
         "puzzle rate { work = 5; subjects = 2; time = 7 min; "

@@ -120,6 +120,62 @@ def test_syntax_errors_name_the_offender():
     assert len(error.message) < 100
     assert (error.span.column, error.span.length) == (29, 5000)
 
+    # Identifiers are ASCII, as the serializer writes them.
+    (error,) = errors_of("puzzle weighing { label = café; objects = 3 }")
+    assert str(error) == "1:30: syntax: expected a statement, found 'é'"
+    (error,) = errors_of(
+        "puzzle pigeonhole { counts = (rojo: 2, ñu: 3); required = 2 }"
+    )
+    assert str(error) == "1:40: syntax: expected a color name, found 'ñ'"
+
+
+@pytest.mark.parametrize(
+    "source, span",
+    [
+        # A tab and a carriage return are one character each.
+        ("puzzle weighing {\r\n\tobjects = 0\r\n}", (2, 12, 1)),
+        ("# inventory\npuzzle weighing { objects = 3 h }\n", (2, 31, 1)),
+        # End of input with no trailing newline: a zero-length span after it.
+        ("puzzle weighing { objects = 3 ", (1, 31, 0)),
+        # A p/q value spans from p to q.
+        ("puzzle weighing { objects = 7/2 }", (1, 29, 3)),
+        ("puzzle weighing { objects = 10 / 4 }", (1, 29, 6)),
+    ],
+)
+def test_error_span_is_exact(source, span):
+    (error,) = errors_of(source)
+    assert (error.span.line, error.span.column, error.span.length) == span
+
+
+def test_error_span_deep_in_a_long_file():
+    block = "puzzle weighing { objects = %d }\n"
+    source = (block % 3) * 4999 + block % 0
+    (error,) = errors_of(source)
+    assert (error.span.line, error.span.column, error.span.length) == (5000, 29, 1)
+
+
+_FRAGMENTS = [
+    "puzzle", " weighing", " pigeonhole", " station", "{", "}", "(", ")", "=", ":",
+    ",", ";", "/", " objects", " counts", " early", " label", "3", "-2", "0", " min",
+    " h", "\n", "\r\n", "\r", "\t", " ", "#note", "é", "²", "\x0b",
+]
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.text(), st.lists(st.sampled_from(_FRAGMENTS)).map("".join)))
+def test_error_spans_stay_inside_their_line(source):
+    try:
+        parse_puzzles(source)
+    except ParseFailure as failure:
+        lines = source.split("\n")  # not splitlines: '\r' and '\x0b' end no line
+        for error in failure.errors:
+            line, column, length = error.span.line, error.span.column, error.span.length
+            assert 1 <= line <= source.count("\n") + 1
+            assert column >= 1
+            # An "end of line" error covers the line's own newline character.
+            newline = 1 if line < len(lines) else 0
+            assert column - 1 + length <= len(lines[line - 1]) + newline
+
 
 def test_recovery_collects_errors_from_every_block():
     source = (
