@@ -2,9 +2,9 @@
 
 Container transfer: move some objects at random from container A into
 container B, draw one from B, ask for a probability.  The folklore answer
-2n/(n+d) is evaluated as given; the oracle enumerates every distinguishable
-transfer outcome exactly (hypergeometric weights, then a uniform draw), and
-a survey op records where the two agree.
+2n/(n+d) is evaluated as given; the oracle sums exactly over how many of
+the queried color's objects move (hypergeometric weights, then a uniform
+draw), and a survey op records where the two agree.
 
 Station walk: a walker leaves the station X minutes early and walks toward
 the car coming to fetch them; the pair arrives home Y minutes early.  The
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 from .core import PuzzleKind, Rational, _exact
 from .errors import InvalidInstance, NoMeeting
@@ -73,49 +73,29 @@ def transfer_probability_formula(n: int, d: int) -> Rational:
     return Fraction(2 * n, n + d)
 
 
-def _move_splits(limits: tuple[int, ...], total: int) -> Iterator[tuple[int, ...]]:
-    """All per-color move vectors m with 0 <= m[i] <= limits[i], sum = total."""
-    if not limits:
-        if total == 0:
-            yield ()
-        return
-    head, rest = limits[0], limits[1:]
-    tail_room = sum(rest)
-    for take in range(max(0, total - tail_room), min(head, total) + 1):
-        for others in _move_splits(rest, total - take):
-            yield (take, *others)
-
-
 def transfer_probability_enumerate(inst: TransferInstance) -> Rational:
-    """Exact probability of the query event by two-stage enumeration.
+    """Exact probability of the query event, summed over the queried color.
 
-    Stage one enumerates every distinguishable transfer outcome (a per-color
-    vector of moved counts) with its hypergeometric weight; stage two draws
-    uniformly from the enlarged container B.  All arithmetic is rational.
+    A uniform move of m of A's objects takes k of the queried color's a_c
+    with weight C(a_c, k) C(|A| - a_c, m - k) / C(|A|, m); the uniform draw
+    from the enlarged B then hits that color with probability
+    (b_c + k) / (|B| + m).  DrawnIsMoved has m favorable objects after
+    every move, so its probability is m / (|B| + m).
     """
-    colors = [label for label, _ in inst.container_a]
-    colors += [label for label, _ in inst.container_b if label not in colors]
-    a = dict(inst.container_a)
-    b = dict(inst.container_b)
-    a_counts = tuple(a.get(color, 0) for color in colors)
-    total_a = sum(a_counts)
-    total_b = sum(b.values())
-    after = total_b + inst.moved
-    ways = comb(total_a, inst.moved)
-    probability = Fraction(0)
-    for moves in _move_splits(a_counts, inst.moved):
-        weight = Fraction(1, ways)
-        for limit, take in zip(a_counts, moves):
-            weight *= comb(limit, take)
-        if isinstance(inst.query, DrawnIsMoved):
-            favorable = inst.moved
-        else:
-            wanted = inst.query.color
-            favorable = b.get(wanted, 0)
-            if wanted in colors:
-                favorable += moves[colors.index(wanted)]
-        probability += weight * Fraction(favorable, after)
-    return probability
+    moved = inst.moved
+    after = sum(count for _, count in inst.container_b) + moved
+    if isinstance(inst.query, DrawnIsMoved):
+        return Fraction(moved, after)
+    color = inst.query.color
+    a_c = dict(inst.container_a).get(color, 0)
+    b_c = dict(inst.container_b).get(color, 0)
+    total_a = sum(count for _, count in inst.container_a)
+    others = total_a - a_c
+    favorable = sum(
+        comb(a_c, k) * comb(others, moved - k) * (b_c + k)
+        for k in range(max(0, moved - others), min(a_c, moved) + 1)
+    )
+    return Fraction(favorable, comb(total_a, moved) * after)
 
 
 @dataclass(frozen=True)

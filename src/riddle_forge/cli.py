@@ -1,8 +1,8 @@
 """Command-line front end: solve puzzle files, run formula-vs-oracle sweeps.
 
 Exit codes: 0 when everything solved (and, with --check, agreed); 1 on
-parse, I/O or decoding errors; 2 on a formula/oracle disagreement or bad
-sweep bounds.
+parse, I/O or decoding errors, or an exact value too long to print; 2 on a
+formula/oracle disagreement or bad sweep bounds.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .weighing import (
 WEIGHING_SWEEP_LIMIT = 3 ** 8
 PIGEONHOLE_SWEEP_LIMITS = {"colors": 4, "count": 6, "required": 4}
 TRANSFER_SWEEP_LIMIT = 8
-STATION_TOLERANCE = 1e-9
+STATION_TOLERANCE = 1e-9  # relative to `early`, which bounds walked and saved
 STRATEGY_RENDER_LIMIT = 27  # explain-mode trees get big fast beyond this
 
 
@@ -254,13 +254,17 @@ def _solve_station_report(
             # Y/(2X - Y) < 1, any distance beyond the meeting point.  Exactly,
             # the pair always meets; in floats the values may overflow,
             # underflow to zero, or round the walker up to the car's speed or
-            # the meeting point onto the station.
+            # the meeting point onto the station.  Subnormal inputs would run,
+            # but with too few significant bits to check to the tolerance.
             try:
+                early, saved = float(x), float(y)
+                if min(early, saved) < sys.float_info.min:
+                    raise InvalidInstance("early or saved is not a normal float")
                 sim_walked, sim_saved = station_walk_simulate(
-                    distance=float(x),
+                    distance=early,
                     car_speed=1.0,
                     walk_speed=float(y / (2 * x - y)),
-                    early_minutes=float(x),
+                    early_minutes=early,
                 )
             except (OverflowError, InvalidInstance, NoMeeting) as exc:
                 report.oracle = None
@@ -271,9 +275,12 @@ def _solve_station_report(
                 )
             else:
                 report.oracle = f"{sim_walked:.12g}"
+                # The simulation gets saved by cancellation of two values near
+                # early, so its error scales with early, not with saved.
+                tolerance = STATION_TOLERANCE * early
                 report.agreement = (
-                    abs(sim_walked - float(walked)) <= STATION_TOLERANCE
-                    and abs(sim_saved - float(y)) <= STATION_TOLERANCE
+                    abs(sim_walked - float(walked)) <= tolerance
+                    and abs(sim_saved - saved) <= tolerance
                 )
         else:
             # saved >= early needs a walker at least as fast as the car,
@@ -287,8 +294,7 @@ def _solve_station_report(
     return report
 
 
-def _solve_one(spec: PuzzleSpec, fallback_label: str, opts: SolveOptions) -> SolveReport:
-    label = spec.label or fallback_label
+def _solve_one(spec: PuzzleSpec, label: str, opts: SolveOptions) -> SolveReport:
     if spec.kind is PuzzleKind.RATE:
         return _solve_rate_report(label, spec.payload, opts)
     if spec.kind is PuzzleKind.WEIGHING:
@@ -336,7 +342,15 @@ def cmd_solve(paths: Sequence[str], opts: SolveOptions) -> int:
             continue
         stem = Path(path).stem
         for index, spec in enumerate(specs, 1):
-            reports.append(_solve_one(spec, f"{stem}#{index}", opts))
+            label = spec.label or f"{stem}#{index}"
+            try:
+                reports.append(_solve_one(spec, label, opts))
+            except ValueError as exc:
+                # Only an exact value past int-to-str's digit limit is expected.
+                if "integer string conversion" not in str(exc):
+                    raise
+                print(f"error: {path}: {label}: {exc}", file=sys.stderr)
+                failed = True
     _emit(_format_reports(reports, opts), opts.out)
     if failed:
         return 1

@@ -64,37 +64,45 @@ def test_instance_validation():
         TransferInstance((("red", -1),), (), 1, DrawnIsMoved())
 
 
-def _two_color_instances(max_total):
-    for a_red, a_blue, b_red, b_blue in product(range(max_total + 1), repeat=4):
-        if not 1 <= a_red + a_blue:
+def _color_instances(colors, max_total):
+    for counts in product(range(max_total + 1), repeat=2 * len(colors)):
+        a_counts, b_counts = counts[: len(colors)], counts[len(colors):]
+        if not 1 <= sum(a_counts) or sum(counts) > max_total:
             continue
-        if a_red + a_blue + b_red + b_blue > max_total:
-            continue
-        for moved in range(1, a_red + a_blue + 1):
-            yield (("red", a_red), ("blue", a_blue)), (("red", b_red), ("blue", b_blue)), moved
+        for moved in range(1, sum(a_counts) + 1):
+            yield tuple(zip(colors, a_counts)), tuple(zip(colors, b_counts)), moved
+
+
+TWO_COLORS = ("red", "blue")
 
 
 def test_enumeration_matches_elementary_events_up_to_six_objects():
     # Dual route: distinguishable-object enumeration with equal-weight
-    # elementary events must agree with the hypergeometric enumeration.
-    for container_a, container_b, moved in _two_color_instances(6):
-        p_moved, p_not_moved, p_colors = elementary_transfer(
-            container_a, container_b, moved
-        )
-        assert p_moved + p_not_moved == 1
-        moved_inst = TransferInstance(container_a, container_b, moved, DrawnIsMoved())
-        assert transfer_probability_enumerate(moved_inst) == p_moved
-        for color in ("red", "blue"):
-            color_inst = TransferInstance(
-                container_a, container_b, moved, DrawnHasColor(color)
+    # elementary events must agree with the hypergeometric sum.  With three
+    # colors the sum runs over two unqueried colors at once.
+    for colors in (TWO_COLORS, (*TWO_COLORS, "green")):
+        for container_a, container_b, moved in _color_instances(colors, 6):
+            p_moved, p_not_moved, p_colors = elementary_transfer(
+                container_a, container_b, moved
             )
-            assert transfer_probability_enumerate(color_inst) == p_colors.get(color, 0)
+            assert p_moved + p_not_moved == 1
+            moved_inst = TransferInstance(
+                container_a, container_b, moved, DrawnIsMoved()
+            )
+            assert transfer_probability_enumerate(moved_inst) == p_moved
+            for color in (*colors, "absent"):
+                color_inst = TransferInstance(
+                    container_a, container_b, moved, DrawnHasColor(color)
+                )
+                assert transfer_probability_enumerate(color_inst) == p_colors.get(
+                    color, 0
+                )
 
 
 def test_enumeration_normalises_exactly():
     # Recoloring A-objects 'src' and B-objects 'dst' makes "drawn is moved"
     # a color event, so the color partition checks the total probability.
-    for container_a, container_b, moved in _two_color_instances(6):
+    for container_a, container_b, moved in _color_instances(TWO_COLORS, 6):
         total_a = sum(count for _, count in container_a)
         total_b = sum(count for _, count in container_b)
         recolored = TransferInstance(

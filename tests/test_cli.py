@@ -1,14 +1,20 @@
 """CLI behaviour: reports, exit codes, JSON stability, sweeps."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import riddle_forge.cli as cli
+from riddle_forge import station_walk_simulate
 from riddle_forge.cli import main
 
 CORPUS = resources.files("riddle_forge") / "corpus" / "classic_problems.speck"
@@ -37,6 +43,15 @@ def run_main(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli(*argv, timeout=60):
+    return subprocess.run(
+        [sys.executable, "-m", "riddle_forge", *argv],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
 
 
 def test_solve_corpus_text(corpus_path, capsys):
@@ -127,6 +142,36 @@ def test_station_check_agrees(tmp_path, capsys):
     assert report["agreement"] is True
 
 
+def test_station_check_agrees_when_saved_is_far_below_early(tmp_path, capsys):
+    # The simulation gets saved by cancellation of two values near early, so
+    # its error is about ulp(early): far more than 1e-9 of this saved time.
+    path = tmp_path / "station.speck"
+    source = "puzzle station { early = 1 min; saved = 1/10000000000 min }\n"
+    path.write_text(source, "utf-8")
+    code, out, _ = run_main(["solve", str(path), "--format", "json", "--check"], capsys)
+    assert code == 0
+    (report,) = json.loads(out)
+    assert report["answer"] == "19999999999/20000000000"
+    assert report["agreement"] is True
+
+
+def test_station_check_tolerance_is_relative(tmp_path, capsys, monkeypatch):
+    # Every walked time here is below 1e-9 min, so an absolute tolerance of
+    # 1e-9 would accept an oracle that is off by half.
+    def half_walked(**params):
+        walked, saved = station_walk_simulate(**params)
+        return walked / 2, saved
+
+    monkeypatch.setattr(cli, "station_walk_simulate", half_walked)
+    path = tmp_path / "station.speck"
+    source = "puzzle station { early = 1/1000000000 min; saved = 1/3000000000 min }\n"
+    path.write_text(source, "utf-8")
+    code, out, _ = run_main(["solve", str(path), "--format", "json", "--check"], capsys)
+    assert code == 2
+    (report,) = json.loads(out)
+    assert report["agreement"] is False
+
+
 def test_station_check_outside_simulation_regime(tmp_path, capsys):
     path = tmp_path / "station.speck"
     path.write_text("puzzle station { early = 10 min; saved = 15 min }\n", "utf-8")
@@ -145,10 +190,11 @@ def test_station_check_outside_simulation_regime(tmp_path, capsys):
     [
         (str(10 ** 400), "1"),  # float() overflows
         (f"1/{10 ** 400}", f"1/{3 * 10 ** 400}"),  # float() underflows to zero
+        (f"1/{10 ** 320}", f"1/{3 * 10 ** 320}"),  # subnormal: too few bits to check
         ("100000000000000000001", "100000000000000000000"),  # walker speed rounds to 1
         ("100000000000000000000", "1"),  # meeting point rounds onto the station
     ],
-    ids=["overflow", "underflow", "walker-speed", "meeting-point"],
+    ids=["overflow", "underflow", "subnormal", "walker-speed", "meeting-point"],
 )
 def test_station_check_beyond_float_range_is_unverifiable(
     tmp_path, capsys, early, saved
@@ -270,37 +316,55 @@ def test_explain_is_nonempty_for_every_kind(tmp_path, capsys):
 
 
 def test_module_entry_point(corpus_path):
-    result = subprocess.run(
-        [sys.executable, "-m", "riddle_forge", "solve", str(corpus_path)],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    result = run_cli("solve", str(corpus_path))
     assert result.returncode == 0
     assert "tailor_buttons [pigeonhole] answer = 13" in result.stdout
 
 
+NINES_3000 = b"9" * 3000
+SEVENS, THREES = b"7" * 2500, b"3" * 2500
+# An exact answer with more digits than int-to-str conversion allows.
+TOO_LONG = "bad.speck: bad#1: Exceeds the limit (4300 digits)"
+
+
 @pytest.mark.parametrize(
-    "content",
+    "content, diagnostic",
     [
-        b"\xff\n",
-        "puzzle weighing { objects = \u00b2 }\n".encode("utf-8"),
-        b"puzzle weighing { objects = " + b"7" * 5000 + b" }\n",
+        (b"\xff\n", "can't decode byte 0xff"),
+        ("puzzle weighing { objects = \u00b2 }\n".encode("utf-8"), "syntax"),
+        (b"puzzle weighing { objects = " + b"7" * 5000 + b" }\n", "syntax"),
+        (
+            b"puzzle rate { work = " + NINES_3000 + b"; subjects = 1; time = 1 min; "
+            b"find work where subjects = " + NINES_3000 + b", time = 1 min }\n",
+            TOO_LONG,
+        ),
+        (
+            b"puzzle pigeonhole { counts = ("
+            + b", ".join(b"c%d: 1" % i for i in range(11))
+            + b"); required = " + b"9" * 4299 + b" }\n",
+            TOO_LONG,
+        ),
+        (
+            b"puzzle station { early = " + SEVENS + b"/" + THREES + b"1 min; saved = "
+            + SEVENS + b"/" + THREES + b"7 min }\n",
+            TOO_LONG,
+        ),
     ],
-    ids=["not-utf8", "superscript-digit", "5000-digit-literal"],
+    ids=[
+        "not-utf8", "superscript-digit", "5000-digit-literal",
+        "huge-rate-answer", "huge-pigeonhole-answer", "huge-station-answer",
+    ],
 )
-def test_bad_file_is_reported_next_to_a_good_one(tmp_path, corpus_path, content):
+def test_bad_file_is_reported_next_to_a_good_one(
+    tmp_path, corpus_path, content, diagnostic
+):
     bad = tmp_path / "bad.speck"
     bad.write_bytes(content)
-    result = subprocess.run(
-        [sys.executable, "-m", "riddle_forge", "solve", str(bad), str(corpus_path)],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    result = run_cli("solve", str(bad), str(corpus_path))
     assert result.returncode == 1
     assert "Traceback" not in result.stderr
     assert str(bad) in result.stderr
+    assert diagnostic in result.stderr
     assert "tailor_buttons [pigeonhole] answer = 13" in result.stdout
 
 
@@ -324,3 +388,62 @@ def test_benchmark_tracer_leaves_output_unchanged(tmp_path, capsys, monkeypatch)
     tracer.main(argv)
     assert capsys.readouterr().out == plain
     assert set(tracer.summary()["layers"]) == set(LAYER_OF.values())
+
+
+def test_many_color_transfer_is_checked_next_to_the_corpus(tmp_path, corpus_path):
+    colors = ", ".join(f"c{i}: 1" for i in range(1500))
+    path = tmp_path / "colors.speck"
+    path.write_text(
+        f"puzzle transfer {{ label = many_colors; container_a = ({colors}); "
+        "container_b = (blue: 1); moved = 2; query = c0 }\n",
+        encoding="utf-8",
+    )
+    result = run_cli("solve", "--check", str(path), str(corpus_path))
+    assert result.returncode == 2  # the folklore formula disagrees
+    assert "Traceback" not in result.stderr
+    assert "many_colors [transfer] answer = 3000/1501" in result.stdout
+    assert "oracle = 1/2250  (agreement: NO)" in result.stdout
+    assert "tailor_buttons [pigeonhole] answer = 13" in result.stdout
+
+
+def test_transfer_oracle_skips_infeasible_splits(tmp_path):
+    # Every split moves 10000 reds; summing from k = 0 would take minutes.
+    path = tmp_path / "reds.speck"
+    path.write_text(
+        "puzzle transfer { container_a = (red: 20000); container_b = (blue: 3); "
+        "moved = 10000; query = red }\n",
+        encoding="utf-8",
+    )
+    result = run_cli("solve", "--check", "--format", "json", str(path), timeout=20)
+    (report,) = json.loads(result.stdout)
+    assert report["oracle"] == "10000/10003"
+
+
+_CORPUS_SOURCES = [CORPUS.read_text(encoding="utf-8"), MIXED_SOURCE]
+_MUTATION_CHARS = st.one_of(
+    st.sampled_from("0123456789/(){};:=,-# \n\r\tabcmpquz"), st.characters()
+)
+
+
+@st.composite
+def _mutated_corpus(draw):
+    text = draw(st.sampled_from(_CORPUS_SOURCES))
+    for _ in range(draw(st.integers(1, 6))):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 3))
+        text = text[:at] + draw(st.text(_MUTATION_CHARS, max_size=4)) + text[at + cut:]
+    return text
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.text(), _mutated_corpus()))
+def test_solve_never_raises_on_any_source(source):
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "fuzz.speck"
+        # A lone surrogate becomes bytes that are not UTF-8.
+        path.write_bytes(source.encode("utf-8", "surrogatepass"))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["solve", "--explain", "--format", "json", str(path)])
+    assert code in (0, 1, 2)
+    assert isinstance(json.loads(out.getvalue()), list)
