@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, TextIO
 
 from .classics import (
     StationInstance,
@@ -306,20 +306,22 @@ def _solve_one(spec: PuzzleSpec, label: str, opts: SolveOptions) -> SolveReport:
     return _solve_station_report(label, spec.payload, opts)
 
 
-def _format_reports(reports: list[SolveReport], opts: SolveOptions) -> str:
+def _write_reports(reports: list[SolveReport], opts: SolveOptions, handle: TextIO) -> None:
     if opts.fmt == "json":
-        return json.dumps([r.to_dict() for r in reports], indent=2) + "\n"
-    if not reports:
-        return ""
-    return "\n".join(r.to_text() for r in reports) + "\n"
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
+        # json.dump writes chunk by chunk: the document is never one string.
+        json.dump([r.to_dict() for r in reports], handle, indent=2)
+        handle.write("\n")
         return
-    with open(out, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+    for report in reports:
+        handle.write(report.to_text() + "\n")
+
+
+def _emit(reports: list[SolveReport], opts: SolveOptions) -> None:
+    if opts.out is None:
+        _write_reports(reports, opts, sys.stdout)
+        return
+    with open(opts.out, "w", encoding="utf-8", newline="\n") as handle:
+        _write_reports(reports, opts, handle)
 
 
 def cmd_solve(paths: Sequence[str], opts: SolveOptions) -> int:
@@ -351,7 +353,7 @@ def cmd_solve(paths: Sequence[str], opts: SolveOptions) -> int:
                     raise
                 print(f"error: {path}: {label}: {exc}", file=sys.stderr)
                 failed = True
-    _emit(_format_reports(reports, opts), opts.out)
+    _emit(reports, opts)
     if failed:
         return 1
     if any(report.agreement is False for report in reports):
