@@ -46,10 +46,12 @@ from .weighing import (
 )
 
 WEIGHING_SWEEP_LIMIT = 3 ** 8
+WEIGHING_ORACLE_LIMIT = 3 ** 12  # the minimax table takes about 2 s to reach it
 PIGEONHOLE_SWEEP_LIMITS = {"colors": 4, "count": 6, "required": 4}
 TRANSFER_SWEEP_LIMIT = 8
 STATION_TOLERANCE = 1e-9  # relative to `early`, which bounds walked and saved
 STRATEGY_RENDER_LIMIT = 27  # explain-mode trees get big fast beyond this
+STALL_SHOWN = 30  # explain-mode draws of the longest stall
 
 
 @dataclass
@@ -164,10 +166,16 @@ def _solve_weighing_report(
                 f"{STRATEGY_RENDER_LIMIT})"
             )
     if opts.check:
-        oracle = min_weighings_oracle(inst)
         report.checked = True
-        report.oracle = str(oracle)
-        report.agreement = oracle == answer.weighings
+        if inst.n_objects > WEIGHING_ORACLE_LIMIT:
+            report.explanation.append(
+                f"minimax check skipped: {inst.n_objects} objects is over the "
+                f"oracle's budget of {WEIGHING_ORACLE_LIMIT}"
+            )
+        else:
+            oracle = min_weighings_oracle(inst)
+            report.oracle = str(oracle)
+            report.agreement = oracle == answer.weighings
     return report
 
 
@@ -201,9 +209,9 @@ def _solve_pigeonhole_report(
                     "required - 1 objects; this instance does not"
                 )
             if opts.explain:
-                stall = adversarial_sequence(inst)
-                shown = ", ".join(stall[:30]) + (", ..." if len(stall) > 30 else "")
-                report.explanation.append(f"longest stall ({len(stall)} draws): {shown}")
+                stall = adversarial_sequence(inst, STALL_SHOWN)
+                shown = ", ".join(stall) + (", ..." if oracle - 1 > STALL_SHOWN else "")
+                report.explanation.append(f"longest stall ({oracle - 1} draws): {shown}")
     return report
 
 

@@ -73,21 +73,31 @@ def guarantee_draws_oracle(inst: PigeonholeInstance) -> int:
     return stall + 1
 
 
-def adversarial_sequence(inst: PigeonholeInstance) -> list[str]:
+def adversarial_sequence(
+    inst: PigeonholeInstance, limit: int | None = None
+) -> list[str]:
     """A longest draw sequence avoiding the goal, cycling colors in order.
 
     Its length is guarantee_draws_oracle(inst) - 1, witnessing tightness.
+    With ``limit``, only the first ``limit`` draws of that same sequence are
+    built, so a huge stall costs no more than the prefix that is shown.
     """
     answer = guarantee_draws_oracle(inst)  # validates feasibility
+    wanted = answer - 1 if limit is None else min(limit, answer - 1)
     budgets = [
         (label, min(count, inst.required - 1)) for label, count in inst.color_counts
     ]
     sequence: list[str] = []
     for round_no in range(inst.required - 1):
+        # Some color has a full budget, so every round draws at least once
+        # and this stops within ``wanted`` rounds.
+        if len(sequence) >= wanted:
+            break
         for label, budget in budgets:
             if budget > round_no:
                 sequence.append(label)
-    assert len(sequence) == answer - 1
+    del sequence[wanted:]
+    assert len(sequence) == wanted
     return sequence
 
 

@@ -5,8 +5,8 @@ Two independent routes to the same number:
 * a closed form that brackets N between consecutive powers of three
   (each weighing has three outcomes, so it can cut the suspect set to a
   third at best), and
-* an exhaustive minimax search over pan sizes that never appeals to the
-  closed form, used to prove it tight.
+* a minimax search over pan sizes that never appeals to the closed form,
+  used to prove it tight.
 
 On top of those, an explicit strategy tree makes the textbook "split into
 three near-equal groups" procedure executable and checkable.
@@ -59,7 +59,7 @@ _worst_case: list[int] = [0, 0]
 
 
 def _worst_case_table(limit: int) -> list[int]:
-    """Exhaustive minimax table for suspect counts up to ``limit``.
+    """Minimax table for suspect counts up to ``limit``.
 
     Putting ``a`` suspects on each pan splits m suspects into outcome
     classes of size a (left heavy), a (right heavy) and m - 2a (balanced),
@@ -69,8 +69,12 @@ def _worst_case_table(limit: int) -> list[int]:
         f(1) = 0
         f(m) = 1 + min over a in [1, m // 2] of max(f(a), f(m - 2a))
 
-    The adversary picks the worst outcome, we pick the best pan size.  The
-    recursion never consults the closed form it is used to verify.
+    The adversary picks the worst outcome, we pick the best pan size.  As
+    ``a`` grows, f(a) rises and f(m - 2a) falls, so the minimum lies where
+    they cross: a binary search finds the smallest ``a`` with
+    f(a) >= f(m - 2a), and the best pan size is that ``a`` or ``a - 1``.
+    The search relies on f being nondecreasing, which is checked row by
+    row.  The recursion never consults the closed form it is used to verify.
     """
     global _worst_case
     table = _worst_case
@@ -78,20 +82,30 @@ def _worst_case_table(limit: int) -> list[int]:
         return table
     table = table.copy()
     for m in range(len(table), limit + 1):
-        best = m  # weighing one pair at a time is always enough
-        for a in range(1, m // 2 + 1):
-            on_pan = table[a]
-            set_aside = table[m - 2 * a]
-            worst = on_pan if on_pan > set_aside else set_aside
-            if worst < best:
-                best = worst
+        low, high = 1, m // 2 + 1  # the crossing lies in [low, high]
+        while low < high:
+            mid = (low + high) // 2
+            if table[mid] >= table[m - 2 * mid]:
+                high = mid
+            else:
+                low = mid + 1
+        # Just left of the crossing the set-aside class is the worse outcome,
+        # at the crossing the pans are.
+        best = table[m - 2 * low + 2] if low > 1 else m
+        if low <= m // 2 and table[low] < best:
+            best = table[low]
+        if 1 + best < table[m - 1]:
+            raise RuntimeError(
+                f"minimax table decreases at {m} suspects; its binary search "
+                "needs it nondecreasing"
+            )
         table.append(1 + best)
     _worst_case = table  # atomic swap: concurrent readers see a full table
     return table
 
 
 def min_weighings_oracle(inst: WeighingInstance) -> int:
-    """Worst-case-optimal weighing count by exhaustive minimax search."""
+    """Worst-case-optimal weighing count by minimax search over pan sizes."""
     return _worst_case_table(inst.n_objects)[inst.n_objects]
 
 

@@ -27,6 +27,23 @@ def exhaustive_max_avoiding(counts: tuple[int, ...], required: int) -> int:
     return best
 
 
+def exhaustive_worst_case(limit: int) -> list[int]:
+    """Worst-case weighing counts for 0..limit suspects, trying every pan size.
+
+    The same recursion as the package's minimax table, f(1) = 0 and
+    f(m) = 1 + min over a in [1, m // 2] of max(f(a), f(m - 2a)), but
+    minimised by scanning every ``a`` instead of searching for the
+    crossing, so it assumes nothing about the shape of f.  Index 0 is the
+    impossible "balanced with nothing set aside" outcome.
+    """
+    table = [0, 0]
+    for m in range(2, limit + 1):
+        table.append(
+            1 + min(max(table[a], table[m - 2 * a]) for a in range(1, m // 2 + 1))
+        )
+    return table[: limit + 1]
+
+
 def elementary_transfer(container_a, container_b, moved):
     """Equal-weight enumeration of every (transfer subset, draw) outcome.
 

@@ -419,6 +419,73 @@ def test_transfer_oracle_skips_infeasible_splits(tmp_path):
     assert report["oracle"] == "10000/10003"
 
 
+def test_weighing_over_the_oracle_budget_is_unverifiable(tmp_path, capsys, monkeypatch):
+    def no_oracle(inst):
+        raise AssertionError("the minimax table was built past its budget")
+
+    monkeypatch.setattr(cli, "min_weighings_oracle", no_oracle)
+    objects = cli.WEIGHING_ORACLE_LIMIT + 1
+    path = tmp_path / "big.speck"
+    path.write_text(f"puzzle weighing {{ objects = {objects} }}\n", encoding="utf-8")
+    code, out, err = run_main(["solve", "--check", "--format", "json", str(path)], capsys)
+    assert code == 0
+    assert err == ""
+    (report,) = json.loads(out)
+    assert report["answer"] == "13"
+    assert report["oracle"] is None
+    assert report["agreement"] is None
+    assert report["explanation"] == [
+        f"minimax check skipped: {objects} objects is over the oracle's budget "
+        f"of {cli.WEIGHING_ORACLE_LIMIT}"
+    ]
+
+
+def test_large_weighing_is_checked_next_to_the_corpus(tmp_path, corpus_path):
+    path = tmp_path / "large.speck"
+    path.write_text("puzzle weighing { objects = 200000 }\n", encoding="utf-8")
+    result = run_cli("solve", "--check", str(path), str(corpus_path), timeout=30)
+    assert result.returncode == 0
+    assert "large#1 [weighing] answer = 12" in result.stdout
+    assert "oracle = 12  (agreement: yes)" in result.stdout
+    assert "tailor_buttons [pigeonhole] answer = 13" in result.stdout
+
+
+def test_explain_builds_only_the_stall_draws_it_shows(tmp_path, capsys, monkeypatch):
+    built, original = [], cli.adversarial_sequence
+
+    def recording(*args, **kwargs):
+        result = original(*args, **kwargs)
+        built.append(len(result))
+        return result
+
+    monkeypatch.setattr(cli, "adversarial_sequence", recording)
+    path = tmp_path / "stall.speck"
+    path.write_text(
+        "puzzle pigeonhole { counts = (a: 100, b: 100, c: 100); required = 100 }\n",
+        encoding="utf-8",
+    )
+    code, out, _ = run_main(
+        ["solve", "--check", "--explain", "--format", "json", str(path)], capsys
+    )
+    assert code == 0
+    (report,) = json.loads(out)
+    shown = ", ".join(["a", "b", "c"] * 10)
+    assert report["explanation"][-1] == f"longest stall (297 draws): {shown}, ..."
+    assert built == [30]
+
+
+def test_explain_shows_a_huge_stall_at_once(tmp_path):
+    path = tmp_path / "huge.speck"
+    path.write_text(
+        "puzzle pigeonhole { counts = (a: 100000000, b: 100000000); "
+        "required = 100000000 }\n",
+        encoding="utf-8",
+    )
+    result = run_cli("solve", "--check", "--explain", str(path), timeout=20)
+    assert result.returncode == 0
+    assert "longest stall (199999998 draws): a, b, a, b," in result.stdout
+
+
 _CORPUS_SOURCES = [CORPUS.read_text(encoding="utf-8"), MIXED_SOURCE]
 _MUTATION_CHARS = st.one_of(
     st.sampled_from("0123456789/(){};:=,-# \n\r\tabcmpquz"), st.characters()

@@ -4,7 +4,7 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from riddle_forge import (
@@ -121,6 +121,18 @@ def test_adversarial_sequence_properties(counts, required):
         appearances = sequence.count(label)
         assert appearances < required
         assert appearances <= count
+
+
+@given(
+    st.lists(st.integers(0, 12), min_size=1, max_size=5),
+    st.integers(1, 8),
+    st.integers(0, 40),
+)
+def test_adversarial_sequence_limit_is_a_prefix(counts, required, limit):
+    assume(max(counts) >= required)
+    pairs = tuple((f"c{i}", count) for i, count in enumerate(counts))
+    inst = PigeonholeInstance(pairs, required)
+    assert adversarial_sequence(inst, limit) == adversarial_sequence(inst)[:limit]
 
 
 def test_random_instances_formula_vs_oracle_disagree_only_off_family():

@@ -4,6 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import riddle_forge.weighing as weighing
 from riddle_forge import (
     InvalidInstance,
     Leaf,
@@ -20,6 +21,7 @@ from riddle_forge import (
     strategy_to_dict,
     validate_strategy,
 )
+from oracles import exhaustive_worst_case
 
 
 def leaf(i):
@@ -78,6 +80,17 @@ def test_oracle_monotone():
         value = min_weighings_oracle(WeighingInstance(n))
         assert value >= previous
         previous = value
+
+
+def test_minimax_table_matches_exhaustive_search_up_to_2000():
+    assert weighing._worst_case_table(2000)[:2001] == exhaustive_worst_case(2000)
+
+
+def test_minimax_table_rejects_a_decreasing_row(monkeypatch):
+    # f(3) = 5 is corrupt: f(4) is at most 1 + max(f(2), f(0)) = 2.
+    monkeypatch.setattr(weighing, "_worst_case", [0, 0, 1, 5])
+    with pytest.raises(RuntimeError, match="decreases at 4 suspects"):
+        min_weighings_oracle(WeighingInstance(4))
 
 
 def test_oracle_is_threadsafe_idempotent_cache():
