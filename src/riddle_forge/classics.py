@@ -8,8 +8,9 @@ draw), and a survey op records where the two agree.
 
 Station walk: a walker leaves the station X minutes early and walks toward
 the car coming to fetch them; the pair arrives home Y minutes early.  The
-identity walked = X - Y/2 is checked against a continuous-time kinematic
-simulation that knows nothing about the identity.
+identity walked = X - Y/2 is checked against an exact kinematic oracle
+that solves for the meeting of the two linear motions and knows nothing
+about the identity.
 """
 
 from __future__ import annotations
@@ -204,52 +205,39 @@ def station_walk_formula(inst: StationInstance) -> Rational:
 
 
 def station_walk_simulate(
-    distance: float,
-    car_speed: float,
-    walk_speed: float,
-    early_minutes: float,
-) -> tuple[float, float]:
-    """Continuous-time oracle for the walk-and-pickup identity.
+    distance: Rational,
+    car_speed: Rational,
+    walk_speed: Rational,
+    early_minutes: Rational,
+) -> tuple[Rational, Rational]:
+    """Exact kinematic oracle for the walk-and-pickup identity.
 
     Home sits at position 0, the station at ``distance``.  The car leaves
     home so that it reaches the station exactly at the usual pickup time
     (t = 0); the walker leaves the station ``early_minutes`` before that and
-    walks toward home.  The meeting instant is located by bisection on the
-    gap between the two positions, then the walked time and the minutes
-    saved against the usual round trip are read off the simulated motion.
+    walks toward home.  Both motions are linear, so the meeting is the one
+    instant where the car's position equals the walker's; the walked time
+    and the minutes saved against the usual round trip are then read off
+    the two motions.  Arguments must be exact (int or Fraction), so every
+    step is exact too.
 
     Returns (walked_minutes, saved_minutes).
     """
+    distance = _exact(distance, "distance")
+    car_speed = _exact(car_speed, "car_speed")
+    walk_speed = _exact(walk_speed, "walk_speed")
+    early_minutes = _exact(early_minutes, "early_minutes")
     if min(distance, car_speed, walk_speed, early_minutes) <= 0:
         raise InvalidInstance("all simulation parameters must be positive")
     if walk_speed >= car_speed:
         raise NoMeeting("the car must be faster than the walker")
 
     departure = -distance / car_speed  # car leaves home here to land at t = 0
-
-    def car_position(t: float) -> float:
-        return distance + car_speed * t
-
-    def walker_position(t: float) -> float:
-        return distance - walk_speed * (t + early_minutes)
-
-    def gap(t: float) -> float:
-        return car_position(t) - walker_position(t)
-
-    t_low = max(-early_minutes, departure)
-    if gap(t_low) >= 0:
+    # car: distance + car_speed * t; walker: distance - walk_speed * (t + early)
+    meeting_time = -walk_speed * early_minutes / (car_speed + walk_speed)
+    if meeting_time <= departure:
         raise NoMeeting("the walker reaches home before the car sets out")
-    t_high = 0.0  # gap(0) = walk_speed * early_minutes > 0
-    for _ in range(200):
-        mid = 0.5 * (t_low + t_high)
-        if gap(mid) < 0:
-            t_low = mid
-        else:
-            t_high = mid
-    meeting_time = 0.5 * (t_low + t_high)
-    meeting_point = walker_position(meeting_time)
-    if meeting_point <= 0 or meeting_point >= distance:
-        raise NoMeeting("meeting point is not strictly between home and station")
+    meeting_point = distance + car_speed * meeting_time
 
     walked_minutes = meeting_time + early_minutes
     usual_home_arrival = distance / car_speed

@@ -26,7 +26,7 @@ from .classics import (
     transfer_probability_formula,
 )
 from .core import PuzzleKind, PuzzleSpec
-from .errors import Infeasible, InvalidBounds, InvalidInstance, NoMeeting
+from .errors import Infeasible, InvalidBounds
 from .pigeonhole import (
     PigeonholeInstance,
     adversarial_sequence,
@@ -49,7 +49,6 @@ WEIGHING_SWEEP_LIMIT = 3 ** 8
 WEIGHING_ORACLE_LIMIT = 3 ** 12  # the minimax table takes about 2 s to reach it
 PIGEONHOLE_SWEEP_LIMITS = {"colors": 4, "count": 6, "required": 4}
 TRANSFER_SWEEP_LIMIT = 8
-STATION_TOLERANCE = 1e-9  # relative to `early`, which bounds walked and saved
 STRATEGY_RENDER_LIMIT = 27  # explain-mode trees get big fast beyond this
 STALL_SHOWN = 30  # explain-mode draws of the longest stall
 
@@ -91,7 +90,8 @@ class SolveReport:
         lines = [f"{self.label} [{self.kind}] answer = {self.answer}"]
         if self.checked:
             verdict = {True: "yes", False: "NO", None: "n/a"}[self.agreement]
-            lines.append(f"  oracle = {self.oracle}  (agreement: {verdict})")
+            oracle = "n/a" if self.oracle is None else self.oracle
+            lines.append(f"  oracle = {oracle}  (agreement: {verdict})")
         lines.extend(f"  {line}" for line in self.explanation)
         return "\n".join(lines)
 
@@ -259,40 +259,15 @@ def _solve_station_report(
         report.checked = True
         if y < x:
             # A parameter family realising (X, Y): car speed 1, walker speed
-            # Y/(2X - Y) < 1, any distance beyond the meeting point.  Exactly,
-            # the pair always meets; in floats the values may overflow,
-            # underflow to zero, or round the walker up to the car's speed or
-            # the meeting point onto the station.  Subnormal inputs would run,
-            # but with too few significant bits to check to the tolerance.
-            try:
-                early, saved = float(x), float(y)
-                if min(early, saved) < sys.float_info.min:
-                    raise InvalidInstance("early or saved is not a normal float")
-                sim_walked, sim_saved = station_walk_simulate(
-                    distance=early,
-                    car_speed=1.0,
-                    walk_speed=float(y / (2 * x - y)),
-                    early_minutes=early,
-                )
-            except (OverflowError, InvalidInstance, NoMeeting) as exc:
-                report.oracle = None
-                report.agreement = None
-                report.explanation.append(
-                    "kinematic check skipped: the simulation cannot represent "
-                    f"this instance in floating point ({exc})"
-                )
-            else:
-                report.oracle = f"{sim_walked:.12g}"
-                # The simulation gets saved by cancellation of two values near
-                # early, so its error scales with early, not with saved.
-                tolerance = STATION_TOLERANCE * early
-                report.agreement = (
-                    abs(sim_walked - float(walked)) <= tolerance
-                    and abs(sim_saved - saved) <= tolerance
-                )
+            # Y/(2X - Y) < 1, distance X, beyond the meeting point.
+            sim_walked, sim_saved = station_walk_simulate(
+                distance=x, car_speed=1, walk_speed=y / (2 * x - y), early_minutes=x
+            )
+            report.oracle = str(sim_walked)
+            report.agreement = sim_walked == walked and sim_saved == y
         else:
             # saved >= early needs a walker at least as fast as the car,
-            # outside the simulation's preconditions.
+            # outside the oracle's preconditions.
             report.oracle = None
             report.agreement = None
             report.explanation.append(

@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from riddle_forge import (
     DrawnHasColor,
@@ -180,38 +182,79 @@ def test_simulation_classic_configuration():
     # Closed-form meeting algebra for this configuration: the walker is met
     # after early * car / (car + walk) = 720/13 minutes, saving 120/13.
     walked, saved = station_walk_simulate(
-        distance=10, car_speed=1, walk_speed=1 / 12, early_minutes=60
+        distance=10, car_speed=1, walk_speed=Fraction(1, 12), early_minutes=60
     )
-    assert abs(walked - 720 / 13) <= 1e-9
-    assert abs(saved - 120 / 13) <= 1e-9
-    assert abs(walked - (60 - saved / 2)) <= 1e-9
+    assert walked == Fraction(720, 13)
+    assert saved == Fraction(120, 13)
 
 
 def test_simulation_rejects_bad_parameters():
     with pytest.raises(InvalidInstance):
-        station_walk_simulate(0, 1, 0.5, 10)
+        station_walk_simulate(0, 1, Fraction(1, 2), 10)
     with pytest.raises(InvalidInstance):
-        station_walk_simulate(10, 1, -0.5, 10)
+        station_walk_simulate(10, 1, Fraction(-1, 2), 10)
+    for at in range(4):  # floats are not exact, in any position
+        params = [10, 1, Fraction(1, 2), 10]
+        params[at] = float(params[at])
+        with pytest.raises(InvalidInstance):
+            station_walk_simulate(*params)
     with pytest.raises(NoMeeting):
-        station_walk_simulate(10, 1, 1.0, 10)  # walker as fast as the car
+        station_walk_simulate(10, 1, 1, 10)  # walker as fast as the car
     with pytest.raises(NoMeeting):
         # walker reaches home long before the car would set out
-        station_walk_simulate(1, 1, 0.9, 100)
+        station_walk_simulate(1, 1, Fraction(9, 10), 100)
+    with pytest.raises(NoMeeting):
+        # they would meet at home at the very instant the car sets out
+        station_walk_simulate(5, 1, Fraction(1, 2), 15)
 
 
 def test_simulation_identity_holds_for_random_parameters():
     rng = random.Random(11)
     checked = 0
-    while checked < 200:
-        distance = rng.uniform(0.5, 300)
-        car_speed = rng.uniform(0.2, 30)
-        walk_speed = car_speed * rng.uniform(0.01, 0.95)
-        early = rng.uniform(0.1, 240)
+    for _ in range(2000):  # about a quarter of the draws meet
+        distance = Fraction(rng.randint(50, 30000), 100)
+        car_speed = Fraction(rng.randint(20, 3000), 100)
+        walk_speed = car_speed * Fraction(rng.randint(10, 950), 1000)
+        early = Fraction(rng.randint(10, 24000), 100)
         try:
             walked, saved = station_walk_simulate(distance, car_speed, walk_speed, early)
         except NoMeeting:
             continue
-        assert abs(walked - (early - saved / 2)) <= 1e-9
-        assert 0 < walked <= early
+        assert walked == early - saved / 2
+        assert 0 < walked < early
         assert saved > 0
         checked += 1
+        if checked == 200:
+            break
+    assert checked == 200
+
+
+_positive = st.fractions(min_value=Fraction(1, 10**6), max_value=10**6, max_denominator=10**6)
+
+
+@given(
+    early=_positive,
+    share=st.fractions(min_value=0, max_value=1, max_denominator=1000).filter(
+        lambda share: 0 < share < 1
+    ),
+    car_speed=_positive,
+    slack=_positive,
+)
+def test_simulation_is_independent_of_the_parameter_family(early, share, car_speed, slack):
+    # The CLI's family (car speed 1, distance X) and a second one (car speed
+    # c, walker speed c*Y/(2X - Y), any distance beyond the meeting point)
+    # realise the same (X, Y): both must give walked = X - Y/2 and saved = Y.
+    saved = early * share
+    ratio = saved / (2 * early - saved)
+    cli_family = station_walk_simulate(
+        distance=early, car_speed=1, walk_speed=ratio, early_minutes=early
+    )
+    # The car meets the walker c*Y/2 short of the station, so it must start
+    # farther out than that.
+    second_family = station_walk_simulate(
+        distance=car_speed * saved / 2 + slack,
+        car_speed=car_speed,
+        walk_speed=car_speed * ratio,
+        early_minutes=early,
+    )
+    assert cli_family == second_family == (early - saved / 2, saved)

@@ -143,8 +143,6 @@ def test_station_check_agrees(tmp_path, capsys):
 
 
 def test_station_check_agrees_when_saved_is_far_below_early(tmp_path, capsys):
-    # The simulation gets saved by cancellation of two values near early, so
-    # its error is about ulp(early): far more than 1e-9 of this saved time.
     path = tmp_path / "station.speck"
     source = "puzzle station { early = 1 min; saved = 1/10000000000 min }\n"
     path.write_text(source, "utf-8")
@@ -152,12 +150,11 @@ def test_station_check_agrees_when_saved_is_far_below_early(tmp_path, capsys):
     assert code == 0
     (report,) = json.loads(out)
     assert report["answer"] == "19999999999/20000000000"
+    assert report["oracle"] == report["answer"]
     assert report["agreement"] is True
 
 
 def test_station_check_tolerance_is_relative(tmp_path, capsys, monkeypatch):
-    # Every walked time here is below 1e-9 min, so an absolute tolerance of
-    # 1e-9 would accept an oracle that is off by half.
     def half_walked(**params):
         walked, saved = station_walk_simulate(**params)
         return walked / 2, saved
@@ -172,6 +169,21 @@ def test_station_check_tolerance_is_relative(tmp_path, capsys, monkeypatch):
     assert report["agreement"] is False
 
 
+def test_station_check_compares_saved_too(tmp_path, capsys, monkeypatch):
+    def half_saved(**params):
+        walked, saved = station_walk_simulate(**params)
+        return walked, saved / 2
+
+    monkeypatch.setattr(cli, "station_walk_simulate", half_saved)
+    path = tmp_path / "station.speck"
+    path.write_text("puzzle station { early = 60 min; saved = 10 min }\n", "utf-8")
+    code, out, _ = run_main(["solve", str(path), "--format", "json", "--check"], capsys)
+    assert code == 2
+    (report,) = json.loads(out)
+    assert report["oracle"] == report["answer"]
+    assert report["agreement"] is False
+
+
 def test_station_check_outside_simulation_regime(tmp_path, capsys):
     path = tmp_path / "station.speck"
     path.write_text("puzzle station { early = 10 min; saved = 15 min }\n", "utf-8")
@@ -183,22 +195,25 @@ def test_station_check_outside_simulation_regime(tmp_path, capsys):
     assert report["answer"] == "5/2"
     assert report["oracle"] is None
     assert report["agreement"] is None
+    assert report["explanation"] == [
+        "kinematic check skipped: it covers saved < early only "
+        "(the car must be faster than the walker)"
+    ]
 
 
 @pytest.mark.parametrize(
     "early, saved",
     [
-        (str(10 ** 400), "1"),  # float() overflows
-        (f"1/{10 ** 400}", f"1/{3 * 10 ** 400}"),  # float() underflows to zero
-        (f"1/{10 ** 320}", f"1/{3 * 10 ** 320}"),  # subnormal: too few bits to check
-        ("100000000000000000001", "100000000000000000000"),  # walker speed rounds to 1
-        ("100000000000000000000", "1"),  # meeting point rounds onto the station
+        (str(10 ** 400), "1"),
+        (f"1/{10 ** 400}", f"1/{3 * 10 ** 400}"),
+        (f"1/{10 ** 320}", f"1/{3 * 10 ** 320}"),
+        ("100000000000000000001", "100000000000000000000"),  # walker nearly as fast
+        ("100000000000000000000", "1"),  # meeting point next to the station
     ],
     ids=["overflow", "underflow", "subnormal", "walker-speed", "meeting-point"],
 )
-def test_station_check_beyond_float_range_is_unverifiable(
-    tmp_path, capsys, early, saved
-):
+def test_station_check_is_exact_beyond_float_range(tmp_path, capsys, early, saved):
+    # Sizes no binary float can hold, or can tell apart from their neighbours.
     path = tmp_path / "station.speck"
     source = f"puzzle station {{ early = {early} min; saved = {saved} min }}\n"
     path.write_text(source, "utf-8")
@@ -208,9 +223,21 @@ def test_station_check_beyond_float_range_is_unverifiable(
     assert code == 0
     assert err == ""
     (report,) = json.loads(out)
-    assert report["oracle"] is None
-    assert report["agreement"] is None
-    assert any("kinematic check skipped" in line for line in report["explanation"])
+    assert report["agreement"] is True
+    assert report["oracle"] == report["answer"]
+
+
+def test_unverifiable_check_reads_n_a_in_text(tmp_path, capsys):
+    path = tmp_path / "unverifiable.speck"
+    path.write_text(
+        "puzzle weighing { objects = 531442 }\n"
+        "puzzle station { early = 10 min; saved = 15 min }\n",
+        "utf-8",
+    )
+    code, out, _ = run_main(["solve", str(path), "--check"], capsys)
+    assert code == 0
+    assert "None" not in out
+    assert out.count("  oracle = n/a  (agreement: n/a)\n") == 2
 
 
 def test_ceil_subjects_flag(tmp_path, capsys):
