@@ -8,6 +8,7 @@ formula/oracle disagreement or bad sweep bounds.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -45,10 +46,9 @@ from .weighing import (
     strategy_to_dict,
 )
 
-WEIGHING_SWEEP_LIMIT = 3 ** 8
-WEIGHING_ORACLE_LIMIT = 3 ** 12  # the minimax table takes about 2 s to reach it
+WEIGHING_ORACLE_LIMIT = 3 ** 12  # bounds --check and sweep; a sweep to it takes ~4.5 s
 PIGEONHOLE_SWEEP_LIMITS = {"colors": 4, "count": 6, "required": 4}
-TRANSFER_SWEEP_LIMIT = 8
+TRANSFER_SWEEP_LIMIT = 24  # about 4 s for a sweep at the cap
 STRATEGY_RENDER_LIMIT = 27  # explain-mode trees get big fast beyond this
 STALL_SHOWN = 30  # explain-mode draws of the longest stall
 
@@ -348,9 +348,9 @@ def cmd_solve(paths: Sequence[str], opts: SolveOptions) -> int:
 # Sweeps
 
 def _sweep_weighing(max_objects: int) -> int:
-    if max_objects < 1 or max_objects > WEIGHING_SWEEP_LIMIT:
+    if max_objects < 1 or max_objects > WEIGHING_ORACLE_LIMIT:
         raise InvalidBounds(
-            f"weighing sweep bound must be in [1, {WEIGHING_SWEEP_LIMIT}], "
+            f"weighing sweep bound must be in [1, {WEIGHING_ORACLE_LIMIT}], "
             f"got {max_objects}"
         )
     mismatches: list[tuple[int, int, int]] = []
@@ -376,17 +376,9 @@ def _sweep_weighing(max_objects: int) -> int:
 def _pigeonhole_family(max_colors: int, max_count: int, max_required: int):
     for colors in range(1, max_colors + 1):
         labels = [f"c{i + 1}" for i in range(colors)]
-        counts = [0] * colors
-        while True:
+        for counts in itertools.product(range(max_count + 1), repeat=colors):
             for required in range(1, max_required + 1):
                 yield tuple(zip(labels, counts)), required
-            position = colors - 1
-            while position >= 0 and counts[position] == max_count:
-                counts[position] = 0
-                position -= 1
-            if position < 0:
-                break
-            counts[position] += 1
 
 
 def _sweep_pigeonhole(max_colors: int, max_count: int, max_required: int) -> int:
@@ -475,9 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_sub = sweep.add_subparsers(dest="sweep_kind", required=True)
 
     weighing = sweep_sub.add_parser("weighing")
-    weighing.add_argument("--max", type=int, default=WEIGHING_SWEEP_LIMIT,
+    weighing.add_argument("--max", type=int, default=WEIGHING_ORACLE_LIMIT,
                           help=f"largest object count (default and cap: "
-                          f"{WEIGHING_SWEEP_LIMIT})")
+                          f"{WEIGHING_ORACLE_LIMIT})")
 
     pigeonhole = sweep_sub.add_parser("pigeonhole")
     for bound, limit in PIGEONHOLE_SWEEP_LIMITS.items():
@@ -511,6 +503,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InvalidBounds as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def entrypoint() -> None:

@@ -14,6 +14,7 @@ three near-equal groups" procedure executable and checkable.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Union
 
@@ -56,6 +57,7 @@ def min_weighings_formula(inst: WeighingInstance) -> WeighingAnswer:
 # Worst-case-optimal weighing counts indexed by suspect count.  Index 0 is a
 # sentinel for the impossible "balanced with nothing set aside" outcome.
 _worst_case: list[int] = [0, 0]
+_growing = threading.Lock()
 
 
 def _worst_case_table(limit: int) -> list[int]:
@@ -76,31 +78,27 @@ def _worst_case_table(limit: int) -> list[int]:
     The search relies on f being nondecreasing, which is checked row by
     row.  The recursion never consults the closed form it is used to verify.
     """
-    global _worst_case
     table = _worst_case
-    if limit < len(table):
-        return table
-    table = table.copy()
-    for m in range(len(table), limit + 1):
-        low, high = 1, m // 2 + 1  # the crossing lies in [low, high]
-        while low < high:
-            mid = (low + high) // 2
-            if table[mid] >= table[m - 2 * mid]:
-                high = mid
-            else:
-                low = mid + 1
-        # Just left of the crossing the set-aside class is the worse outcome,
-        # at the crossing the pans are.
-        best = table[m - 2 * low + 2] if low > 1 else m
-        if low <= m // 2 and table[low] < best:
-            best = table[low]
-        if 1 + best < table[m - 1]:
-            raise RuntimeError(
-                f"minimax table decreases at {m} suspects; its binary search "
-                "needs it nondecreasing"
-            )
-        table.append(1 + best)
-    _worst_case = table  # atomic swap: concurrent readers see a full table
+    with _growing:  # rows are appended in place, one grower at a time
+        for m in range(len(table), limit + 1):
+            low, high = 1, m // 2 + 1  # the crossing lies in [low, high]
+            while low < high:
+                mid = (low + high) // 2
+                if table[mid] >= table[m - 2 * mid]:
+                    high = mid
+                else:
+                    low = mid + 1
+            # Just left of the crossing the set-aside class is the worse outcome,
+            # at the crossing the pans are.
+            best = table[m - 2 * low + 2] if low > 1 else m
+            if low <= m // 2 and table[low] < best:
+                best = table[low]
+            if 1 + best < table[m - 1]:
+                raise RuntimeError(
+                    f"minimax table decreases at {m} suspects; its binary search "
+                    "needs it nondecreasing"
+                )
+            table.append(1 + best)
     return table
 
 

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -46,11 +47,15 @@ def run_main(argv, capsys):
 
 
 def run_cli(*argv, timeout=60):
+    # The child imports the same riddle_forge as this process, installed or not.
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "riddle_forge", *argv],
         capture_output=True,
         text=True,
         timeout=timeout,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -295,9 +300,16 @@ def test_sweep_weighing_trivial_bound(capsys):
 
 
 def test_sweep_weighing_rejects_out_of_bounds(capsys):
-    code, _, err = run_main(["sweep", "weighing", "--max", "6562"], capsys)
+    limit = cli.WEIGHING_ORACLE_LIMIT
+    code, _, err = run_main(["sweep", "weighing", "--max", str(limit + 1)], capsys)
     assert code == 2
-    assert "6561" in err
+    assert str(limit) in err
+
+
+def test_sweep_weighing_past_the_old_cap(capsys):
+    code, out, _ = run_main(["sweep", "weighing", "--max", "59049"], capsys)
+    assert code == 0
+    assert "59048 compared, 59048 matched, 0 mismatched" in out
 
 
 def test_sweep_pigeonhole_small(capsys):
@@ -307,7 +319,10 @@ def test_sweep_pigeonhole_small(capsys):
         capsys,
     )
     assert code == 0
-    assert "0 mismatched" in out
+    assert out.endswith(
+        ": 269 applicable instances, 269 matched, 0 mismatched "
+        "(196 outside the formula's assumptions skipped)\n"
+    )
 
 
 def test_sweep_pigeonhole_rejects_out_of_bounds(capsys):
@@ -327,6 +342,34 @@ def test_sweep_transfer_writes_report(tmp_path, capsys):
     lines = target.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "n\td\tsame\tmoved\tquery\tenumerated\tformula\tmatch"
     assert len(lines) == 1 + 30  # sum over n<=2 of 2n times sum over d<=2 of d+1
+
+
+def test_sweep_transfer_bounds(tmp_path, capsys):
+    target = tmp_path / "survey.tsv"
+    code, _, _ = run_main(
+        ["sweep", "transfer", "--max-n", "9", "--max-d", "1", "--out", str(target)],
+        capsys,
+    )
+    assert code == 0
+    assert len(target.read_text(encoding="utf-8").splitlines()) == 1 + 180
+    code, _, err = run_main(["sweep", "transfer", "--max-n", "25"], capsys)
+    assert code == 2
+    assert "24" in err
+
+
+@pytest.mark.parametrize(
+    "command, target",
+    [
+        (["solve", str(CORPUS)], "missing/x.json"),
+        (["solve", str(CORPUS)], ""),  # the directory itself
+        (["sweep", "transfer"], "missing/t.tsv"),
+    ],
+)
+def test_unwritable_out_is_an_error_line(command, target, tmp_path, capsys):
+    out_path = tmp_path / target
+    code, _, err = run_main([*command, "--out", str(out_path)], capsys)
+    assert code == 1
+    assert err.startswith("error: ") and str(out_path) in err
 
 
 def test_explain_is_nonempty_for_every_kind(tmp_path, capsys):

@@ -103,6 +103,15 @@ def test_oracle_is_threadsafe_idempotent_cache():
     assert results == expected
 
 
+def test_minimax_table_grows_safely_under_concurrent_callers(monkeypatch):
+    expected = list(weighing._worst_case_table(20000)[:20001])
+    monkeypatch.setattr(weighing, "_worst_case", [0, 0])
+    limits = [20000, 19999, 20000, 15000, 20000, 18000, 20000, 20000]
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        list(pool.map(weighing._worst_case_table, limits))
+    assert weighing._worst_case == expected
+
+
 def test_strategy_nine_objects_matches_equal_thirds():
     tree = build_strategy(WeighingInstance(9))
     assert tree.action.left == (0, 1, 2)
