@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from .core import PuzzleKind, Rational, _exact
 from .errors import InvalidInstance, NoMeeting
@@ -135,9 +135,13 @@ def transfer_formula_survey(max_n: int, max_d: int) -> list[SurveyRow]:
     query), so the survey is deterministic for given bounds.  Agreement is
     recorded, never asserted.
     """
+    return list(iter_transfer_survey(max_n, max_d))
+
+
+def iter_transfer_survey(max_n: int, max_d: int) -> Iterator[SurveyRow]:
+    """The rows of transfer_formula_survey, made one at a time."""
     if not isinstance(max_n, int) or max_n < 1 or not isinstance(max_d, int) or max_d < 1:
         raise InvalidInstance("survey bounds must be positive integers")
-    rows: list[SurveyRow] = []
     for n in range(1, max_n + 1):
         for d in range(1, max_d + 1):
             formula = transfer_probability_formula(n, d)
@@ -150,30 +154,32 @@ def transfer_formula_survey(max_n: int, max_d: int) -> list[SurveyRow]:
                         ("drawn_has_color", DrawnHasColor("alpha")),
                     ):
                         inst = TransferInstance(container_a, container_b, moved, query)
-                        rows.append(
-                            SurveyRow(
-                                source_total=n,
-                                destination_total=d,
-                                destination_same=same,
-                                moved=moved,
-                                query=name,
-                                enumerated=transfer_probability_enumerate(inst),
-                                formula=formula,
-                            )
+                        yield SurveyRow(
+                            source_total=n,
+                            destination_total=d,
+                            destination_same=same,
+                            moved=moved,
+                            query=name,
+                            enumerated=transfer_probability_enumerate(inst),
+                            formula=formula,
                         )
-    return rows
+
+
+SURVEY_HEADER = "n\td\tsame\tmoved\tquery\tenumerated\tformula\tmatch\n"
+
+
+def survey_line(row: SurveyRow) -> str:
+    """One line of the survey report, its newline included."""
+    return (
+        f"{row.source_total}\t{row.destination_total}\t{row.destination_same}"
+        f"\t{row.moved}\t{row.query}\t{row.enumerated}\t{row.formula}"
+        f"\t{'yes' if row.match else 'no'}\n"
+    )
 
 
 def format_survey(rows: Iterable[SurveyRow]) -> str:
     """Tab-separated survey report: instance key, both values, match flag."""
-    lines = ["n\td\tsame\tmoved\tquery\tenumerated\tformula\tmatch"]
-    for row in rows:
-        lines.append(
-            f"{row.source_total}\t{row.destination_total}\t{row.destination_same}"
-            f"\t{row.moved}\t{row.query}\t{row.enumerated}\t{row.formula}"
-            f"\t{'yes' if row.match else 'no'}"
-        )
-    return "\n".join(lines) + "\n"
+    return SURVEY_HEADER + "".join(map(survey_line, rows))
 
 
 @dataclass(frozen=True)
@@ -190,7 +196,7 @@ class StationInstance:
         saved = _exact(self.saved_minutes, "saved_minutes")
         object.__setattr__(self, "early_minutes", early)
         object.__setattr__(self, "saved_minutes", saved)
-        if early <= 0 or saved <= 0:
+        if early.numerator <= 0 or saved.numerator <= 0:  # denominators are positive
             raise InvalidInstance("early and saved minutes must be positive")
         if saved > 2 * early:
             raise InvalidInstance(

@@ -17,12 +17,13 @@ from pathlib import Path
 from typing import Sequence, TextIO
 
 from .classics import (
+    SURVEY_HEADER,
     StationInstance,
     TransferInstance,
-    format_survey,
+    iter_transfer_survey,
     station_walk_formula,
     station_walk_simulate,
-    transfer_formula_survey,
+    survey_line,
     transfer_probability_enumerate,
     transfer_probability_formula,
 )
@@ -62,6 +63,11 @@ class SolveOptions:
     out: str | None = None
 
 
+# json.dump's own string encoder (ensure_ascii) and constants.
+_json_str = json.encoder.encode_basestring_ascii
+_JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
+
+
 @dataclass
 class SolveReport:
     """One solved puzzle, ready for text or JSON output."""
@@ -75,16 +81,29 @@ class SolveReport:
     explanation: list[str] = field(default_factory=list)
     strategy: dict | None = None  # weighing only, explain mode
 
-    def to_dict(self) -> dict:
-        data: dict = {"label": self.label, "kind": self.kind, "answer": self.answer}
+    def to_json(self) -> str:
+        """This report as ``json.dump(reports, indent=2)`` writes a list item.
+
+        Keys in order: label, kind, answer; oracle and agreement when
+        checked; explanation when nonempty; strategy when present.
+        """
+        text = _json_str
+        parts = [
+            f'  {{\n    "label": {text(self.label)},\n    "kind": {text(self.kind)},'
+            f'\n    "answer": {text(self.answer)}'
+        ]
         if self.checked:
-            data["oracle"] = self.oracle
-            data["agreement"] = self.agreement
+            oracle = "null" if self.oracle is None else text(self.oracle)
+            agreement = _JSON_CONSTANTS[self.agreement]
+            parts.append(f',\n    "oracle": {oracle},\n    "agreement": {agreement}')
         if self.explanation:
-            data["explanation"] = self.explanation
+            lines = ",\n      ".join(map(text, self.explanation))
+            parts.append(f',\n    "explanation": [\n      {lines}\n    ]')
         if self.strategy is not None:
-            data["strategy"] = self.strategy
-        return data
+            strategy = json.dumps(self.strategy, indent=2).replace("\n", "\n    ")
+            parts.append(f',\n    "strategy": {strategy}')
+        parts.append("\n  }")
+        return "".join(parts)
 
     def to_text(self) -> str:
         lines = [f"{self.label} [{self.kind}] answer = {self.answer}"]
@@ -291,9 +310,15 @@ def _solve_one(spec: PuzzleSpec, label: str, opts: SolveOptions) -> SolveReport:
 
 def _write_reports(reports: list[SolveReport], opts: SolveOptions, handle: TextIO) -> None:
     if opts.fmt == "json":
-        # json.dump writes chunk by chunk: the document is never one string.
-        json.dump([r.to_dict() for r in reports], handle, indent=2)
-        handle.write("\n")
+        # One report at a time, the bytes json.dump(..., indent=2) writes.
+        if not reports:
+            handle.write("[]\n")
+            return
+        separator = "[\n"
+        for report in reports:
+            handle.write(separator + report.to_json())
+            separator = ",\n"
+        handle.write("\n]\n")
         return
     for report in reports:
         handle.write(report.to_text() + "\n")
@@ -422,22 +447,29 @@ def _sweep_transfer(max_n: int, max_d: int, out: str) -> int:
         raise InvalidBounds(
             f"transfer sweep bounds must be in [1, {TRANSFER_SWEEP_LIMIT}]"
         )
-    rows = transfer_formula_survey(max_n, max_d)
+    instances = matched = 0
+    first_mismatch = None
+    # Opened before the survey runs, so a bad path fails at once; rows are
+    # written as they are made, so the report is never held in memory.
     with open(out, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(format_survey(rows))
-    matched = sum(1 for row in rows if row.match)
+        handle.write(SURVEY_HEADER)
+        for row in iter_transfer_survey(max_n, max_d):
+            handle.write(survey_line(row))
+            instances += 1
+            if row.match:
+                matched += 1
+            elif first_mismatch is None:
+                first_mismatch = row
     print(
-        f"transfer survey, n <= {max_n}, d <= {max_d}: {len(rows)} instances, "
-        f"{matched} matched, {len(rows) - matched} mismatched (mismatches expected); "
+        f"transfer survey, n <= {max_n}, d <= {max_d}: {instances} instances, "
+        f"{matched} matched, {instances - matched} mismatched (mismatches expected); "
         f"report written to {out}"
     )
-    for row in rows:
-        if not row.match:
-            print(
-                f"first mismatch: {row.key()} enumerated={row.enumerated} "
-                f"formula={row.formula}"
-            )
-            break
+    if first_mismatch is not None:
+        print(
+            f"first mismatch: {first_mismatch.key()} "
+            f"enumerated={first_mismatch.enumerated} formula={first_mismatch.formula}"
+        )
     return 0
 
 

@@ -20,6 +20,8 @@ Rational = Fraction
 
 
 def _exact(value: int | Fraction, what: str) -> Fraction:
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise InvalidInstance(f"{what} must be exact (int or Fraction), not float")
     return Fraction(value)
@@ -45,7 +47,8 @@ class Quantity:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "magnitude", _exact(self.magnitude, "magnitude"))
-        if self.magnitude < 0:
+        # A Fraction's denominator is positive: its sign is its numerator's.
+        if self.magnitude.numerator < 0:
             raise InvalidInstance(f"quantity magnitude must be >= 0, got {self.magnitude}")
         if self.unit is Unit.MINUTES and self.label is not None:
             raise InvalidInstance("time quantities carry a unit, not a label")

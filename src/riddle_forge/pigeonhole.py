@@ -9,7 +9,7 @@ any instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from .core import PuzzleKind
 from .errors import Infeasible, InvalidInstance

@@ -25,7 +25,7 @@ class RateField(Enum):
 def _check_positive(quantity: Quantity, name: str, unit: Unit) -> None:
     if quantity.unit is not unit:
         raise InvalidInstance(f"{name} must be a {unit.value} quantity")
-    if quantity.magnitude <= 0:
+    if quantity.magnitude.numerator <= 0:  # the denominator is positive
         raise InvalidInstance(f"{name} must be strictly positive")
 
 

@@ -9,14 +9,12 @@ followed by a unit or label word, parenthesised color lists
 ``(blue: 10, red: 8)``, or bare identifiers (used by ``query`` and
 ``label`` keys).  Identifiers are ASCII: ``[A-Za-z_][A-Za-z0-9_]*``.
 
-The lexer turns the source into plain tuples ``(type, text, offset,
-value)``, one compiled regular expression match each.  ``type`` is
-``"ident"``, ``"number"``, ``"huge_number"`` (a literal too long for
-``int()``), ``"bad"`` (any other character), ``"eof"``, or, for
-punctuation and newlines, the character itself; ``offset`` counts
-characters from the start of the source; ``value`` is the integer of a
-number and 0 otherwise.  The parser carries ``(offset, length)`` pairs and
-works out line and column only for the errors it reports.
+The lexer turns the source into a list of strings, each token its own
+source text, from one compiled regular expression; comments are dropped
+and the end of input is the empty string.  The parser tells a token's type
+from its first character and reads a number's value only where it expects
+one.  It carries ``(first, last)`` token-index pairs; only when there are
+errors is the source scanned again for their offsets, lines and columns.
 
 Errors carry precise source spans and a kind; parsing recovers at block
 boundaries so one bad block does not hide errors in the next.
@@ -78,82 +76,71 @@ class ParseFailure(Exception):
 # ----------------------------------------------------------------------
 # Lexer
 
-# Token types.  The regular expression's group names are types too
-# ("ident", "number", "bad"); a punctuation token or a newline has its own
-# character as its type, so a punctuation test is one comparison.
-_IDENT = "ident"
-_NUMBER = "number"
-_HUGE_NUMBER = "huge_number"  # more digits than int() accepts
-_EOF = "eof"
-
 # Identifiers are ASCII, so every parsed word can be written back out.
 _IDENT_PATTERN = r"[A-Za-z_][A-Za-z0-9_]*"
 
-# Each match is the blanks and comment before one token, then the token.
-# Only at the end of input does a match carry no token.
-_TOKEN_RE = re.compile(
-    rf"""[ \t\r]*(?:\#[^\n]*)?
-    (?:(?P<ident>{_IDENT_PATTERN})
-      |(?P<number>-?[0-9]+)  # ASCII digits only: str.isdigit() also accepts '²'
-      |(?P<punct>[{{}}()=;,:/\n])
-      |(?P<bad>.)
-    )?""",
-    re.VERBOSE | re.DOTALL,
-)
+# Each match is one token: a comment (which _lex drops), an identifier, an
+# integer literal (ASCII digits only: str.isdigit() also accepts '²') or
+# any other single character but a blank.  A newline is a token.
+_TOKEN_RE = re.compile(rf"\#[^\n]*|{_IDENT_PATTERN}|-?[0-9]+|[^ \t\r]")
 
-# (type, text, offset, value), as described in the module docstring.
-_Token = tuple[str, str, int, int]
-# (offset, length) of a source range.
+_EOF = ""  # the token after the last one; every other token is nonempty
+# The first characters of _IDENT_PATTERN, and of an integer literal.
+_WORD_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_NUMBER_START = frozenset("-0123456789")
+
+# (first, last) token indices of a source range.
 _Span = tuple[int, int]
 # (span, kind, message): a ParseError before its line and column are known.
 _Error = tuple[_Span, ParseErrorKind, str]
 
 
-def _lex(source: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    append = tokens.append
-    for match in _TOKEN_RE.finditer(source):
-        kind = match.lastgroup
-        if kind is None:
-            continue
-        text = match[kind]
-        offset = match.start(kind)
-        if kind == "punct":
-            append((text, text, offset, 0))
-        elif kind == _NUMBER:
-            try:
-                append((_NUMBER, text, offset, int(text)))
-            except ValueError:  # past the interpreter's int-max-str-digits limit
-                append((_HUGE_NUMBER, text, offset, 0))
-        else:
-            append((kind, text, offset, 0))
-    append((_EOF, "", len(source), 0))
+def _lex(source: str) -> list[str]:
+    tokens = _TOKEN_RE.findall(source)
+    if "#" in source:
+        tokens = [tok for tok in tokens if tok[0] != "#"]  # drop the comments, if any
+    tokens.append(_EOF)
     return tokens
 
 
-def _span(tok: _Token) -> _Span:
-    return tok[2], len(tok[1])
+def _is_number(tok: str) -> bool:
+    # A '-' with no digits after it is a token of its own.
+    return tok[:1] in _NUMBER_START and tok != "-"
 
 
-def _describe(tok: _Token) -> str:
-    if tok[0] == _EOF:
+def _describe(tok: str) -> str:
+    if tok == _EOF:
         return "end of input"
-    if tok[0] == "\n":
+    if tok == "\n":
         return "end of line"
-    if tok[0] == _HUGE_NUMBER:
-        return f"an integer literal too long to read ({len(tok[1])} characters)"
-    return f"'{tok[1]}'"
+    if _is_number(tok):
+        try:
+            int(tok)
+        except ValueError:  # past the interpreter's int-max-str-digits limit
+            return f"an integer literal too long to read ({len(tok)} characters)"
+    return f"'{tok}'"
 
 
 def _locate(source: str, errors: list[_Error]) -> list[ParseError]:
-    """Give each error its line and column, from one table of line starts."""
+    """Give each error its source range, line and column.
+
+    The tokens are found again, with their offsets, by the lexer's own
+    pattern; line and column come from one table of line starts.
+    """
+    bounds = [
+        match.span() for match in _TOKEN_RE.finditer(source)
+        if source[match.start()] != "#"
+    ]
+    bounds.append((len(source), len(source)))  # the end of input
     starts = [0]
     starts.extend(match.end() for match in re.finditer("\n", source))
     located = []
-    for (offset, length), kind, message in errors:
+    for (first, last), kind, message in errors:
+        offset = bounds[first][0]
         line = bisect_right(starts, offset)
         column = offset - starts[line - 1] + 1
-        located.append(ParseError(SourceSpan(line, column, length), kind, message))
+        span = SourceSpan(line, column, bounds[last][1] - offset)
+        located.append(ParseError(span, kind, message))
     return located
 
 
@@ -218,37 +205,52 @@ _TIME_UNITS = {"min": 1, "h": 60}
 # Parser
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    """Reads the token list; a token is its own source text (see _lex)."""
+
+    def __init__(self, tokens: list[str]):
         self.tokens = tokens
         self.pos = 0
         self.errors: list[_Error] = []
 
-    def _peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def _advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok[0] != _EOF:
-            self.pos += 1
-        return tok
-
-    def _at_punct(self, text: str) -> bool:
-        return self.tokens[self.pos][0] == text
-
     def _skip_newlines(self) -> None:
-        while self.tokens[self.pos][0] == "\n":
+        while self.tokens[self.pos] == "\n":
             self.pos += 1
 
     def _skip_separators(self) -> None:
-        while self.tokens[self.pos][0] in ("\n", ";"):
+        while self.tokens[self.pos] in ("\n", ";"):
             self.pos += 1
 
-    def _expect(self, tok_type: str, what: str) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok[0] != tok_type:
-            raise _BlockError(_span(tok), f"expected {what}, found {_describe(tok)}")
-        self.pos += 1  # a matched token is never EOF
-        return tok
+    def _unexpected(self, what: str) -> _BlockError:
+        """The error for finding the current token where ``what`` should be."""
+        pos = self.pos
+        return _BlockError((pos, pos), f"expected {what}, found {_describe(self.tokens[pos])}")
+
+    def _expect(self, text: str, what: str) -> None:
+        """Step past the punctuation ``text``."""
+        if self.tokens[self.pos] != text:
+            raise self._unexpected(what)
+        self.pos += 1
+
+    def _expect_word(self, what: str) -> int:
+        pos = self.pos
+        if self.tokens[pos][:1] not in _WORD_START:
+            raise self._unexpected(what)
+        self.pos = pos + 1
+        return pos
+
+    def _expect_int(self, what: str) -> tuple[int, int]:
+        """Read an integer literal; its value and index."""
+        pos = self.pos
+        tok = self.tokens[pos]
+        if _is_number(tok):
+            try:
+                value = int(tok)
+            except ValueError:  # too long: _describe says so
+                pass
+            else:
+                self.pos = pos + 1
+                return value, pos
+        raise self._unexpected(what)
 
     # -- file / block structure ----------------------------------------
 
@@ -256,10 +258,10 @@ class _Parser:
         specs: list[PuzzleSpec] = []
         while True:
             self._skip_separators()
-            tok = self._peek()
-            if tok[0] == _EOF:
+            tok = self.tokens[self.pos]
+            if tok == _EOF:
                 return specs
-            if tok[0] == _IDENT and tok[1] == "puzzle":
+            if tok == "puzzle":
                 try:
                     spec = self._parse_block()
                 except _BlockError as abort:
@@ -269,147 +271,155 @@ class _Parser:
                     if spec is not None:
                         specs.append(spec)
             else:
+                pos = self.pos
+                self.pos += 1
                 self.errors.append(
-                    (_span(tok), ParseErrorKind.SYNTAX,
+                    ((pos, pos), ParseErrorKind.SYNTAX,
                      f"expected 'puzzle', found {_describe(tok)}")
                 )
-                self._advance()
                 self._recover()
 
     def _recover(self) -> None:
         """Skip forward to the next block boundary."""
         while True:
-            tok = self._peek()
-            if tok[0] == _EOF:
+            tok = self.tokens[self.pos]
+            if tok == _EOF or tok == "puzzle":
                 return
-            if tok[0] == _IDENT and tok[1] == "puzzle":
-                return
-            self._advance()
-            if tok[0] == "}":
+            self.pos += 1
+            if tok == "}":
                 return
 
     def _parse_block(self) -> PuzzleSpec | None:
-        self._advance()  # the 'puzzle' keyword
-        kind_tok = self._expect(_IDENT, "a puzzle kind")
+        self.pos += 1  # the 'puzzle' keyword
+        kind_at = self._expect_word("a puzzle kind")
         self._skip_newlines()
         self._expect("{", "'{'")
         assigns: list[_Assign] = []
         finds: list[_Find] = []
         while True:
             self._skip_separators()
-            tok = self._peek()
-            if tok[0] == "}":
-                self._advance()
+            tok = self.tokens[self.pos]
+            if tok == "}":
+                self.pos += 1
                 break
-            if tok[0] == _EOF:
-                raise _BlockError(_span(tok), "unterminated block: expected '}'")
-            if tok[0] == _IDENT:
-                if tok[1] == "find":
-                    finds.append(self._parse_find())
-                else:
-                    assigns.append(self._parse_assign())
+            if tok == _EOF:
+                raise _BlockError((self.pos, self.pos), "unterminated block: expected '}'")
+            if tok[0] not in _WORD_START:
+                raise self._unexpected("a statement")
+            if tok == "find":
+                finds.append(self._parse_find())
             else:
-                raise _BlockError(
-                    _span(tok), f"expected a statement, found {_describe(tok)}"
-                )
-        kind = _KINDS.get(kind_tok[1])
+                assigns.append(self._parse_assign())
+        kind_name = self.tokens[kind_at]
+        kind_span = (kind_at, kind_at)
+        kind = _KINDS.get(kind_name)
         if kind is None:
             self.errors.append(
-                (_span(kind_tok), ParseErrorKind.UNKNOWN_KIND,
-                 f"unknown puzzle kind '{kind_tok[1]}'; expected one of "
+                (kind_span, ParseErrorKind.UNKNOWN_KIND,
+                 f"unknown puzzle kind '{kind_name}'; expected one of "
                  "rate, weighing, pigeonhole, transfer, station")
             )
             return None
-        return self._build(kind, kind_tok, assigns, finds)
+        return self._build(kind, kind_span, assigns, finds)
 
     def _parse_assign(self) -> _Assign:
-        key_tok = self._advance()
+        key_at = self.pos
+        self.pos += 1  # the key, a word
         self._expect("=", "'='")
-        return _Assign(key_tok[1], _span(key_tok), self._parse_value())
+        return _Assign(self.tokens[key_at], (key_at, key_at), self._parse_value())
 
     def _parse_find(self) -> _Find:
-        find_tok = self._advance()
-        target_tok = self._expect(_IDENT, "a field to find")
-        where_tok = self._expect(_IDENT, "'where'")
-        if where_tok[1] != "where":
-            raise _BlockError(
-                _span(where_tok), f"expected 'where', found '{where_tok[1]}'"
-            )
+        find_at = self.pos
+        self.pos += 1  # the 'find' keyword
+        target_at = self._expect_word("a field to find")
+        if self.tokens[self.pos] != "where":
+            raise self._unexpected("'where'")
+        self.pos += 1
         clauses: list[_Assign] = []
         while True:
-            key_tok = self._expect(_IDENT, "a key")
+            key_at = self._expect_word("a key")
             self._expect("=", "'='")
-            clauses.append(_Assign(key_tok[1], _span(key_tok), self._parse_value()))
-            if self._at_punct(","):
-                self._advance()
+            clauses.append(
+                _Assign(self.tokens[key_at], (key_at, key_at), self._parse_value())
+            )
+            if self.tokens[self.pos] == ",":
+                self.pos += 1
                 continue
             break
-        return _Find(target_tok[1], _span(target_tok), tuple(clauses), _span(find_tok))
+        return _Find(
+            self.tokens[target_at], (target_at, target_at), tuple(clauses),
+            (find_at, find_at),
+        )
 
     # -- values ----------------------------------------------------------
 
     def _parse_value(self) -> _Value:
-        tok = self._peek()
-        if tok[0] == _NUMBER:
-            return self._parse_number_value()
-        if tok[0] == "(":
+        pos = self.pos
+        tok = self.tokens[pos]
+        if tok[:1] in _WORD_START:
+            self.pos = pos + 1
+            return _IdentValue(tok, (pos, pos))
+        if tok == "(":
             return self._parse_colorlist()
-        if tok[0] == _IDENT:
-            self._advance()
-            return _IdentValue(tok[1], _span(tok))
-        raise _BlockError(_span(tok), f"expected a value, found {_describe(tok)}")
+        if _is_number(tok):
+            return self._parse_number_value()
+        raise self._unexpected("a value")
 
     def _parse_number_value(self) -> _NumberValue:
-        num_tok = self._advance()
-        value: int | Fraction = num_tok[3]
-        span = _span(num_tok)
-        if self._at_punct("/"):
-            self._advance()
-            den_tok = self._expect(_NUMBER, "a denominator")
-            if den_tok[3] == 0:
-                raise _BlockError(_span(den_tok), "denominator must not be zero")
-            if den_tok[3] < 0:
-                raise _BlockError(_span(den_tok), "denominator must be positive")
-            value = Fraction(num_tok[3], den_tok[3])
+        value: int | Fraction
+        value, num_at = self._expect_int("a value")
+        span = (num_at, num_at)
+        if self.tokens[self.pos] == "/":
+            self.pos += 1
+            den, den_at = self._expect_int("a denominator")
+            if den == 0:
+                raise _BlockError((den_at, den_at), "denominator must not be zero")
+            if den < 0:
+                raise _BlockError((den_at, den_at), "denominator must be positive")
+            value = Fraction(value, den)
             # p, '/' and q sit on one line: a newline between them is a token.
-            span = (num_tok[2], den_tok[2] + len(den_tok[1]) - num_tok[2])
-        word = None
-        word_span = None
-        if self._peek()[0] == _IDENT:
-            word_tok = self._advance()
-            word, word_span = word_tok[1], _span(word_tok)
-        return _NumberValue(value, span, word, word_span)
+            span = (num_at, den_at)
+        pos = self.pos
+        word = self.tokens[pos]
+        if word[:1] in _WORD_START:
+            self.pos = pos + 1
+            return _NumberValue(value, span, word, (pos, pos))
+        return _NumberValue(value, span, None, None)
 
     def _parse_colorlist(self) -> _ColorListValue:
-        open_tok = self._advance()
+        open_at = self.pos
+        self.pos += 1  # the '('
+        span = (open_at, open_at)
         self._skip_newlines()
         items: list[tuple[str, int, _Span, _Span]] = []
-        if self._at_punct(")"):
-            self._advance()
-            return _ColorListValue((), _span(open_tok))
+        if self.tokens[self.pos] == ")":
+            self.pos += 1
+            return _ColorListValue((), span)
         while True:
             self._skip_newlines()
-            name_tok = self._expect(_IDENT, "a color name")
+            name_at = self._expect_word("a color name")
             self._expect(":", "':'")
             self._skip_newlines()
-            count_tok = self._expect(_NUMBER, "a count")
-            if self._at_punct("/"):
-                raise _BlockError(_span(self._peek()), "color counts must be integers")
-            items.append((name_tok[1], count_tok[3], _span(name_tok), _span(count_tok)))
+            count, count_at = self._expect_int("a count")
+            if self.tokens[self.pos] == "/":
+                raise _BlockError((self.pos, self.pos), "color counts must be integers")
+            items.append(
+                (self.tokens[name_at], count, (name_at, name_at), (count_at, count_at))
+            )
             self._skip_newlines()
-            if self._at_punct(","):
-                self._advance()
+            if self.tokens[self.pos] == ",":
+                self.pos += 1
                 continue
             break
         self._expect(")", "')'")
-        return _ColorListValue(tuple(items), _span(open_tok))
+        return _ColorListValue(tuple(items), span)
 
     # -- semantics: turn statements into payloads -------------------------
 
     def _build(
         self,
         kind: PuzzleKind,
-        kind_tok: _Token,
+        kind_span: _Span,
         assigns: list[_Assign],
         finds: list[_Find],
     ) -> PuzzleSpec | None:
@@ -435,7 +445,7 @@ class _Parser:
             label = self._as_ident(label_assign, errors)
 
         build = getattr(self, f"_build_{kind.value}")  # one builder per kind
-        payload = build(kind_tok, table, finds, errors)
+        payload = build(kind_span, table, finds, errors)
 
         for assign in table.values():
             errors.append(
@@ -451,14 +461,14 @@ class _Parser:
         self,
         table: dict[str, _Assign],
         key: str,
-        kind_tok: _Token,
+        kind_span: _Span,
         kind_name: str,
         errors: list[_Error],
     ) -> _Assign | None:
         assign = table.pop(key, None)
         if assign is None:
             errors.append(
-                (_span(kind_tok), ParseErrorKind.MISSING_KEY,
+                (kind_span, ParseErrorKind.MISSING_KEY,
                  f"{kind_name} puzzle is missing key '{key}'")
             )
         return assign
@@ -501,7 +511,7 @@ class _Parser:
         value = self._as_number(assign, errors, "a number", counts=True)
         if value is None:
             return None
-        if value.value <= 0:
+        if value.value.numerator <= 0:  # an int's or a Fraction's sign
             errors.append(
                 (value.span, ParseErrorKind.NEGATIVE_COUNT,
                  f"key '{assign.key}' must be strictly positive, got {value.value}")
@@ -515,18 +525,19 @@ class _Parser:
         value = self._as_number(assign, errors, "a number", counts=False)
         if value is None:
             return None
-        scale = 1
+        magnitude = value.value
         if value.word is not None:
-            if value.word not in _TIME_UNITS:
+            scale = _TIME_UNITS.get(value.word)
+            if scale is None:
                 errors.append(
                     (value.word_span, ParseErrorKind.BAD_UNIT,
                      f"unknown time unit '{value.word}' for key "
                      f"'{assign.key}'; expected 'min' or 'h'")
                 )
                 return None
-            scale = _TIME_UNITS[value.word]
-        magnitude = value.value * scale
-        if magnitude <= 0:
+            if scale != 1:
+                magnitude *= scale
+        if magnitude.numerator <= 0:
             errors.append(
                 (value.span, ParseErrorKind.NEGATIVE_COUNT,
                  f"key '{assign.key}' must be strictly positive, got {value.value}")
@@ -594,17 +605,17 @@ class _Parser:
 
     # kind-specific builders
 
-    def _build_rate(self, kind_tok, table, finds, errors):
-        work = self._take(table, "work", kind_tok, "rate", errors)
-        subjects = self._take(table, "subjects", kind_tok, "rate", errors)
-        time = self._take(table, "time", kind_tok, "rate", errors)
+    def _build_rate(self, kind_span, table, finds, errors):
+        work = self._take(table, "work", kind_span, "rate", errors)
+        subjects = self._take(table, "subjects", kind_span, "rate", errors)
+        time = self._take(table, "time", kind_span, "rate", errors)
         known_work = self._as_count_quantity(work, errors) if work else None
         known_subjects = self._as_count_quantity(subjects, errors) if subjects else None
         known_time = self._as_time_quantity(time, errors) if time else None
 
         if not finds:
             errors.append(
-                (_span(kind_tok), ParseErrorKind.MISSING_KEY,
+                (kind_span, ParseErrorKind.MISSING_KEY,
                  "rate puzzle needs a 'find' clause")
             )
             return None
@@ -665,30 +676,30 @@ class _Parser:
                 time=given.get("time"),
             )
         except InvalidInstance as exc:
-            errors.append((_span(kind_tok), ParseErrorKind.SYNTAX, str(exc)))
+            errors.append((kind_span, ParseErrorKind.SYNTAX, str(exc)))
             return None
 
-    def _build_weighing(self, kind_tok, table, finds, errors):
-        objects = self._take(table, "objects", kind_tok, "weighing", errors)
+    def _build_weighing(self, kind_span, table, finds, errors):
+        objects = self._take(table, "objects", kind_span, "weighing", errors)
         count = self._as_int(objects, errors, minimum=1) if objects else None
         if count is None:
             return None
         return WeighingInstance(count)
 
-    def _build_pigeonhole(self, kind_tok, table, finds, errors):
-        counts = self._take(table, "counts", kind_tok, "pigeonhole", errors)
-        required = self._take(table, "required", kind_tok, "pigeonhole", errors)
+    def _build_pigeonhole(self, kind_span, table, finds, errors):
+        counts = self._take(table, "counts", kind_span, "pigeonhole", errors)
+        required = self._take(table, "required", kind_span, "pigeonhole", errors)
         pairs = self._as_colorlist(counts, errors, at_least_one=True) if counts else None
         run = self._as_int(required, errors, minimum=1) if required else None
         if pairs is None or run is None:
             return None
         return PigeonholeInstance(pairs, run)
 
-    def _build_transfer(self, kind_tok, table, finds, errors):
-        a = self._take(table, "container_a", kind_tok, "transfer", errors)
-        b = self._take(table, "container_b", kind_tok, "transfer", errors)
-        moved = self._take(table, "moved", kind_tok, "transfer", errors)
-        query = self._take(table, "query", kind_tok, "transfer", errors)
+    def _build_transfer(self, kind_span, table, finds, errors):
+        a = self._take(table, "container_a", kind_span, "transfer", errors)
+        b = self._take(table, "container_b", kind_span, "transfer", errors)
+        moved = self._take(table, "moved", kind_span, "transfer", errors)
+        query = self._take(table, "query", kind_span, "transfer", errors)
         pairs_a = self._as_colorlist(a, errors, at_least_one=True) if a else None
         pairs_b = self._as_colorlist(b, errors, at_least_one=False) if b else None
         count = self._as_int(moved, errors, minimum=1) if moved else None
@@ -702,9 +713,9 @@ class _Parser:
             errors.append((moved.value.span, ParseErrorKind.SYNTAX, str(exc)))
             return None
 
-    def _build_station(self, kind_tok, table, finds, errors):
-        early = self._take(table, "early", kind_tok, "station", errors)
-        saved = self._take(table, "saved", kind_tok, "station", errors)
+    def _build_station(self, kind_span, table, finds, errors):
+        early = self._take(table, "early", kind_span, "station", errors)
+        saved = self._take(table, "saved", kind_span, "station", errors)
         early_q = self._as_time_quantity(early, errors) if early else None
         saved_q = self._as_time_quantity(saved, errors) if saved else None
         if early_q is None or saved_q is None:
@@ -712,7 +723,7 @@ class _Parser:
         try:
             return StationInstance(early_q.magnitude, saved_q.magnitude)
         except InvalidInstance as exc:
-            errors.append((_span(kind_tok), ParseErrorKind.SYNTAX, str(exc)))
+            errors.append((kind_span, ParseErrorKind.SYNTAX, str(exc)))
             return None
 
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import riddle_forge.cli as cli
-from riddle_forge import station_walk_simulate
+from riddle_forge import ParseFailure, parse_puzzles, station_walk_simulate
 from riddle_forge.cli import main
 
 CORPUS = resources.files("riddle_forge") / "corpus" / "classic_problems.speck"
@@ -103,6 +103,62 @@ def test_solve_empty_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert err == ""
+
+
+@pytest.mark.parametrize(
+    "source, expected_code",
+    [("", 0), ("puzzle weighing { objects = -3 }\npuzzle frobnicate { }\n", 1)],
+    ids=["empty-file", "every-block-fails"],
+)
+def test_solve_json_with_no_reports_is_an_empty_list(
+    tmp_path, capsys, source, expected_code
+):
+    path = tmp_path / "none.speck"
+    path.write_text(source, encoding="utf-8")
+    code, out, _ = run_main(["solve", "--format", "json", str(path)], capsys)
+    assert code == expected_code
+    assert out == "[]\n"
+
+
+_JSON_TEXT = st.text(st.characters(exclude_categories=()), max_size=8)  # surrogates too
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | _JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_JSON_TEXT, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _report_and_dict(draw):
+    """A SolveReport and the dict json.dump should write for it."""
+    report = cli.SolveReport(
+        label=draw(_JSON_TEXT),
+        kind=draw(_JSON_TEXT),
+        answer=draw(_JSON_TEXT),
+        checked=draw(st.booleans()),
+        oracle=draw(st.none() | _JSON_TEXT),
+        agreement=draw(st.sampled_from([True, False, None])),
+        explanation=draw(st.lists(_JSON_TEXT, max_size=3)),
+        strategy=draw(st.none() | st.dictionaries(_JSON_TEXT, _JSON_VALUES, max_size=3)),
+    )
+    data = {"label": report.label, "kind": report.kind, "answer": report.answer}
+    if report.checked:
+        data["oracle"] = report.oracle
+        data["agreement"] = report.agreement
+    if report.explanation:
+        data["explanation"] = report.explanation
+    if report.strategy is not None:
+        data["strategy"] = report.strategy
+    return report, data
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_report_and_dict(), max_size=4))
+def test_json_reports_are_written_as_json_dump_writes_them(pairs):
+    handle = io.StringIO()
+    cli._write_reports([report for report, _ in pairs], cli.SolveOptions(fmt="json"), handle)
+    assert handle.getvalue() == json.dumps([data for _, data in pairs], indent=2) + "\n"
 
 
 def test_solve_parse_error_exits_one(tmp_path, capsys):
@@ -372,6 +428,18 @@ def test_unwritable_out_is_an_error_line(command, target, tmp_path, capsys):
     assert err.startswith("error: ") and str(out_path) in err
 
 
+def test_unwritable_survey_out_fails_before_the_survey_runs(tmp_path):
+    # The survey at the cap takes seconds; the bad path is reported first.
+    out_path = tmp_path / "missing" / "t.tsv"
+    result = run_cli(
+        "sweep", "transfer", "--max-n", "24", "--max-d", "24", "--out", str(out_path),
+        timeout=2,
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ") and str(out_path) in result.stderr
+    assert result.stdout == ""
+
+
 def test_explain_is_nonempty_for_every_kind(tmp_path, capsys):
     path = tmp_path / "mixed.speck"
     path.write_text(MIXED_SOURCE, encoding="utf-8")
@@ -584,3 +652,50 @@ def test_solve_never_raises_on_any_source(source):
             code = main(["solve", "--explain", "--format", "json", str(path)])
     assert code in (0, 1, 2)
     assert isinstance(json.loads(out.getvalue()), list)
+
+
+def _found_text(message):
+    """<X> when the message ends in "found '<X>'", else None."""
+    _, found, tail = message.rpartition("found '")
+    return tail[:-1] if found and tail.endswith("'") else None
+
+
+def _source_at(source, span):
+    line = source.split("\n")[span.line - 1]  # the parser's lines end at '\n' only
+    return line[span.column - 1:span.column - 1 + span.length]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_corpus())
+def test_found_text_is_the_source_text_at_the_span(source):
+    try:
+        parse_puzzles(source)
+    except ParseFailure as failure:
+        for error in failure.errors:
+            found = _found_text(error.message)
+            if found is not None:
+                assert _source_at(source, error.span) == found, str(error)
+
+
+@pytest.mark.parametrize(
+    "source, message, text",
+    [
+        ("puzzle weighing { # the scale\n objects = @ }", "expected a value, found '@'", "@"),
+        ("puzzle weighing {\r\n\tobjects = 3 ?\r\n}", "expected a statement, found '?'", "?"),
+        (
+            "puzzle pigeonhole { counts = (a: " + "9" * 5000 + "); required = 2 }",
+            "expected a count, found an integer literal too long to read (5000 characters)",
+            "9" * 5000,
+        ),
+        ("puzzle weighing { objects =", "expected a value, found end of input", ""),
+    ],
+    ids=["after-comment", "after-crlf", "huge-literal", "end-of-input"],
+)
+def test_error_span_covers_the_token_it_names(source, message, text):
+    with pytest.raises(ParseFailure) as info:
+        parse_puzzles(source)
+    (error,) = info.value.errors
+    assert error.message == message
+    assert _source_at(source, error.span) == text
+    if not text:
+        assert (error.span.line, error.span.column) == (1, len(source) + 1)

@@ -9,10 +9,12 @@ from riddle_forge import (
     PuzzleKind,
     PuzzleSpec,
     Quantity,
+    RateScenario,
     Unit,
     WeighingInstance,
     puzzle,
 )
+from riddle_forge.core import _exact
 
 
 def test_quantity_units():
@@ -28,6 +30,28 @@ def test_quantity_rejects_bad_values():
         Quantity(Fraction(3), Unit.MINUTES, label="mice")
     with pytest.raises(InvalidInstance):
         Quantity.count(0.5)  # floats are not exact
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Quantity(Fraction(-1, 3), Unit.COUNT),
+        lambda: Quantity(-1, Unit.COUNT),
+        lambda: Quantity(0.5, Unit.COUNT),
+        lambda: RateScenario(
+            Quantity(Fraction(0), Unit.COUNT), Quantity.count(1), Quantity.minutes(1)
+        ),
+    ],
+    ids=["negative-fraction", "negative-int", "float", "zero-fraction-rate"],
+)
+def test_constructors_check_direct_callers(build):
+    with pytest.raises(InvalidInstance):
+        build()
+
+
+def test_exact_keeps_a_fraction():
+    value = _exact(Fraction(3, 4), "magnitude")
+    assert type(value) is Fraction and value == Fraction(3, 4)
 
 
 def test_puzzle_spec_tag_must_match_payload():
