@@ -2,9 +2,10 @@
 
 Container transfer: move some objects at random from container A into
 container B, draw one from B, ask for a probability.  The folklore answer
-2n/(n+d) is evaluated as given; the oracle sums exactly over how many of
-the queried color's objects move (hypergeometric weights, then a uniform
-draw), and a survey op records where the two agree.
+2n/(n+d) is evaluated as given; the oracle derives the exact probability
+from the containers alone (the expected number of the queried color's
+objects that move, by linearity of expectation), and a survey op records
+where the two agree.
 
 Station walk: a walker leaves the station X minutes early and walks toward
 the car coming to fetch them; the pair arrives home Y minutes early.  The
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Iterable, Iterator, Union
 
 from .core import PuzzleKind, Rational, _exact
@@ -75,13 +75,15 @@ def transfer_probability_formula(n: int, d: int) -> Rational:
 
 
 def transfer_probability_enumerate(inst: TransferInstance) -> Rational:
-    """Exact probability of the query event, summed over the queried color.
+    """Exact probability of the query event, by linearity of expectation.
 
-    A uniform move of m of A's objects takes k of the queried color's a_c
-    with weight C(a_c, k) C(|A| - a_c, m - k) / C(|A|, m); the uniform draw
-    from the enlarged B then hits that color with probability
-    (b_c + k) / (|B| + m).  DrawnIsMoved has m favorable objects after
-    every move, so its probability is m / (|B| + m).
+    Each of A's objects moves with probability m / |A|, so the number k of
+    the queried color's a_c objects that move has E[k] = m a_c / |A|.  B
+    holds |B| + m objects after every move, so the draw hits the color with
+    probability E[b_c + k] / (|B| + m) = (b_c |A| + m a_c) / (|A| (|B| + m)),
+    and DrawnIsMoved has m / (|B| + m).
+    Nothing here uses 2n/(n+d).  The name is kept from the sum over every
+    split this replaced: the CLI and the survey's ``enumerated`` column use it.
     """
     moved = inst.moved
     after = sum(count for _, count in inst.container_b) + moved
@@ -91,12 +93,7 @@ def transfer_probability_enumerate(inst: TransferInstance) -> Rational:
     a_c = dict(inst.container_a).get(color, 0)
     b_c = dict(inst.container_b).get(color, 0)
     total_a = sum(count for _, count in inst.container_a)
-    others = total_a - a_c
-    favorable = sum(
-        comb(a_c, k) * comb(others, moved - k) * (b_c + k)
-        for k in range(max(0, moved - others), min(a_c, moved) + 1)
-    )
-    return Fraction(favorable, comb(total_a, moved) * after)
+    return Fraction(b_c * total_a + moved * a_c, total_a * after)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ be checked against a third route.
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 
 
 def exhaustive_max_avoiding(counts: tuple[int, ...], required: int) -> int:
@@ -71,3 +72,23 @@ def elementary_transfer(container_a, container_b, moved):
         color: Fraction(hits, total_events) for color, hits in color_hits.items()
     }
     return p_moved, p_not_moved, p_colors
+
+
+def hypergeometric_transfer(container_a, container_b, moved, color):
+    """P(the object drawn from B has ``color``), summed over every split.
+
+    A uniform move of ``moved`` of A's objects takes k of the color's a_c
+    with weight C(a_c, k) C(|A| - a_c, moved - k) / C(|A|, moved); the
+    uniform draw from the enlarged B then hits the color with probability
+    (b_c + k) / (|B| + moved).  Only feasible splits are summed.
+    """
+    a_c = dict(container_a).get(color, 0)
+    b_c = dict(container_b).get(color, 0)
+    total_a = sum(count for _, count in container_a)
+    after = sum(count for _, count in container_b) + moved
+    others = total_a - a_c
+    favorable = sum(
+        comb(a_c, k) * comb(others, moved - k) * (b_c + k)
+        for k in range(max(0, moved - others), min(a_c, moved) + 1)
+    )
+    return Fraction(favorable, comb(total_a, moved) * after)

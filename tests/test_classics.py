@@ -22,7 +22,7 @@ from riddle_forge import (
     transfer_probability_enumerate,
     transfer_probability_formula,
 )
-from oracles import elementary_transfer
+from oracles import elementary_transfer, hypergeometric_transfer
 
 
 def test_formula_known_values():
@@ -80,8 +80,8 @@ TWO_COLORS = ("red", "blue")
 
 def test_enumeration_matches_elementary_events_up_to_six_objects():
     # Dual route: distinguishable-object enumeration with equal-weight
-    # elementary events must agree with the hypergeometric sum.  With three
-    # colors the sum runs over two unqueried colors at once.
+    # elementary events must agree with the closed expectation.  With three
+    # colors, two unqueried colors share the moves.
     for colors in (TWO_COLORS, (*TWO_COLORS, "green")):
         for container_a, container_b, moved in _color_instances(colors, 6):
             p_moved, p_not_moved, p_colors = elementary_transfer(
@@ -99,6 +99,37 @@ def test_enumeration_matches_elementary_events_up_to_six_objects():
                 assert transfer_probability_enumerate(color_inst) == p_colors.get(
                     color, 0
                 )
+
+
+FIVE_COLORS = ("red", "blue", "green", "amber", "teal")
+
+
+def test_enumeration_matches_the_hypergeometric_sum_past_elementary_sizes():
+    # Up to 400 objects in A: too many subsets for elementary events, so the
+    # sum over every split is the reference.  Queries include colors absent
+    # from one container or both, and DrawnIsMoved, which becomes a color
+    # event once A's objects are all recolored 'src' and B's 'dst'.
+    rng = random.Random(20)
+    for _ in range(2000):
+        a_colors = rng.sample(FIVE_COLORS, rng.randint(1, 5))
+        most = 400 // len(a_colors)
+        a_counts = [rng.randint(1, most)] + [rng.randint(0, most) for _ in a_colors[1:]]
+        container_a = tuple(zip(a_colors, a_counts))
+        total_a = sum(a_counts)
+        container_b = tuple(
+            (c, rng.randint(0, 400)) for c in rng.sample(FIVE_COLORS, rng.randint(0, 5))
+        )
+        total_b = sum(count for _, count in container_b)
+        moved = rng.randint(1, total_a)
+        color = rng.choice((*FIVE_COLORS, "gray"))
+        inst = TransferInstance(container_a, container_b, moved, DrawnHasColor(color))
+        assert transfer_probability_enumerate(inst) == hypergeometric_transfer(
+            container_a, container_b, moved, color
+        )
+        moved_inst = TransferInstance(container_a, container_b, moved, DrawnIsMoved())
+        assert transfer_probability_enumerate(moved_inst) == hypergeometric_transfer(
+            (("src", total_a),), (("dst", total_b),), moved, "src"
+        )
 
 
 def test_enumeration_normalises_exactly():

@@ -544,17 +544,26 @@ def test_many_color_transfer_is_checked_next_to_the_corpus(tmp_path, corpus_path
     assert "tailor_buttons [pigeonhole] answer = 13" in result.stdout
 
 
-def test_transfer_oracle_skips_infeasible_splits(tmp_path):
-    # Every split moves 10000 reds; summing from k = 0 would take minutes.
-    path = tmp_path / "reds.speck"
+@pytest.mark.parametrize(
+    "container_a, container_b, moved, oracle",
+    [
+        ("red: 20000", "blue: 3", 10000, "10000/10003"),
+        ("red: 1000000, blue: 1000000", "green: 1", 1000000, "500000/1000001"),
+    ],
+    ids=["twenty-thousand-reds", "million-each"],
+)
+def test_transfer_oracle_is_bounded(tmp_path, container_a, container_b, moved, oracle):
+    # A sum over every split of these moves takes minutes or never ends.
+    path = tmp_path / "transfer.speck"
     path.write_text(
-        "puzzle transfer { container_a = (red: 20000); container_b = (blue: 3); "
-        "moved = 10000; query = red }\n",
+        f"puzzle transfer {{ container_a = ({container_a}); "
+        f"container_b = ({container_b}); moved = {moved}; query = red }}\n",
         encoding="utf-8",
     )
-    result = run_cli("solve", "--check", "--format", "json", str(path), timeout=20)
+    result = run_cli("solve", "--check", "--format", "json", str(path), timeout=10)
+    assert result.returncode == 2  # the folklore formula disagrees
     (report,) = json.loads(result.stdout)
-    assert report["oracle"] == "10000/10003"
+    assert report["oracle"] == oracle
 
 
 def test_weighing_over_the_oracle_budget_is_unverifiable(tmp_path, capsys, monkeypatch):
@@ -640,8 +649,60 @@ def _mutated_corpus(draw):
     return text
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(st.text(), _mutated_corpus()))
+_HUGE = st.integers(1, 10**12)
+_COLORS = ("red", "blue", "green")
+
+
+@st.composite
+def _large_blocks(draw):
+    """Well-formed blocks of all five kinds, literals up to 10^12."""
+
+    def number():
+        value = draw(_HUGE)
+        return f"{value}/{draw(_HUGE)}" if draw(st.booleans()) else str(value)
+
+    def colorlist(min_size):
+        colors = draw(st.lists(st.sampled_from(_COLORS), min_size=min_size, unique=True))
+        counts = [draw(st.integers(0, 10**12)) for _ in colors]
+        return ", ".join(map("{}: {}".format, colors, counts)), sum(counts)
+
+    blocks = []
+    kinds = ("rate", "weighing", "pigeonhole", "transfer", "station")
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=5)):
+        if kind == "rate":
+            target = draw(st.sampled_from(("work", "subjects", "time")))
+            others = [key for key in ("work", "subjects", "time") if key != target]
+            given = ", ".join(f"{key} = {number()}" for key in others)
+            body = (
+                f"work = {number()}; subjects = {number()}; time = {number()} min; "
+                f"find {target} where {given}"
+            )
+        elif kind == "weighing":
+            # Both sides of the minimax oracle's budget of 3^12 objects.
+            objects = draw(st.integers(1, 3**12) | st.integers(3**12 + 1, 10**12))
+            body = f"objects = {objects}"
+        elif kind == "pigeonhole":
+            counts, _ = colorlist(1)
+            body = f"counts = ({counts}); required = {draw(_HUGE)}"
+        elif kind == "transfer":
+            container_a, total_a = colorlist(1)
+            container_b, _ = colorlist(0)
+            moved = draw(st.integers(1, max(total_a, 1)))
+            query = draw(st.sampled_from(("moved", *_COLORS, "gray")))
+            body = (
+                f"container_a = ({container_a}); container_b = ({container_b}); "
+                f"moved = {moved}; query = {query}"
+            )
+        else:
+            early, scale = draw(_HUGE), draw(_HUGE)
+            saved = draw(st.integers(1, min(2 * early, 10**12)))
+            body = f"early = {early}/{scale} min; saved = {saved}/{scale} min"
+        blocks.append(f"puzzle {kind} {{ {body} }}\n")
+    return "".join(blocks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), _mutated_corpus(), _large_blocks()))
 def test_solve_never_raises_on_any_source(source):
     with tempfile.TemporaryDirectory() as folder:
         path = Path(folder) / "fuzz.speck"
@@ -649,7 +710,7 @@ def test_solve_never_raises_on_any_source(source):
         path.write_bytes(source.encode("utf-8", "surrogatepass"))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["solve", "--explain", "--format", "json", str(path)])
+            code = main(["solve", "--check", "--explain", "--format", "json", str(path)])
     assert code in (0, 1, 2)
     assert isinstance(json.loads(out.getvalue()), list)
 
