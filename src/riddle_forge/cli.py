@@ -8,13 +8,15 @@ formula/oracle disagreement or bad sweep bounds.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .classics import (
     SURVEY_HEADER,
@@ -308,65 +310,68 @@ def _solve_one(spec: PuzzleSpec, label: str, opts: SolveOptions) -> SolveReport:
     return _solve_station_report(label, spec.payload, opts)
 
 
-def _write_reports(reports: list[SolveReport], opts: SolveOptions, handle: TextIO) -> None:
+def _write_reports(
+    reports: Iterable[SolveReport], opts: SolveOptions, handle: TextIO
+) -> None:
     if opts.fmt == "json":
         # One report at a time, the bytes json.dump(..., indent=2) writes.
-        if not reports:
-            handle.write("[]\n")
-            return
         separator = "[\n"
         for report in reports:
             handle.write(separator + report.to_json())
             separator = ",\n"
-        handle.write("\n]\n")
+        handle.write("[]\n" if separator == "[\n" else "\n]\n")
         return
     for report in reports:
         handle.write(report.to_text() + "\n")
 
 
-def _emit(reports: list[SolveReport], opts: SolveOptions) -> None:
-    if opts.out is None:
-        _write_reports(reports, opts, sys.stdout)
-        return
-    with open(opts.out, "w", encoding="utf-8", newline="\n") as handle:
-        _write_reports(reports, opts, handle)
-
-
 def cmd_solve(paths: Sequence[str], opts: SolveOptions) -> int:
-    """Solve every puzzle in the given files and print one report each."""
-    reports: list[SolveReport] = []
-    failed = False
-    for path in paths:
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            failed = True
-            continue
-        try:
-            specs = parse_puzzles(text)
-        except ParseFailure as failure:
-            for error in failure.errors:
-                print(f"{path}:{error}", file=sys.stderr)
-            failed = True
-            continue
-        stem = Path(path).stem
-        for index, spec in enumerate(specs, 1):
-            label = spec.label or f"{stem}#{index}"
+    """Solve every puzzle in the given files, writing each report as it is made."""
+    if opts.out is not None and os.path.isfile(opts.out):
+        for path in paths:
+            if os.path.exists(path) and os.path.samefile(path, opts.out):
+                print(f"error: --out names the input file {path}", file=sys.stderr)
+                return 1
+    failed = disagreed = False
+
+    def solved() -> Iterator[SolveReport]:
+        nonlocal failed, disagreed
+        for path in paths:
             try:
-                reports.append(_solve_one(spec, label, opts))
-            except ValueError as exc:
-                # Only an exact value past int-to-str's digit limit is expected.
-                if "integer string conversion" not in str(exc):
-                    raise
-                print(f"error: {path}: {label}: {exc}", file=sys.stderr)
+                text = Path(path).read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as exc:
+                print(f"error: {path}: {exc}", file=sys.stderr)
                 failed = True
-    _emit(reports, opts)
-    if failed:
-        return 1
-    if any(report.agreement is False for report in reports):
-        return 2
-    return 0
+                continue
+            try:
+                specs = parse_puzzles(text)
+            except ParseFailure as failure:
+                for error in failure.errors:
+                    print(f"{path}:{error}", file=sys.stderr)
+                failed = True
+                continue
+            stem = Path(path).stem
+            for index, spec in enumerate(specs, 1):
+                label = spec.label or f"{stem}#{index}"
+                try:
+                    report = _solve_one(spec, label, opts)
+                except ValueError as exc:
+                    # Only an exact value past int-to-str's digit limit is expected.
+                    if "integer string conversion" not in str(exc):
+                        raise
+                    print(f"error: {path}: {label}: {exc}", file=sys.stderr)
+                    failed = True
+                    continue
+                disagreed = disagreed or report.agreement is False
+                yield report
+
+    # Opened before any input is read, so a bad path fails at once.
+    with (
+        contextlib.nullcontext(sys.stdout) if opts.out is None
+        else open(opts.out, "w", encoding="utf-8", newline="\n")
+    ) as handle:
+        _write_reports(solved(), opts, handle)
+    return 1 if failed else 2 if disagreed else 0
 
 
 # ----------------------------------------------------------------------

@@ -304,12 +304,10 @@ class _Parser:
                 break
             if tok == _EOF:
                 raise _BlockError((self.pos, self.pos), "unterminated block: expected '}'")
-            if tok[0] not in _WORD_START:
-                raise self._unexpected("a statement")
             if tok == "find":
                 finds.append(self._parse_find())
             else:
-                assigns.append(self._parse_assign())
+                assigns.append(self._parse_assign("a statement"))
         kind_name = self.tokens[kind_at]
         kind_span = (kind_at, kind_at)
         kind = _KINDS.get(kind_name)
@@ -317,14 +315,13 @@ class _Parser:
             self.errors.append(
                 (kind_span, ParseErrorKind.UNKNOWN_KIND,
                  f"unknown puzzle kind '{kind_name}'; expected one of "
-                 "rate, weighing, pigeonhole, transfer, station")
+                 + ", ".join(_KINDS))
             )
             return None
         return self._build(kind, kind_span, assigns, finds)
 
-    def _parse_assign(self) -> _Assign:
-        key_at = self.pos
-        self.pos += 1  # the key, a word
+    def _parse_assign(self, what: str) -> _Assign:
+        key_at = self._expect_word(what)
         self._expect("=", "'='")
         return _Assign(self.tokens[key_at], (key_at, key_at), self._parse_value())
 
@@ -337,11 +334,7 @@ class _Parser:
         self.pos += 1
         clauses: list[_Assign] = []
         while True:
-            key_at = self._expect_word("a key")
-            self._expect("=", "'='")
-            clauses.append(
-                _Assign(self.tokens[key_at], (key_at, key_at), self._parse_value())
-            )
+            clauses.append(self._parse_assign("a key"))
             if self.tokens[self.pos] == ",":
                 self.pos += 1
                 continue

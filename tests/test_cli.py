@@ -193,6 +193,45 @@ def test_transfer_disagreement_exits_two(tmp_path, capsys):
     assert report["agreement"] is False
 
 
+def test_a_failure_beats_a_disagreement(tmp_path, capsys):
+    path = tmp_path / "transfer.speck"
+    path.write_text(
+        "puzzle transfer { container_a = (red: 1); container_b = (blue: 1); "
+        "moved = 1; query = moved }\n",
+        encoding="utf-8",
+    )
+    code, out, err = run_main(
+        ["solve", str(tmp_path / "nope.speck"), str(path), "--check", "--format", "json"],
+        capsys,
+    )
+    assert code == 1
+    assert "nope.speck" in err
+    (report,) = json.loads(out)
+    assert report["agreement"] is False
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_reports_are_written_as_they_are_solved(fmt, tmp_path, monkeypatch):
+    path = tmp_path / "mixed.speck"
+    path.write_text(MIXED_SOURCE, encoding="utf-8")
+    stdout = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    written, original = [], cli._solve_one
+
+    def solve_one(*args):
+        text = stdout.getvalue()
+        if fmt == "json":
+            written.append(text.count('"label"'))
+        else:  # a report's first line is the only one not indented
+            written.append(sum(not line[:1].isspace() for line in text.splitlines()))
+        return original(*args)
+
+    monkeypatch.setattr(cli, "_solve_one", solve_one)
+    argv = ["solve", str(path), "--check", "--explain", "--format", fmt]
+    assert main(argv) == 2  # the transfer formula disagrees with its oracle
+    assert written == [0, 1, 2, 3, 4]
+
+
 def test_station_check_agrees(tmp_path, capsys):
     path = tmp_path / "station.speck"
     path.write_text("puzzle station { early = 60 min; saved = 10 min }\n", "utf-8")
@@ -426,6 +465,42 @@ def test_unwritable_out_is_an_error_line(command, target, tmp_path, capsys):
     code, _, err = run_main([*command, "--out", str(out_path)], capsys)
     assert code == 1
     assert err.startswith("error: ") and str(out_path) in err
+
+
+def test_unwritable_out_is_reported_before_any_input_is_read(tmp_path, capsys):
+    bad = tmp_path / "bad.speck"
+    bad.write_text("puzzle weighing { objects = -3 }\n", encoding="utf-8")
+    out_path = tmp_path / "missing" / "x.json"
+    code, out, err = run_main(["solve", str(bad), "--out", str(out_path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and str(out_path) in err
+    assert err.count("\n") == 1  # no parse error: the input was never read
+
+
+def _second_spelling(path):
+    return path.parent / ".." / path.parent.name / path.name
+
+
+def _symlink_to(path):
+    link = path.parent / "link.speck"
+    link.symlink_to(path)
+    return link
+
+
+@pytest.mark.parametrize("spell", [lambda path: path, _second_spelling, _symlink_to],
+                         ids=["same-path", "second-spelling", "symlink"])
+def test_out_naming_an_input_is_refused(spell, tmp_path, corpus_path, capsys):
+    before = corpus_path.read_bytes()
+    out_path = spell(corpus_path)
+    code, out, err = run_main(
+        ["solve", str(tmp_path / "nope.speck"), str(corpus_path), "--out", str(out_path)],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --out names the input file {corpus_path}\n"
+    assert corpus_path.read_bytes() == before
 
 
 def test_unwritable_survey_out_fails_before_the_survey_runs(tmp_path):

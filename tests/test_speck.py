@@ -70,7 +70,10 @@ def test_unknown_kind_error_at_the_kind_span():
     (error,) = errors_of("puzzle frobnicate { objects = 3 }")
     assert error.kind is ParseErrorKind.UNKNOWN_KIND
     assert (error.span.line, error.span.column, error.span.length) == (1, 8, 10)
-    assert "frobnicate" in error.message
+    assert error.message == (
+        "unknown puzzle kind 'frobnicate'; expected one of "
+        "rate, weighing, pigeonhole, transfer, station"
+    )
 
 
 def test_duplicate_key_error_at_the_second_key():
