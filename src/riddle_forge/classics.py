@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
-from .core import PuzzleKind, Rational, _exact
+from .core import PuzzleKind, Quantity, Rational, _exact, _normalize_counts
 from .errors import InvalidInstance, NoMeeting
-from .pigeonhole import _normalize_counts
 
 
 @dataclass(frozen=True)
@@ -62,6 +61,24 @@ class TransferInstance:
             raise InvalidInstance("cannot move more objects than container_a holds")
         if not isinstance(self.query, (DrawnIsMoved, DrawnHasColor)):
             raise InvalidInstance("query must be DrawnIsMoved or DrawnHasColor")
+
+    @classmethod
+    def from_block(cls, block) -> "TransferInstance | None":
+        """``query = moved`` asks for a moved object, any other word for a color."""
+        a, b, moved, query = block.take("container_a", "container_b", "moved", "query")
+        pairs_a = block.colors(a, at_least_one=True)
+        pairs_b = block.colors(b, at_least_one=False)
+        count = block.integer(moved, minimum=1)
+        word = block.word(query)
+        if None in (pairs_a, pairs_b, count, word):
+            return None
+        event = DrawnIsMoved() if word == "moved" else DrawnHasColor(word)
+        return block.make(cls, pairs_a, pairs_b, count, event, at=moved)
+
+    def block_items(self) -> list[tuple[str, object]]:
+        query = "moved" if isinstance(self.query, DrawnIsMoved) else self.query.color
+        return [("container_a", self.container_a), ("container_b", self.container_b),
+                ("moved", self.moved), ("query", query)]
 
 
 def transfer_probability_formula(n: int, d: int) -> Rational:
@@ -200,6 +217,19 @@ class StationInstance:
                 "saved_minutes cannot exceed twice early_minutes; "
                 "the meeting scenario would be inconsistent"
             )
+
+    @classmethod
+    def from_block(cls, block) -> "StationInstance | None":
+        """``puzzle station { early = 20 min; saved = 1/4 h }``."""
+        early, saved = block.take("early", "saved")
+        early, saved = block.time(early), block.time(saved)
+        if early is None or saved is None:
+            return None
+        return block.make(cls, early.magnitude, saved.magnitude)
+
+    def block_items(self) -> list[tuple[str, object]]:
+        return [("early", Quantity.minutes(self.early_minutes)),
+                ("saved", Quantity.minutes(self.saved_minutes))]
 
 
 def station_walk_formula(inst: StationInstance) -> Rational:

@@ -128,25 +128,15 @@ def _solve_rate_report(label: str, query: RateQuery, opts: SolveOptions) -> Solv
     if opts.explain:
         known = query.known
         k = rate_constant(known)
-        given = query.given()
-        w = given.get(RateField.WORK)
-        s = given.get(RateField.SUBJECTS)
-        t = given.get(RateField.TIME)
         report.explanation.append(
             f"rate constant: k = {known.work.magnitude}"
             f"/({known.subjects.magnitude}*{known.time.magnitude}) = {k}"
         )
-        if query.target is RateField.SUBJECTS:
-            equation = f"{w.magnitude}/(x*{t.magnitude}) = {k}"
-        elif query.target is RateField.WORK:
-            equation = f"x/({s.magnitude}*{t.magnitude}) = {k}"
-        else:
-            equation = f"{w.magnitude}/({s.magnitude}*x) = {k}"
-        report.explanation.append(f"solve {equation}")
-        word = None
-        if query.target is not RateField.TIME:
-            source = known.subjects if query.target is RateField.SUBJECTS else known.work
-            word = source.label
+        w, s, t = (
+            "x" if q is None else q.magnitude for q in (query.work, query.subjects, query.time)
+        )
+        report.explanation.append(f"solve {w}/({s}*{t}) = {k}")
+        word = getattr(known, query.target.value).label  # a time carries no label
         suffix = f" {word}" if word else ""
         if rounded is not None and Fraction(rounded) != exact:
             report.explanation.append(
@@ -298,16 +288,17 @@ def _solve_station_report(
     return report
 
 
+_REPORTS = {
+    PuzzleKind.RATE: _solve_rate_report,
+    PuzzleKind.WEIGHING: _solve_weighing_report,
+    PuzzleKind.PIGEONHOLE: _solve_pigeonhole_report,
+    PuzzleKind.TRANSFER: _solve_transfer_report,
+    PuzzleKind.STATION: _solve_station_report,
+}
+
+
 def _solve_one(spec: PuzzleSpec, label: str, opts: SolveOptions) -> SolveReport:
-    if spec.kind is PuzzleKind.RATE:
-        return _solve_rate_report(label, spec.payload, opts)
-    if spec.kind is PuzzleKind.WEIGHING:
-        return _solve_weighing_report(label, spec.payload, opts)
-    if spec.kind is PuzzleKind.PIGEONHOLE:
-        return _solve_pigeonhole_report(label, spec.payload, opts)
-    if spec.kind is PuzzleKind.TRANSFER:
-        return _solve_transfer_report(label, spec.payload, opts)
-    return _solve_station_report(label, spec.payload, opts)
+    return _REPORTS[spec.kind](label, spec.payload, opts)
 
 
 def _write_reports(

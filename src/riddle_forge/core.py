@@ -7,6 +7,7 @@ between threads.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -25,6 +26,22 @@ def _exact(value: int | Fraction, what: str) -> Fraction:
     if isinstance(value, float):
         raise InvalidInstance(f"{what} must be exact (int or Fraction), not float")
     return Fraction(value)
+
+
+def _normalize_counts(
+    raw: "Mapping[str, int] | Iterable[tuple[str, int]]", what: str
+) -> tuple[tuple[str, int], ...]:
+    pairs = tuple(raw.items()) if isinstance(raw, Mapping) else tuple(raw)
+    seen = set()
+    for label, count in pairs:
+        if not isinstance(label, str) or not label:
+            raise InvalidInstance(f"{what}: color labels must be nonempty strings")
+        if label in seen:
+            raise InvalidInstance(f"{what}: duplicate color '{label}'")
+        seen.add(label)
+        if not isinstance(count, int) or count < 0:
+            raise InvalidInstance(f"{what}: count for '{label}' must be an integer >= 0")
+    return pairs
 
 
 class Unit(Enum):

@@ -9,26 +9,9 @@ any instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Iterable, Mapping
 
-from .core import PuzzleKind
+from .core import PuzzleKind, _normalize_counts
 from .errors import Infeasible, InvalidInstance
-
-
-def _normalize_counts(
-    raw: "Mapping[str, int] | Iterable[tuple[str, int]]", what: str
-) -> tuple[tuple[str, int], ...]:
-    pairs = tuple(raw.items()) if isinstance(raw, Mapping) else tuple(raw)
-    seen = set()
-    for label, count in pairs:
-        if not isinstance(label, str) or not label:
-            raise InvalidInstance(f"{what}: color labels must be nonempty strings")
-        if label in seen:
-            raise InvalidInstance(f"{what}: duplicate color '{label}'")
-        seen.add(label)
-        if not isinstance(count, int) or count < 0:
-            raise InvalidInstance(f"{what}: count for '{label}' must be an integer >= 0")
-    return pairs
 
 
 @dataclass(frozen=True)
@@ -47,6 +30,17 @@ class PigeonholeInstance:
         object.__setattr__(self, "color_counts", pairs)
         if not isinstance(self.required, int) or self.required < 1:
             raise InvalidInstance("required must be a positive integer")
+
+    @classmethod
+    def from_block(cls, block) -> "PigeonholeInstance | None":
+        """``puzzle pigeonhole { counts = (blue: 10, red: 8); required = 2 }``."""
+        counts, required = block.take("counts", "required")
+        pairs = block.colors(counts, at_least_one=True)
+        run = block.integer(required, minimum=1)
+        return None if pairs is None or run is None else cls(pairs, run)
+
+    def block_items(self) -> list[tuple[str, object]]:
+        return [("counts", self.color_counts), ("required", self.required)]
 
 
 def guarantee_draws_formula(n_colors: int, required: int) -> int:

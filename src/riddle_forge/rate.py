@@ -9,6 +9,7 @@ reading k off the known scenario and isolating the one unknown.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -17,9 +18,19 @@ from .errors import InvalidInstance
 
 
 class RateField(Enum):
+    """A field's value is also its attribute's name in RateScenario and RateQuery."""
+
     WORK = "work"
     SUBJECTS = "subjects"
     TIME = "time"
+
+
+_FIELDS = tuple(RateField)
+_field_values = operator.attrgetter(*(field.value for field in _FIELDS))
+
+
+def _by_field(values: "RateScenario | RateQuery") -> dict[RateField, Quantity | None]:
+    return dict(zip(_FIELDS, _field_values(values)))
 
 
 def _check_positive(quantity: Quantity, name: str, unit: Unit) -> None:
@@ -67,11 +78,7 @@ class RateQuery:
     puzzle_kind = PuzzleKind.RATE
 
     def __post_init__(self) -> None:
-        by_field = {
-            RateField.WORK: self.work,
-            RateField.SUBJECTS: self.subjects,
-            RateField.TIME: self.time,
-        }
+        by_field = _by_field(self)
         if by_field[self.target] is not None:
             raise InvalidInstance(
                 f"target '{self.target.value}' must not also be given"
@@ -86,12 +93,23 @@ class RateQuery:
 
     def given(self) -> dict[RateField, Quantity]:
         """The two given quantities, keyed by field."""
-        pairs = (
-            (RateField.WORK, self.work),
-            (RateField.SUBJECTS, self.subjects),
-            (RateField.TIME, self.time),
-        )
-        return {field: q for field, q in pairs if q is not None}
+        return {field: q for field, q in _by_field(self).items() if q is not None}
+
+    @classmethod
+    def from_block(cls, block) -> "RateQuery | None":
+        """``work = 6; subjects = 6; time = 6 min; find subjects where ...``."""
+        readers = {"work": block.count, "subjects": block.count, "time": block.time}
+        known = [read(assign) for read, assign in zip(readers.values(), block.take(*readers))]
+        found = block.find(readers)
+        if found is None or None in known:
+            return None
+        target, given = found
+        return block.make(cls, RateScenario(*known), RateField(target), **given)
+
+    def block_items(self) -> list[tuple[str, object]]:
+        known = [(field.value, q) for field, q in _by_field(self.known).items()]
+        given = [(field.value, q) for field, q in self.given().items()]
+        return known + [("find", (self.target.value, given))]
 
 
 def solve_rate(query: RateQuery) -> Rational:
@@ -106,18 +124,10 @@ def solve_rate(query: RateQuery) -> Rational:
 
 def completed_scenario(query: RateQuery, solution: Rational) -> RateScenario:
     """The query's scenario with the solved value plugged back in."""
-    values = {
-        RateField.WORK: query.work,
-        RateField.SUBJECTS: query.subjects,
-        RateField.TIME: query.time,
-    }
+    values = _by_field(query)
     unit = Unit.MINUTES if query.target is RateField.TIME else Unit.COUNT
     values[query.target] = Quantity(solution, unit)
-    return RateScenario(
-        work=values[RateField.WORK],
-        subjects=values[RateField.SUBJECTS],
-        time=values[RateField.TIME],
-    )
+    return RateScenario(**{field.value: q for field, q in values.items()})
 
 
 def ceil_subjects(value: Rational) -> int:

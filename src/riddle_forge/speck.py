@@ -18,6 +18,10 @@ errors is the source scanned again for their offsets, lines and columns.
 
 Errors carry precise source spans and a kind; parsing recovers at block
 boundaries so one bad block does not hide errors in the next.
+
+Which keys a kind takes, and how its payload is written back, lives with
+the kind's payload class (``from_block``, ``block_items``); this module
+holds the grammar, the value readers and the value text.
 """
 
 from __future__ import annotations
@@ -29,11 +33,11 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-from .classics import DrawnHasColor, DrawnIsMoved, StationInstance, TransferInstance
+from .classics import StationInstance, TransferInstance
 from .core import PuzzleKind, PuzzleSpec, Quantity, Unit
 from .errors import InvalidInstance
 from .pigeonhole import PigeonholeInstance
-from .rate import RateField, RateQuery, RateScenario
+from .rate import RateQuery
 from .weighing import WeighingInstance
 
 
@@ -196,8 +200,14 @@ class _BlockError(Exception):
         self.error = (span, ParseErrorKind.SYNTAX, message)
 
 
-_KINDS = {kind.value: kind for kind in PuzzleKind}
-_RATE_FIELDS = {field.value for field in RateField}
+# Kind name -> payload class.  Each class reads its own block
+# (``from_block``) and names its own statements (``block_items``).
+_PAYLOAD_TYPES = {
+    payload_type.puzzle_kind.value: payload_type
+    for payload_type in (
+        RateQuery, WeighingInstance, PigeonholeInstance, TransferInstance, StationInstance
+    )
+}
 _TIME_UNITS = {"min": 1, "h": 60}
 
 
@@ -310,15 +320,15 @@ class _Parser:
                 assigns.append(self._parse_assign("a statement"))
         kind_name = self.tokens[kind_at]
         kind_span = (kind_at, kind_at)
-        kind = _KINDS.get(kind_name)
-        if kind is None:
+        payload_type = _PAYLOAD_TYPES.get(kind_name)
+        if payload_type is None:
             self.errors.append(
                 (kind_span, ParseErrorKind.UNKNOWN_KIND,
                  f"unknown puzzle kind '{kind_name}'; expected one of "
-                 + ", ".join(_KINDS))
+                 + ", ".join(_PAYLOAD_TYPES))
             )
             return None
-        return self._build(kind, kind_span, assigns, finds)
+        return self._build(payload_type, _Block(kind_name, kind_span, assigns, finds))
 
     def _parse_assign(self, what: str) -> _Assign:
         key_at = self._expect_word(what)
@@ -409,36 +419,16 @@ class _Parser:
 
     # -- semantics: turn statements into payloads -------------------------
 
-    def _build(
-        self,
-        kind: PuzzleKind,
-        kind_span: _Span,
-        assigns: list[_Assign],
-        finds: list[_Find],
-    ) -> PuzzleSpec | None:
-        errors: list[_Error] = []
-        table: dict[str, _Assign] = {}
-        for assign in assigns:
-            if assign.key in table:
-                errors.append(
-                    (assign.key_span, ParseErrorKind.DUPLICATE_KEY,
-                     f"duplicate key '{assign.key}'")
-                )
-            else:
-                table[assign.key] = assign
-        if finds and kind is not PuzzleKind.RATE:
+    def _build(self, payload_type: type, block: "_Block") -> PuzzleSpec | None:
+        kind, errors, table = payload_type.puzzle_kind, block.errors, block.table
+        if block.finds and kind is not PuzzleKind.RATE:
             errors.append(
-                (finds[0].span, ParseErrorKind.SYNTAX,
+                (block.finds[0].span, ParseErrorKind.SYNTAX,
                  f"'find' is only meaningful in rate puzzles, not {kind.value}")
             )
 
-        label = None
-        label_assign = table.pop("label", None)
-        if label_assign is not None:
-            label = self._as_ident(label_assign, errors)
-
-        build = getattr(self, f"_build_{kind.value}")  # one builder per kind
-        payload = build(kind_span, table, finds, errors)
+        label = block.word(table.pop("label", None))
+        payload = payload_type.from_block(block)  # takes the keys the kind knows
 
         for assign in table.values():
             errors.append(
@@ -450,47 +440,143 @@ class _Parser:
             return None
         return PuzzleSpec(kind, payload, label)
 
-    def _take(
-        self,
-        table: dict[str, _Assign],
-        key: str,
-        kind_span: _Span,
-        kind_name: str,
-        errors: list[_Error],
-    ) -> _Assign | None:
-        assign = table.pop(key, None)
-        if assign is None:
+
+class _Block:
+    """One block's statements, as a payload class's ``from_block`` reads them.
+
+    ``take`` claims keys from the table.  The readers ``word``, ``count``,
+    ``time``, ``integer`` and ``colors`` turn a statement into a value, or
+    report an error and give None, as they do when given None (a missing key,
+    already reported).  ``find`` reads the ``find ... where ...`` clause, and
+    ``make`` reports a constructor's refusal.
+    """
+
+    __slots__ = ("kind", "kind_span", "table", "finds", "errors")
+
+    def __init__(self, kind: str, kind_span: _Span, assigns: list[_Assign], finds: list[_Find]):
+        self.kind = kind
+        self.kind_span = kind_span
+        self.finds = finds
+        self.table: dict[str, _Assign] = {}
+        self.errors: list[_Error] = []
+        for assign in assigns:
+            if assign.key in self.table:
+                self.errors.append(
+                    (assign.key_span, ParseErrorKind.DUPLICATE_KEY,
+                     f"duplicate key '{assign.key}'")
+                )
+            else:
+                self.table[assign.key] = assign
+
+    def take(self, *keys: str) -> tuple[_Assign | None, ...]:
+        """The statements assigning ``keys``; each missing one is an error."""
+        table = self.table
+        found = []
+        for key in keys:
+            assign = table.pop(key, None)
+            if assign is None:
+                self.errors.append(
+                    (self.kind_span, ParseErrorKind.MISSING_KEY,
+                     f"{self.kind} puzzle is missing key '{key}'")
+                )
+            found.append(assign)
+        return tuple(found)
+
+    def make(self, payload_type: type, *args, at: _Assign | None = None, **kwargs):
+        """``payload_type(*args, **kwargs)``; a refusal is an error at ``at``'s
+        value, or else at the kind keyword, and gives None."""
+        try:
+            return payload_type(*args, **kwargs)
+        except InvalidInstance as exc:
+            span = self.kind_span if at is None else at.value.span
+            self.errors.append((span, ParseErrorKind.SYNTAX, str(exc)))
+            return None
+
+    def find(self, readers: dict) -> tuple[str, dict] | None:
+        """The target of the block's one ``find`` clause and its given values.
+
+        The target is a key of ``readers``; the where-clause gives every
+        other key, each read by its reader, in sorted order.
+        """
+        finds, errors = self.finds, self.errors
+        if not finds:
             errors.append(
-                (kind_span, ParseErrorKind.MISSING_KEY,
-                 f"{kind_name} puzzle is missing key '{key}'")
+                (self.kind_span, ParseErrorKind.MISSING_KEY,
+                 f"{self.kind} puzzle needs a 'find' clause")
             )
-        return assign
+            return None
+        if len(finds) > 1:
+            errors.append(
+                (finds[1].span, ParseErrorKind.DUPLICATE_KEY,
+                 "only one 'find' clause is allowed")
+            )
+            return None
+        find = finds[0]
+        if find.target not in readers:
+            errors.append(
+                (find.target_span, ParseErrorKind.SYNTAX,
+                 f"find target must be one of {', '.join(readers)}; "
+                 f"got '{find.target}'")
+            )
+            return None
+        expected = sorted(readers.keys() - {find.target})
+        before = len(errors)
+        clause_table: dict[str, _Assign] = {}
+        for clause in find.clauses:
+            if clause.key in clause_table:
+                errors.append(
+                    (clause.key_span, ParseErrorKind.DUPLICATE_KEY,
+                     f"duplicate key '{clause.key}' in where-clause")
+                )
+            elif clause.key not in expected:
+                errors.append(
+                    (clause.key_span, ParseErrorKind.SYNTAX,
+                     f"unexpected key '{clause.key}' in where-clause; "
+                     f"expected {' and '.join(expected)}")
+                )
+            else:
+                clause_table[clause.key] = clause
+        given = {}
+        for name in expected:
+            clause = clause_table.get(name)
+            if clause is None:
+                errors.append(
+                    (find.span, ParseErrorKind.MISSING_KEY,
+                     f"where-clause is missing key '{name}'")
+                )
+            else:
+                given[name] = readers[name](clause)
+        return None if len(errors) > before else (find.target, given)
 
-    # value coercers; each appends an error and returns None on failure
+    # value readers
 
-    def _as_ident(self, assign: _Assign, errors: list[_Error]) -> str | None:
+    def word(self, assign: _Assign | None) -> str | None:
+        if assign is None:
+            return None
         value = assign.value
         if not isinstance(value, _IdentValue):
-            errors.append(
+            self.errors.append(
                 (value.span, ParseErrorKind.TYPE_MISMATCH,
                  f"key '{assign.key}' expects a word, found {_value_what(value)}")
             )
             return None
         return value.name
 
-    def _as_number(
-        self, assign: _Assign, errors: list[_Error], expects: str, counts: bool
+    def _number(
+        self, assign: _Assign | None, expects: str, counts: bool
     ) -> _NumberValue | None:
         """The assigned number; with ``counts``, one that carries no time unit."""
+        if assign is None:
+            return None
         value = assign.value
         if not isinstance(value, _NumberValue):
-            errors.append(
+            self.errors.append(
                 (value.span, ParseErrorKind.TYPE_MISMATCH,
                  f"key '{assign.key}' expects {expects}, found {_value_what(value)}")
             )
             return None
         if counts and value.word in _TIME_UNITS:
-            errors.append(
+            self.errors.append(
                 (value.word_span, ParseErrorKind.BAD_UNIT,
                  f"key '{assign.key}' counts objects; time unit "
                  f"'{value.word}' is not allowed here")
@@ -498,31 +584,29 @@ class _Parser:
             return None
         return value
 
-    def _as_count_quantity(
-        self, assign: _Assign, errors: list[_Error]
-    ) -> Quantity | None:
-        value = self._as_number(assign, errors, "a number", counts=True)
+    def count(self, assign: _Assign | None) -> Quantity | None:
+        """A strictly positive count, with its label word if it has one."""
+        value = self._number(assign, "a number", counts=True)
         if value is None:
             return None
         if value.value.numerator <= 0:  # an int's or a Fraction's sign
-            errors.append(
+            self.errors.append(
                 (value.span, ParseErrorKind.NEGATIVE_COUNT,
                  f"key '{assign.key}' must be strictly positive, got {value.value}")
             )
             return None
         return Quantity(value.value, Unit.COUNT, value.word)
 
-    def _as_time_quantity(
-        self, assign: _Assign, errors: list[_Error]
-    ) -> Quantity | None:
-        value = self._as_number(assign, errors, "a number", counts=False)
+    def time(self, assign: _Assign | None) -> Quantity | None:
+        """A strictly positive time in minutes; a bare number is minutes."""
+        value = self._number(assign, "a number", counts=False)
         if value is None:
             return None
         magnitude = value.value
         if value.word is not None:
             scale = _TIME_UNITS.get(value.word)
             if scale is None:
-                errors.append(
+                self.errors.append(
                     (value.word_span, ParseErrorKind.BAD_UNIT,
                      f"unknown time unit '{value.word}' for key "
                      f"'{assign.key}'; expected 'min' or 'h'")
@@ -531,38 +615,39 @@ class _Parser:
             if scale != 1:
                 magnitude *= scale
         if magnitude.numerator <= 0:
-            errors.append(
+            self.errors.append(
                 (value.span, ParseErrorKind.NEGATIVE_COUNT,
                  f"key '{assign.key}' must be strictly positive, got {value.value}")
             )
             return None
         return Quantity(magnitude, Unit.MINUTES)
 
-    def _as_int(
-        self, assign: _Assign, errors: list[_Error], minimum: int
-    ) -> int | None:
-        value = self._as_number(assign, errors, "an integer", counts=True)
+    def integer(self, assign: _Assign | None, minimum: int) -> int | None:
+        value = self._number(assign, "an integer", counts=True)
         if value is None:
             return None
         if value.value.denominator != 1:
-            errors.append(
+            self.errors.append(
                 (value.span, ParseErrorKind.TYPE_MISMATCH,
                  f"key '{assign.key}' expects an integer, got {value.value}")
             )
             return None
         number = int(value.value)
         if number < minimum:
-            errors.append(
+            self.errors.append(
                 (value.span, ParseErrorKind.NEGATIVE_COUNT,
                  f"key '{assign.key}' must be at least {minimum}, got {number}")
             )
             return None
         return number
 
-    def _as_colorlist(
-        self, assign: _Assign, errors: list[_Error], at_least_one: bool
+    def colors(
+        self, assign: _Assign | None, at_least_one: bool
     ) -> tuple[tuple[str, int], ...] | None:
+        if assign is None:
+            return None
         value = assign.value
+        errors = self.errors
         if not isinstance(value, _ColorListValue):
             errors.append(
                 (value.span, ParseErrorKind.TYPE_MISMATCH,
@@ -596,129 +681,6 @@ class _Parser:
             return None
         return tuple((name, count) for name, count, _, _ in value.items)
 
-    # kind-specific builders
-
-    def _build_rate(self, kind_span, table, finds, errors):
-        work = self._take(table, "work", kind_span, "rate", errors)
-        subjects = self._take(table, "subjects", kind_span, "rate", errors)
-        time = self._take(table, "time", kind_span, "rate", errors)
-        known_work = self._as_count_quantity(work, errors) if work else None
-        known_subjects = self._as_count_quantity(subjects, errors) if subjects else None
-        known_time = self._as_time_quantity(time, errors) if time else None
-
-        if not finds:
-            errors.append(
-                (kind_span, ParseErrorKind.MISSING_KEY,
-                 "rate puzzle needs a 'find' clause")
-            )
-            return None
-        if len(finds) > 1:
-            errors.append(
-                (finds[1].span, ParseErrorKind.DUPLICATE_KEY,
-                 "only one 'find' clause is allowed")
-            )
-            return None
-        find = finds[0]
-        if find.target not in _RATE_FIELDS:
-            errors.append(
-                (find.target_span, ParseErrorKind.SYNTAX,
-                 f"find target must be one of work, subjects, time; "
-                 f"got '{find.target}'")
-            )
-            return None
-        target = RateField(find.target)
-        expected = _RATE_FIELDS - {find.target}
-        clause_table: dict[str, _Assign] = {}
-        for clause in find.clauses:
-            if clause.key in clause_table:
-                errors.append(
-                    (clause.key_span, ParseErrorKind.DUPLICATE_KEY,
-                     f"duplicate key '{clause.key}' in where-clause")
-                )
-            elif clause.key not in expected:
-                errors.append(
-                    (clause.key_span, ParseErrorKind.SYNTAX,
-                     f"unexpected key '{clause.key}' in where-clause; "
-                     f"expected {' and '.join(sorted(expected))}")
-                )
-            else:
-                clause_table[clause.key] = clause
-        given: dict[str, Quantity | None] = {}
-        for name in sorted(expected):
-            clause = clause_table.get(name)
-            if clause is None:
-                errors.append(
-                    (find.span, ParseErrorKind.MISSING_KEY,
-                     f"where-clause is missing key '{name}'")
-                )
-                continue
-            if name == "time":
-                given[name] = self._as_time_quantity(clause, errors)
-            else:
-                given[name] = self._as_count_quantity(clause, errors)
-
-        if errors:
-            return None
-        try:
-            known = RateScenario(known_work, known_subjects, known_time)
-            return RateQuery(
-                known=known,
-                target=target,
-                work=given.get("work"),
-                subjects=given.get("subjects"),
-                time=given.get("time"),
-            )
-        except InvalidInstance as exc:
-            errors.append((kind_span, ParseErrorKind.SYNTAX, str(exc)))
-            return None
-
-    def _build_weighing(self, kind_span, table, finds, errors):
-        objects = self._take(table, "objects", kind_span, "weighing", errors)
-        count = self._as_int(objects, errors, minimum=1) if objects else None
-        if count is None:
-            return None
-        return WeighingInstance(count)
-
-    def _build_pigeonhole(self, kind_span, table, finds, errors):
-        counts = self._take(table, "counts", kind_span, "pigeonhole", errors)
-        required = self._take(table, "required", kind_span, "pigeonhole", errors)
-        pairs = self._as_colorlist(counts, errors, at_least_one=True) if counts else None
-        run = self._as_int(required, errors, minimum=1) if required else None
-        if pairs is None or run is None:
-            return None
-        return PigeonholeInstance(pairs, run)
-
-    def _build_transfer(self, kind_span, table, finds, errors):
-        a = self._take(table, "container_a", kind_span, "transfer", errors)
-        b = self._take(table, "container_b", kind_span, "transfer", errors)
-        moved = self._take(table, "moved", kind_span, "transfer", errors)
-        query = self._take(table, "query", kind_span, "transfer", errors)
-        pairs_a = self._as_colorlist(a, errors, at_least_one=True) if a else None
-        pairs_b = self._as_colorlist(b, errors, at_least_one=False) if b else None
-        count = self._as_int(moved, errors, minimum=1) if moved else None
-        query_word = self._as_ident(query, errors) if query else None
-        if None in (pairs_a, pairs_b, count, query_word):
-            return None
-        event = DrawnIsMoved() if query_word == "moved" else DrawnHasColor(query_word)
-        try:
-            return TransferInstance(pairs_a, pairs_b, count, event)
-        except InvalidInstance as exc:
-            errors.append((moved.value.span, ParseErrorKind.SYNTAX, str(exc)))
-            return None
-
-    def _build_station(self, kind_span, table, finds, errors):
-        early = self._take(table, "early", kind_span, "station", errors)
-        saved = self._take(table, "saved", kind_span, "station", errors)
-        early_q = self._as_time_quantity(early, errors) if early else None
-        saved_q = self._as_time_quantity(saved, errors) if saved else None
-        if early_q is None or saved_q is None:
-            return None
-        try:
-            return StationInstance(early_q.magnitude, saved_q.magnitude)
-        except InvalidInstance as exc:
-            errors.append((kind_span, ParseErrorKind.SYNTAX, str(exc)))
-            return None
-
 
 def parse_puzzles(source: str) -> list[PuzzleSpec]:
     """Parse a .speck source into puzzle specs.
@@ -746,61 +708,43 @@ def _ident_or_raise(word: str, what: str) -> str:
     return word
 
 
-def _quantity_text(quantity: Quantity) -> str:
-    if quantity.unit is Unit.MINUTES:
-        return f"{quantity.magnitude} min"
-    if quantity.label is not None:
-        word = _ident_or_raise(quantity.label, "label")
+def _value_text(value: Quantity | tuple | str | int) -> str:
+    if isinstance(value, Quantity):
+        if value.unit is Unit.MINUTES:
+            return f"{value.magnitude} min"
+        if value.label is None:
+            return str(value.magnitude)
+        word = _ident_or_raise(value.label, "label")
         if word in _TIME_UNITS:
             raise InvalidInstance(f"count label {word!r} collides with a time unit")
-        return f"{quantity.magnitude} {word}"
-    return str(quantity.magnitude)
+        return f"{value.magnitude} {word}"
+    if isinstance(value, tuple):  # a color list
+        inner = ", ".join(
+            f"{_ident_or_raise(name, 'color')}: {count}" for name, count in value
+        )
+        return f"({inner})"
+    if isinstance(value, str):
+        return _ident_or_raise(value, "color")  # a word value names a color
+    return str(value)
 
 
-def _colorlist_text(pairs: tuple[tuple[str, int], ...]) -> str:
-    inner = ", ".join(
-        f"{_ident_or_raise(name, 'color')}: {count}" for name, count in pairs
-    )
-    return f"({inner})"
-
-
-def _rate_parts(query: RateQuery) -> list[str]:
-    known = query.known
-    parts = [
-        f"work = {_quantity_text(known.work)}",
-        f"subjects = {_quantity_text(known.subjects)}",
-        f"time = {_quantity_text(known.time)}",
-    ]
-    clauses = ", ".join(
-        f"{field.value} = {_quantity_text(quantity)}"
-        for field, quantity in query.given().items()
-    )
-    parts.append(f"find {query.target.value} where {clauses}")
-    return parts
+def _statement_text(key: str, value) -> str:
+    if key == "find":  # the value is (target, where-clause items)
+        target, clauses = value
+        return f"find {target} where " + ", ".join(
+            _statement_text(*clause) for clause in clauses
+        )
+    return f"{key} = {_value_text(value)}"
 
 
 def serialize_puzzle(spec: PuzzleSpec) -> str:
-    """Canonical one-line text form of a puzzle spec."""
+    """Canonical one-line text form of a puzzle spec.
+
+    The payload names its statements (``block_items``); they are written
+    here as text.
+    """
     parts: list[str] = []
     if spec.label is not None:
         parts.append(f"label = {_ident_or_raise(spec.label, 'label')}")
-    payload = spec.payload
-    if spec.kind is PuzzleKind.RATE:
-        parts.extend(_rate_parts(payload))
-    elif spec.kind is PuzzleKind.WEIGHING:
-        parts.append(f"objects = {payload.n_objects}")
-    elif spec.kind is PuzzleKind.PIGEONHOLE:
-        parts.append(f"counts = {_colorlist_text(payload.color_counts)}")
-        parts.append(f"required = {payload.required}")
-    elif spec.kind is PuzzleKind.TRANSFER:
-        parts.append(f"container_a = {_colorlist_text(payload.container_a)}")
-        parts.append(f"container_b = {_colorlist_text(payload.container_b)}")
-        parts.append(f"moved = {payload.moved}")
-        if isinstance(payload.query, DrawnIsMoved):
-            parts.append("query = moved")
-        else:
-            parts.append(f"query = {_ident_or_raise(payload.query.color, 'color')}")
-    else:
-        parts.append(f"early = {payload.early_minutes} min")
-        parts.append(f"saved = {payload.saved_minutes} min")
+    parts.extend(_statement_text(*item) for item in spec.payload.block_items())
     return f"puzzle {spec.kind.value} {{ " + "; ".join(parts) + " }"

@@ -32,6 +32,16 @@ class WeighingInstance:
         if not isinstance(self.n_objects, int) or self.n_objects < 1:
             raise InvalidInstance("n_objects must be a positive integer")
 
+    @classmethod
+    def from_block(cls, block) -> "WeighingInstance | None":
+        """``puzzle weighing { objects = 13 }``; see ``speck._Block``."""
+        (objects,) = block.take("objects")
+        count = block.integer(objects, minimum=1)
+        return None if count is None else cls(count)
+
+    def block_items(self) -> list[tuple[str, object]]:
+        return [("objects", self.n_objects)]
+
 
 @dataclass(frozen=True)
 class WeighingAnswer:

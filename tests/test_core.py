@@ -1,6 +1,10 @@
 """Core value types: quantities and the puzzle union."""
 
+import ast
+import io
+import tokenize
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -63,3 +67,22 @@ def test_puzzle_spec_tag_must_match_payload():
     assert puzzle(inst).kind is PuzzleKind.WEIGHING
     with pytest.raises(InvalidInstance):
         puzzle("not a payload")
+
+
+def test_package_source_has_no_floats():
+    """Every value is exact: no float literal, and the name ``float`` only
+    where ``core._exact`` refuses one."""
+    package = Path(__file__).resolve().parent.parent / "src" / "riddle_forge"
+    sources = sorted(package.glob("*.py"))
+    assert sources
+    float_literals, float_names = [], []
+    for path in sources:
+        text = path.read_text(encoding="utf-8")
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            where = (path.name, tok.line.strip())
+            if tok.type == tokenize.NUMBER and type(ast.literal_eval(tok.string)) is not int:
+                float_literals.append(where)  # a float, or a complex
+            elif tok.type == tokenize.NAME and tok.string == "float":
+                float_names.append(where)
+    assert float_literals == []
+    assert float_names == [("core.py", "if isinstance(value, float):")]

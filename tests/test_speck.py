@@ -194,6 +194,142 @@ def test_recovery_collects_errors_from_every_block():
     assert [e.span.line for e in errors] == [1, 3]
 
 
+# Within one block: duplicate keys, then a misplaced 'find', then the label,
+# then the kind's missing keys, then its values in the order the kind reads
+# them (a where-clause's in sorted key order), then a constructor's refusal,
+# then leftover keys.  Each error is (str(error), span length).
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        (
+            "puzzle weighing { extra = 1; find work where time = 1; label = 3; label = x }",
+            [
+                ("1:67: duplicate_key: duplicate key 'label'", 5),
+                ("1:30: syntax: 'find' is only meaningful in rate puzzles, not weighing", 4),
+                ("1:64: type_mismatch: key 'label' expects a word, found a number", 1),
+                ("1:8: missing_key: weighing puzzle is missing key 'objects'", 8),
+                ("1:19: syntax: unexpected key 'extra' in a weighing puzzle", 5),
+            ],
+        ),
+        (
+            "puzzle weighing { objects = 1/2; extra = 2 }",
+            [
+                ("1:29: type_mismatch: key 'objects' expects an integer, got 1/2", 3),
+                ("1:34: syntax: unexpected key 'extra' in a weighing puzzle", 5),
+            ],
+        ),
+        (
+            "puzzle pigeonhole { zzz = 1; counts = (a: -1, a: 2); find x where y = 1 }",
+            [
+                ("1:54: syntax: 'find' is only meaningful in rate puzzles, not pigeonhole", 4),
+                ("1:8: missing_key: pigeonhole puzzle is missing key 'required'", 10),
+                ("1:43: negative_count: count for color 'a' must be >= 0, got -1", 2),
+                ("1:47: duplicate_key: duplicate color 'a'", 1),
+                ("1:21: syntax: unexpected key 'zzz' in a pigeonhole puzzle", 3),
+            ],
+        ),
+        (
+            "puzzle transfer { junk = 1; query = 3; moved = 0; container_b = 5 }",
+            [
+                ("1:8: missing_key: transfer puzzle is missing key 'container_a'", 8),
+                ("1:65: type_mismatch: key 'container_b' expects a color list like "
+                 "(blue: 2, red: 3), found a number", 1),
+                ("1:48: negative_count: key 'moved' must be at least 1, got 0", 1),
+                ("1:37: type_mismatch: key 'query' expects a word, found a number", 1),
+                ("1:19: syntax: unexpected key 'junk' in a transfer puzzle", 4),
+            ],
+        ),
+        (  # the refusal is at the 'moved' value
+            "puzzle transfer { container_a = (r: 2); container_b = (); moved = 3; "
+            "query = moved; x = 1 }",
+            [
+                ("1:67: syntax: cannot move more objects than container_a holds", 1),
+                ("1:85: syntax: unexpected key 'x' in a transfer puzzle", 1),
+            ],
+        ),
+        (
+            "puzzle station { x = 1; saved = 5 bogus; early = -1 min }",
+            [
+                ("1:50: negative_count: key 'early' must be strictly positive, got -1", 2),
+                ("1:35: bad_unit: unknown time unit 'bogus' for key 'saved'; "
+                 "expected 'min' or 'h'", 5),
+                ("1:18: syntax: unexpected key 'x' in a station puzzle", 1),
+            ],
+        ),
+        (
+            "puzzle station { x = 1; saved = 3 h }",
+            [
+                ("1:8: missing_key: station puzzle is missing key 'early'", 7),
+                ("1:18: syntax: unexpected key 'x' in a station puzzle", 1),
+            ],
+        ),
+        (  # the refusal is at the kind keyword
+            "puzzle station { early = 1; saved = 3; x = 1 }",
+            [
+                ("1:8: syntax: saved_minutes cannot exceed twice early_minutes; "
+                 "the meeting scenario would be inconsistent", 7),
+                ("1:40: syntax: unexpected key 'x' in a station puzzle", 1),
+            ],
+        ),
+        (
+            "puzzle rate { bogus = 1; subjects = 0; time = 2 h; "
+            "find work where time = -1, zzz = 2, subjects = 1 h, zzz = 3 }",
+            [
+                ("1:8: missing_key: rate puzzle is missing key 'work'", 4),
+                ("1:37: negative_count: key 'subjects' must be strictly positive, got 0", 1),
+                ("1:79: syntax: unexpected key 'zzz' in where-clause; "
+                 "expected subjects and time", 3),
+                ("1:104: syntax: unexpected key 'zzz' in where-clause; "
+                 "expected subjects and time", 3),
+                ("1:101: bad_unit: key 'subjects' counts objects; "
+                 "time unit 'h' is not allowed here", 1),
+                ("1:75: negative_count: key 'time' must be strictly positive, got -1", 2),
+                ("1:15: syntax: unexpected key 'bogus' in a rate puzzle", 5),
+            ],
+        ),
+        (  # sorted order: the value error on 'subjects', then 'time' missing
+            "puzzle rate { work = 1; subjects = 1; time = 1; find work where subjects = 0 }",
+            [
+                ("1:76: negative_count: key 'subjects' must be strictly positive, got 0", 1),
+                ("1:49: missing_key: where-clause is missing key 'time'", 4),
+            ],
+        ),
+        (  # sorted order, not source order: 'time' before 'work'
+            "puzzle rate { work = 1; subjects = 1; time = 1; "
+            "find subjects where work = 0, time = 0 min }",
+            [
+                ("1:86: negative_count: key 'time' must be strictly positive, got 0", 1),
+                ("1:76: negative_count: key 'work' must be strictly positive, got 0", 1),
+            ],
+        ),
+        (
+            "puzzle rate { work = 1; subjects = 1; time = 1; find subjects where work = 1, "
+            "time = 2; find work where subjects = 1, time = 2; x = 1 }",
+            [
+                ("1:89: duplicate_key: only one 'find' clause is allowed", 4),
+                ("1:129: syntax: unexpected key 'x' in a rate puzzle", 1),
+            ],
+        ),
+        (
+            "puzzle rate { work = 0; time = 1; x = 1 }",
+            [
+                ("1:8: missing_key: rate puzzle is missing key 'subjects'", 4),
+                ("1:22: negative_count: key 'work' must be strictly positive, got 0", 1),
+                ("1:8: missing_key: rate puzzle needs a 'find' clause", 4),
+                ("1:35: syntax: unexpected key 'x' in a rate puzzle", 1),
+            ],
+        ),
+        (
+            "puzzle rate { work = 1; subjects = 1; time = 1; find speed where work = 1 }",
+            [("1:54: syntax: find target must be one of work, subjects, time; "
+              "got 'speed'", 5)],
+        ),
+    ],
+)
+def test_errors_within_a_block_come_in_a_fixed_order(source, expected):
+    assert [(str(e), e.span.length) for e in errors_of(source)] == expected
+
+
 def test_error_spans_stay_inside_the_offending_block():
     source = (
         "puzzle weighing { objects = 3 }\n"
@@ -287,8 +423,36 @@ def test_serialize_goldens():
 
 def test_serialize_rejects_unexpressible_labels():
     spec = puzzle(WeighingInstance(3), label="not a word")
-    with pytest.raises(InvalidInstance):
+    with pytest.raises(InvalidInstance) as info:
         serialize_puzzle(spec)
+    assert str(info.value) == "label 'not a word' is not expressible in the DSL"
+
+
+def _rate_with_work(work):
+    known = RateScenario(work, Quantity.count(3), Quantity.minutes(4))
+    return puzzle(RateQuery(known, RateField.TIME, work=Quantity.count(5),
+                            subjects=Quantity.count(6)))
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (puzzle(PigeonholeInstance((("blue", 1), ("sky blue", 2)), 1)),
+         "color 'sky blue' is not expressible in the DSL"),
+        (puzzle(TransferInstance((("red", 2),), (), 1, DrawnHasColor("rojo-1"))),
+         "color 'rojo-1' is not expressible in the DSL"),
+        (_rate_with_work(Quantity.count(2, "min")),
+         "count label 'min' collides with a time unit"),
+        (_rate_with_work(Quantity.count(2, "h")),
+         "count label 'h' collides with a time unit"),
+        (_rate_with_work(Quantity.count(2, "two words")),
+         "label 'two words' is not expressible in the DSL"),
+    ],
+)
+def test_serialize_refuses_what_the_dsl_cannot_express(spec, message):
+    with pytest.raises(InvalidInstance) as info:
+        serialize_puzzle(spec)
+    assert str(info.value) == message
 
 
 def test_round_trip_seeded_sample():
