@@ -20,12 +20,10 @@ from .classics import (
     transfer_probability_formula,
 )
 from .core import (
-    PuzzleKind,
     PuzzleSpec,
     Quantity,
     Rational,
     Unit,
-    puzzle,
 )
 from .errors import (
     Infeasible,
@@ -91,7 +89,6 @@ __all__ = [
     "ParseFailure",
     "PigeonholeInstance",
     "PuzzleError",
-    "PuzzleKind",
     "PuzzleSpec",
     "Quantity",
     "RateField",
@@ -118,7 +115,6 @@ __all__ = [
     "min_weighings_formula",
     "min_weighings_oracle",
     "parse_puzzles",
-    "puzzle",
     "rate_constant",
     "render_strategy",
     "serialize_puzzle",

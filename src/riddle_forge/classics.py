@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
-from .core import PuzzleKind, Quantity, Rational, _exact, _normalize_counts
+from .core import Quantity, Rational, _exact, _normalize_counts
 from .errors import InvalidInstance, NoMeeting
 
 
@@ -48,7 +48,7 @@ class TransferInstance:
     moved: int
     query: Query
 
-    puzzle_kind = PuzzleKind.TRANSFER
+    puzzle_kind = "transfer"
 
     def __post_init__(self) -> None:
         a = _normalize_counts(self.container_a, "container_a")
@@ -77,6 +77,8 @@ class TransferInstance:
 
     def block_items(self) -> list[tuple[str, object]]:
         query = "moved" if isinstance(self.query, DrawnIsMoved) else self.query.color
+        if self.query == DrawnHasColor("moved"):
+            raise InvalidInstance("query color 'moved' collides with 'query = moved'")
         return [("container_a", self.container_a), ("container_b", self.container_b),
                 ("moved", self.moved), ("query", query)]
 
@@ -203,7 +205,7 @@ class StationInstance:
     early_minutes: Rational
     saved_minutes: Rational
 
-    puzzle_kind = PuzzleKind.STATION
+    puzzle_kind = "station"
 
     def __post_init__(self) -> None:
         early = _exact(self.early_minutes, "early_minutes")

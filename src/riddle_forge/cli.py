@@ -29,7 +29,7 @@ from .classics import (
     transfer_probability_enumerate,
     transfer_probability_formula,
 )
-from .core import PuzzleKind, PuzzleSpec
+from .core import PuzzleSpec
 from .errors import Infeasible, InvalidBounds
 from .pigeonhole import (
     PigeonholeInstance,
@@ -124,7 +124,7 @@ def _solve_rate_report(label: str, query: RateQuery, opts: SolveOptions) -> Solv
     if opts.ceil_subjects and query.target is RateField.SUBJECTS:
         rounded = ceil_subjects(exact)
         shown = str(rounded)
-    report = SolveReport(label, "rate", shown)
+    report = SolveReport(label, query.puzzle_kind, shown)
     if opts.explain:
         known = query.known
         k = rate_constant(known)
@@ -151,7 +151,7 @@ def _solve_weighing_report(
     label: str, inst: WeighingInstance, opts: SolveOptions
 ) -> SolveReport:
     answer = min_weighings_formula(inst)
-    report = SolveReport(label, "weighing", str(answer.weighings))
+    report = SolveReport(label, inst.puzzle_kind, str(answer.weighings))
     if opts.explain:
         n = inst.n_objects
         if n == 1:
@@ -195,7 +195,7 @@ def _solve_pigeonhole_report(
 ) -> SolveReport:
     n_colors = len(inst.color_counts)
     formula = guarantee_draws_formula(n_colors, inst.required)
-    report = SolveReport(label, "pigeonhole", str(formula))
+    report = SolveReport(label, inst.puzzle_kind, str(formula))
     if opts.explain:
         report.explanation.append(
             f"colors: {n_colors}, same-color run wanted: {inst.required}"
@@ -237,7 +237,7 @@ def _solve_transfer_report(
     else:
         formula = None
         answer = "undefined"
-    report = SolveReport(label, "transfer", answer)
+    report = SolveReport(label, inst.puzzle_kind, answer)
     if opts.explain:
         report.explanation.append(
             f"folklore formula 2n/(n+d) with n = {n} (source total), "
@@ -260,7 +260,7 @@ def _solve_station_report(
     label: str, inst: StationInstance, opts: SolveOptions
 ) -> SolveReport:
     walked = station_walk_formula(inst)
-    report = SolveReport(label, "station", str(walked))
+    report = SolveReport(label, inst.puzzle_kind, str(walked))
     x, y = inst.early_minutes, inst.saved_minutes
     if opts.explain:
         report.explanation.append(
@@ -289,16 +289,16 @@ def _solve_station_report(
 
 
 _REPORTS = {
-    PuzzleKind.RATE: _solve_rate_report,
-    PuzzleKind.WEIGHING: _solve_weighing_report,
-    PuzzleKind.PIGEONHOLE: _solve_pigeonhole_report,
-    PuzzleKind.TRANSFER: _solve_transfer_report,
-    PuzzleKind.STATION: _solve_station_report,
+    RateQuery: _solve_rate_report,
+    WeighingInstance: _solve_weighing_report,
+    PigeonholeInstance: _solve_pigeonhole_report,
+    TransferInstance: _solve_transfer_report,
+    StationInstance: _solve_station_report,
 }
 
 
 def _solve_one(spec: PuzzleSpec, label: str, opts: SolveOptions) -> SolveReport:
-    return _REPORTS[spec.kind](label, spec.payload, opts)
+    return _REPORTS[type(spec.payload)](label, spec.payload, opts)
 
 
 def _write_reports(

@@ -1,5 +1,5 @@
 """Shared value types: exact rationals, unit-tagged quantities, and the
-tagged union over the five puzzle payloads.
+puzzle spec that wraps any of the five puzzle payloads.
 
 Everything here is an immutable value; instances may be shared freely
 between threads.
@@ -83,37 +83,21 @@ class Quantity:
         return cls(_exact(magnitude, "hours") * 60, Unit.MINUTES)
 
 
-class PuzzleKind(Enum):
-    RATE = "rate"
-    WEIGHING = "weighing"
-    PIGEONHOLE = "pigeonhole"
-    TRANSFER = "transfer"
-    STATION = "station"
-
-
 @dataclass(frozen=True)
 class PuzzleSpec:
-    """Tagged union over the five puzzle payload types.
+    """One puzzle: a payload of one of the five puzzle types, and a label.
 
-    Payload classes declare their tag through a ``puzzle_kind`` class
-    attribute; the constructor refuses a payload whose tag does not match.
+    Payload classes name their kind through a ``puzzle_kind`` class
+    attribute; the constructor refuses a payload that has none.
     """
 
-    kind: PuzzleKind
     payload: Any
     label: str | None = None
 
     def __post_init__(self) -> None:
-        declared = getattr(type(self.payload), "puzzle_kind", None)
-        if declared is not self.kind:
-            raise InvalidInstance(
-                f"payload {type(self.payload).__name__} does not match kind '{self.kind.value}'"
-            )
+        if not hasattr(type(self.payload), "puzzle_kind"):
+            raise InvalidInstance(f"{type(self.payload).__name__} is not a puzzle payload")
 
-
-def puzzle(payload: Any, label: str | None = None) -> PuzzleSpec:
-    """Wrap a payload in a PuzzleSpec, deriving the kind tag from its type."""
-    declared = getattr(type(payload), "puzzle_kind", None)
-    if declared is None:
-        raise InvalidInstance(f"{type(payload).__name__} is not a puzzle payload")
-    return PuzzleSpec(declared, payload, label)
+    @property
+    def kind(self) -> str:
+        return type(self.payload).puzzle_kind

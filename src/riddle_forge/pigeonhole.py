@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import PuzzleKind, _normalize_counts
+from .core import _normalize_counts
 from .errors import Infeasible, InvalidInstance
 
 
@@ -21,7 +21,7 @@ class PigeonholeInstance:
     color_counts: tuple[tuple[str, int], ...]
     required: int
 
-    puzzle_kind = PuzzleKind.PIGEONHOLE
+    puzzle_kind = "pigeonhole"
 
     def __post_init__(self) -> None:
         pairs = _normalize_counts(self.color_counts, "color_counts")
@@ -76,6 +76,8 @@ def adversarial_sequence(
     With ``limit``, only the first ``limit`` draws of that same sequence are
     built, so a huge stall costs no more than the prefix that is shown.
     """
+    if limit is not None and (not isinstance(limit, int) or limit < 0):
+        raise InvalidInstance(f"limit must be None or an integer >= 0, got {limit!r}")
     answer = guarantee_draws_oracle(inst)  # validates feasibility
     wanted = answer - 1 if limit is None else min(limit, answer - 1)
     budgets = [

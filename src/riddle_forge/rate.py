@@ -13,7 +13,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import PuzzleKind, Quantity, Rational, Unit
+from .core import Quantity, Rational, Unit
 from .errors import InvalidInstance
 
 
@@ -75,7 +75,7 @@ class RateQuery:
     subjects: Quantity | None = None
     time: Quantity | None = None
 
-    puzzle_kind = PuzzleKind.RATE
+    puzzle_kind = "rate"
 
     def __post_init__(self) -> None:
         by_field = _by_field(self)

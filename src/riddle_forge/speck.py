@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import NamedTuple, Union
 
 from .classics import StationInstance, TransferInstance
-from .core import PuzzleKind, PuzzleSpec, Quantity, Unit
+from .core import PuzzleSpec, Quantity, Unit
 from .errors import InvalidInstance
 from .pigeonhole import PigeonholeInstance
 from .rate import RateQuery
@@ -203,7 +203,7 @@ class _BlockError(Exception):
 # Kind name -> payload class.  Each class reads its own block
 # (``from_block``) and names its own statements (``block_items``).
 _PAYLOAD_TYPES = {
-    payload_type.puzzle_kind.value: payload_type
+    payload_type.puzzle_kind: payload_type
     for payload_type in (
         RateQuery, WeighingInstance, PigeonholeInstance, TransferInstance, StationInstance
     )
@@ -420,11 +420,11 @@ class _Parser:
     # -- semantics: turn statements into payloads -------------------------
 
     def _build(self, payload_type: type, block: "_Block") -> PuzzleSpec | None:
-        kind, errors, table = payload_type.puzzle_kind, block.errors, block.table
-        if block.finds and kind is not PuzzleKind.RATE:
+        kind, errors, table = block.kind, block.errors, block.table
+        if block.finds and payload_type is not RateQuery:
             errors.append(
                 (block.finds[0].span, ParseErrorKind.SYNTAX,
-                 f"'find' is only meaningful in rate puzzles, not {kind.value}")
+                 f"'find' is only meaningful in rate puzzles, not {kind}")
             )
 
         label = block.word(table.pop("label", None))
@@ -433,12 +433,12 @@ class _Parser:
         for assign in table.values():
             errors.append(
                 (assign.key_span, ParseErrorKind.SYNTAX,
-                 f"unexpected key '{assign.key}' in a {kind.value} puzzle")
+                 f"unexpected key '{assign.key}' in a {kind} puzzle")
             )
         if errors or payload is None:
             self.errors.extend(errors)
             return None
-        return PuzzleSpec(kind, payload, label)
+        return PuzzleSpec(payload, label)
 
 
 class _Block:
@@ -747,4 +747,4 @@ def serialize_puzzle(spec: PuzzleSpec) -> str:
     if spec.label is not None:
         parts.append(f"label = {_ident_or_raise(spec.label, 'label')}")
     parts.extend(_statement_text(*item) for item in spec.payload.block_items())
-    return f"puzzle {spec.kind.value} {{ " + "; ".join(parts) + " }"
+    return f"puzzle {spec.kind} {{ " + "; ".join(parts) + " }"

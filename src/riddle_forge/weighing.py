@@ -18,7 +18,6 @@ import threading
 from dataclasses import dataclass
 from typing import Union
 
-from .core import PuzzleKind
 from .errors import InvalidInstance, MalformedTree
 
 
@@ -26,7 +25,7 @@ from .errors import InvalidInstance, MalformedTree
 class WeighingInstance:
     n_objects: int
 
-    puzzle_kind = PuzzleKind.WEIGHING
+    puzzle_kind = "weighing"
 
     def __post_init__(self) -> None:
         if not isinstance(self.n_objects, int) or self.n_objects < 1:

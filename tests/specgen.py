@@ -15,7 +15,6 @@ from riddle_forge import (
     StationInstance,
     TransferInstance,
     WeighingInstance,
-    puzzle,
 )
 
 # 'min', 'h', 'moved' and the statement keywords never appear here: any of
@@ -108,4 +107,4 @@ _BUILDERS = [
 def random_spec(rng: random.Random) -> PuzzleSpec:
     payload = rng.choice(_BUILDERS)(rng)
     label = f"{_word(rng)}_{rng.randint(0, 99)}" if rng.random() < 0.5 else None
-    return puzzle(payload, label)
+    return PuzzleSpec(payload, label)

@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import riddle_forge.cli as cli
-from riddle_forge import ParseFailure, parse_puzzles, station_walk_simulate
+import riddle_forge.speck as speck
+from riddle_forge import ParseFailure, PuzzleSpec, parse_puzzles, station_walk_simulate
 from riddle_forge.cli import main
 
 CORPUS = resources.files("riddle_forge") / "corpus" / "classic_problems.speck"
@@ -513,6 +514,15 @@ def test_unwritable_survey_out_fails_before_the_survey_runs(tmp_path):
     assert result.returncode == 1
     assert result.stderr.startswith("error: ") and str(out_path) in result.stderr
     assert result.stdout == ""
+
+
+def test_every_parsed_kind_has_a_report():
+    """A kind in one dispatch table but not the other fails here, not at solve time."""
+    table = speck._PAYLOAD_TYPES
+    assert set(cli._REPORTS) == set(table.values())
+    assert {payload_type.puzzle_kind: payload_type for payload_type in table.values()} == table
+    payloads = [spec.payload for spec in parse_puzzles(MIXED_SOURCE)]
+    assert {PuzzleSpec(payload).kind: type(payload) for payload in payloads} == table
 
 
 def test_explain_is_nonempty_for_every_kind(tmp_path, capsys):

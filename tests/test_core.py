@@ -10,13 +10,11 @@ import pytest
 
 from riddle_forge import (
     InvalidInstance,
-    PuzzleKind,
     PuzzleSpec,
     Quantity,
     RateScenario,
     Unit,
     WeighingInstance,
-    puzzle,
 )
 from riddle_forge.core import _exact
 
@@ -60,13 +58,11 @@ def test_exact_keeps_a_fraction():
 
 def test_puzzle_spec_tag_must_match_payload():
     inst = WeighingInstance(13)
-    spec = PuzzleSpec(PuzzleKind.WEIGHING, inst)
+    spec = PuzzleSpec(inst)
     assert spec.payload.n_objects == 13
+    assert spec.kind == "weighing"
     with pytest.raises(InvalidInstance):
-        PuzzleSpec(PuzzleKind.RATE, inst)
-    assert puzzle(inst).kind is PuzzleKind.WEIGHING
-    with pytest.raises(InvalidInstance):
-        puzzle("not a payload")
+        PuzzleSpec("not a payload")
 
 
 def test_package_source_has_no_floats():

@@ -1,0 +1,47 @@
+"""Golden CLI output: stdout, stderr and exit code, byte for byte.
+
+The files under ``golden/`` were written by the CLI itself.  Each case runs
+the CLI from that directory with a relative path, so the output names no
+machine path.  To re-record after an intended change of output, run the
+command of a case from ``tests/golden`` and redirect its output to the file.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import riddle_forge.cli as cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# (argv after 'solve', golden stdout file or None, golden stderr file or None, exit)
+CASES = [
+    (["--check", "--explain", "--ceil-subjects", "all_kinds.speck"],
+     "all_kinds.txt", None, 2),
+    (["--check", "--explain", "--format", "json", "all_kinds.speck"],
+     "all_kinds.json", None, 2),
+    (["errors.speck"], None, "errors.stderr", 1),
+]
+
+
+def _golden(name):
+    return b"" if name is None else (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv, stdout, stderr, code", CASES, ids=[c[1] or c[2] for c in CASES])
+def test_cli_output_matches_golden(argv, stdout, stderr, code):
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "riddle_forge", "solve", *argv],
+        cwd=GOLDEN,
+        capture_output=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.stdout == _golden(stdout)
+    assert done.stderr == _golden(stderr)
+    assert done.returncode == code

@@ -135,6 +135,14 @@ def test_adversarial_sequence_limit_is_a_prefix(counts, required, limit):
     assert adversarial_sequence(inst, limit) == adversarial_sequence(inst)[:limit]
 
 
+@pytest.mark.parametrize("limit", [-1, -30, "3", 1.0])
+def test_adversarial_sequence_refuses_a_bad_limit(limit):
+    inst = PigeonholeInstance(SOCKS, 2)
+    with pytest.raises(InvalidInstance, match="limit must be None or an integer >= 0"):
+        adversarial_sequence(inst, limit)
+    assert adversarial_sequence(inst, 0) == []
+
+
 def test_random_instances_formula_vs_oracle_disagree_only_off_family():
     rng = random.Random(13)
     for _ in range(500):

@@ -14,7 +14,7 @@ from riddle_forge import (
     ParseErrorKind,
     ParseFailure,
     PigeonholeInstance,
-    PuzzleKind,
+    PuzzleSpec,
     Quantity,
     RateField,
     RateQuery,
@@ -23,7 +23,6 @@ from riddle_forge import (
     TransferInstance,
     WeighingInstance,
     parse_puzzles,
-    puzzle,
     serialize_puzzle,
 )
 from specgen import random_spec
@@ -52,7 +51,7 @@ def test_parses_the_documented_rate_block():
         work=Quantity.count(100),
         time=Quantity.minutes(50),
     )
-    assert specs == [puzzle(expected)]
+    assert specs == [PuzzleSpec(expected)]
 
 
 def test_empty_input_yields_empty_list():
@@ -404,10 +403,10 @@ def test_transfer_moved_bounds_checked():
 
 def test_serialize_goldens():
     assert (
-        serialize_puzzle(puzzle(WeighingInstance(13)))
+        serialize_puzzle(PuzzleSpec(WeighingInstance(13)))
         == "puzzle weighing { objects = 13 }"
     )
-    buttons = puzzle(
+    buttons = PuzzleSpec(
         PigeonholeInstance(
             (("blue", 84), ("turquoise", 32), ("red", 28), ("green", 4)), 4
         )
@@ -416,13 +415,13 @@ def test_serialize_goldens():
         "puzzle pigeonhole { counts = (blue: 84, turquoise: 32, red: 28, "
         "green: 4); required = 4 }"
     )
-    assert serialize_puzzle(puzzle(WeighingInstance(9), label="stamps")) == (
+    assert serialize_puzzle(PuzzleSpec(WeighingInstance(9), label="stamps")) == (
         "puzzle weighing { label = stamps; objects = 9 }"
     )
 
 
 def test_serialize_rejects_unexpressible_labels():
-    spec = puzzle(WeighingInstance(3), label="not a word")
+    spec = PuzzleSpec(WeighingInstance(3), label="not a word")
     with pytest.raises(InvalidInstance) as info:
         serialize_puzzle(spec)
     assert str(info.value) == "label 'not a word' is not expressible in the DSL"
@@ -430,16 +429,16 @@ def test_serialize_rejects_unexpressible_labels():
 
 def _rate_with_work(work):
     known = RateScenario(work, Quantity.count(3), Quantity.minutes(4))
-    return puzzle(RateQuery(known, RateField.TIME, work=Quantity.count(5),
-                            subjects=Quantity.count(6)))
+    return PuzzleSpec(RateQuery(known, RateField.TIME, work=Quantity.count(5),
+                                subjects=Quantity.count(6)))
 
 
 @pytest.mark.parametrize(
     "spec, message",
     [
-        (puzzle(PigeonholeInstance((("blue", 1), ("sky blue", 2)), 1)),
+        (PuzzleSpec(PigeonholeInstance((("blue", 1), ("sky blue", 2)), 1)),
          "color 'sky blue' is not expressible in the DSL"),
-        (puzzle(TransferInstance((("red", 2),), (), 1, DrawnHasColor("rojo-1"))),
+        (PuzzleSpec(TransferInstance((("red", 2),), (), 1, DrawnHasColor("rojo-1"))),
          "color 'rojo-1' is not expressible in the DSL"),
         (_rate_with_work(Quantity.count(2, "min")),
          "count label 'min' collides with a time unit"),
@@ -447,6 +446,8 @@ def _rate_with_work(work):
          "count label 'h' collides with a time unit"),
         (_rate_with_work(Quantity.count(2, "two words")),
          "label 'two words' is not expressible in the DSL"),
+        (PuzzleSpec(TransferInstance((("moved", 2),), (), 1, DrawnHasColor("moved"))),
+         "query color 'moved' collides with 'query = moved'"),
     ],
 )
 def test_serialize_refuses_what_the_dsl_cannot_express(spec, message):
