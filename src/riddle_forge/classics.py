@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
-from .core import Quantity, Rational, _exact, _normalize_counts
+from .core import Quantity, Rational, _exact, _is_int, _normalize_counts
 from .errors import InvalidInstance, NoMeeting
 
 
@@ -55,7 +55,7 @@ class TransferInstance:
         b = _normalize_counts(self.container_b, "container_b")
         object.__setattr__(self, "container_a", a)
         object.__setattr__(self, "container_b", b)
-        if not isinstance(self.moved, int) or self.moved < 1:
+        if not _is_int(self.moved) or self.moved < 1:
             raise InvalidInstance("moved must be a positive integer")
         if self.moved > sum(count for _, count in a):
             raise InvalidInstance("cannot move more objects than container_a holds")
@@ -88,7 +88,7 @@ def transfer_probability_formula(n: int, d: int) -> Rational:
 
     No claim is made that the result is a valid probability for all n, d.
     """
-    if not isinstance(n, int) or n < 1 or not isinstance(d, int) or d < 1:
+    if not _is_int(n) or n < 1 or not _is_int(d) or d < 1:
         raise InvalidInstance("n and d must both be positive integers")
     return Fraction(2 * n, n + d)
 
@@ -156,7 +156,7 @@ def transfer_formula_survey(max_n: int, max_d: int) -> list[SurveyRow]:
 
 def iter_transfer_survey(max_n: int, max_d: int) -> Iterator[SurveyRow]:
     """The rows of transfer_formula_survey, made one at a time."""
-    if not isinstance(max_n, int) or max_n < 1 or not isinstance(max_d, int) or max_d < 1:
+    if not _is_int(max_n) or max_n < 1 or not _is_int(max_d) or max_d < 1:
         raise InvalidInstance("survey bounds must be positive integers")
     for n in range(1, max_n + 1):
         for d in range(1, max_d + 1):

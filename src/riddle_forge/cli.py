@@ -49,7 +49,7 @@ from .weighing import (
     strategy_to_dict,
 )
 
-WEIGHING_ORACLE_LIMIT = 3 ** 12  # bounds --check and sweep; a sweep to it takes ~4.5 s
+WEIGHING_ORACLE_LIMIT = 3 ** 12  # bounds --check and sweep; a sweep to it takes ~2 s
 PIGEONHOLE_SWEEP_LIMITS = {"colors": 4, "count": 6, "required": 4}
 TRANSFER_SWEEP_LIMIT = 24  # about 4 s for a sweep at the cap
 STRATEGY_RENDER_LIMIT = 27  # explain-mode trees get big fast beyond this
@@ -374,6 +374,7 @@ def _sweep_weighing(max_objects: int) -> int:
             f"weighing sweep bound must be in [1, {WEIGHING_ORACLE_LIMIT}], "
             f"got {max_objects}"
         )
+    min_weighings_oracle(WeighingInstance(max_objects))  # one build; each row below is a lookup
     mismatches: list[tuple[int, int, int]] = []
     compared = 0
     for n in range(2, max_objects + 1):

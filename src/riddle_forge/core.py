@@ -28,6 +28,11 @@ def _exact(value: int | Fraction, what: str) -> Fraction:
     return Fraction(value)
 
 
+def _is_int(value: object) -> bool:
+    """An int that is not a bool: ``True`` would serialize as a word, not a count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _normalize_counts(
     raw: "Mapping[str, int] | Iterable[tuple[str, int]]", what: str
 ) -> tuple[tuple[str, int], ...]:
@@ -39,7 +44,7 @@ def _normalize_counts(
         if label in seen:
             raise InvalidInstance(f"{what}: duplicate color '{label}'")
         seen.add(label)
-        if not isinstance(count, int) or count < 0:
+        if not _is_int(count) or count < 0:
             raise InvalidInstance(f"{what}: count for '{label}' must be an integer >= 0")
     return pairs
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import _normalize_counts
+from .core import _is_int, _normalize_counts
 from .errors import Infeasible, InvalidInstance
 
 
@@ -28,7 +28,7 @@ class PigeonholeInstance:
         if not pairs:
             raise InvalidInstance("at least one color is required")
         object.__setattr__(self, "color_counts", pairs)
-        if not isinstance(self.required, int) or self.required < 1:
+        if not _is_int(self.required) or self.required < 1:
             raise InvalidInstance("required must be a positive integer")
 
     @classmethod
@@ -45,9 +45,9 @@ class PigeonholeInstance:
 
 def guarantee_draws_formula(n_colors: int, required: int) -> int:
     """Closed form: n_colors * (required - 1) + 1 draws always suffice."""
-    if not isinstance(n_colors, int) or n_colors < 1:
+    if not _is_int(n_colors) or n_colors < 1:
         raise InvalidInstance("n_colors must be a positive integer")
-    if not isinstance(required, int) or required < 1:
+    if not _is_int(required) or required < 1:
         raise InvalidInstance("required must be a positive integer")
     return n_colors * (required - 1) + 1
 
@@ -76,7 +76,7 @@ def adversarial_sequence(
     With ``limit``, only the first ``limit`` draws of that same sequence are
     built, so a huge stall costs no more than the prefix that is shown.
     """
-    if limit is not None and (not isinstance(limit, int) or limit < 0):
+    if limit is not None and (not _is_int(limit) or limit < 0):
         raise InvalidInstance(f"limit must be None or an integer >= 0, got {limit!r}")
     answer = guarantee_draws_oracle(inst)  # validates feasibility
     wanted = answer - 1 if limit is None else min(limit, answer - 1)

@@ -18,6 +18,7 @@ import threading
 from dataclasses import dataclass
 from typing import Union
 
+from .core import _is_int
 from .errors import InvalidInstance, MalformedTree
 
 
@@ -28,7 +29,7 @@ class WeighingInstance:
     puzzle_kind = "weighing"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_objects, int) or self.n_objects < 1:
+        if not _is_int(self.n_objects) or self.n_objects < 1:
             raise InvalidInstance("n_objects must be a positive integer")
 
     @classmethod
@@ -69,6 +70,21 @@ _worst_case: list[int] = [0, 0]
 _growing = threading.Lock()
 
 
+def _crossing(table: list[int], m: int) -> int:
+    """Smallest ``a`` in [1, m // 2] with f(a) >= f(m - 2a), by bisection.
+
+    Returns m // 2 + 1 if there is none.
+    """
+    low, high = 1, m // 2 + 1
+    while low < high:
+        mid = (low + high) // 2
+        if table[mid] >= table[m - 2 * mid]:
+            high = mid
+        else:
+            low = mid + 1
+    return low
+
+
 def _worst_case_table(limit: int) -> list[int]:
     """Minimax table for suspect counts up to ``limit``.
 
@@ -82,30 +98,32 @@ def _worst_case_table(limit: int) -> list[int]:
 
     The adversary picks the worst outcome, we pick the best pan size.  As
     ``a`` grows, f(a) rises and f(m - 2a) falls, so the minimum lies where
-    they cross: a binary search finds the smallest ``a`` with
-    f(a) >= f(m - 2a), and the best pan size is that ``a`` or ``a - 1``.
-    The search relies on f being nondecreasing, which is checked row by
-    row.  The recursion never consults the closed form it is used to verify.
+    they cross: at the smallest ``a`` with f(a) >= f(m - 2a), or one left
+    of it.  Going from row m to row m + 1 can only raise f(m - 2a), so the
+    crossing never moves left: it is carried from row to row and stepped
+    forward, at most limit // 2 steps in all, so the table costs O(limit).
+    The first row of a resumed build finds its crossing by bisection.  Both
+    rely on f being nondecreasing, which is checked row by row.  The
+    recursion never consults the closed form it is used to verify.
     """
     table = _worst_case
+    if limit < len(table):  # rows are only ever appended, so these are final
+        return table
     with _growing:  # rows are appended in place, one grower at a time
+        low = _crossing(table, len(table))
         for m in range(len(table), limit + 1):
-            low, high = 1, m // 2 + 1  # the crossing lies in [low, high]
-            while low < high:
-                mid = (low + high) // 2
-                if table[mid] >= table[m - 2 * mid]:
-                    high = mid
-                else:
-                    low = mid + 1
+            half = m // 2
+            while low <= half and table[low] < table[m - 2 * low]:
+                low += 1
             # Just left of the crossing the set-aside class is the worse outcome,
             # at the crossing the pans are.
             best = table[m - 2 * low + 2] if low > 1 else m
-            if low <= m // 2 and table[low] < best:
+            if low <= half and table[low] < best:
                 best = table[low]
             if 1 + best < table[m - 1]:
                 raise RuntimeError(
-                    f"minimax table decreases at {m} suspects; its binary search "
-                    "needs it nondecreasing"
+                    f"minimax table decreases at {m} suspects; its pan-size "
+                    "crossing needs it nondecreasing"
                 )
             table.append(1 + best)
     return table

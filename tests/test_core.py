@@ -9,10 +9,13 @@ from pathlib import Path
 import pytest
 
 from riddle_forge import (
+    DrawnIsMoved,
     InvalidInstance,
+    PigeonholeInstance,
     PuzzleSpec,
     Quantity,
     RateScenario,
+    TransferInstance,
     Unit,
     WeighingInstance,
 )
@@ -49,6 +52,23 @@ def test_quantity_rejects_bad_values():
 def test_constructors_check_direct_callers(build):
     with pytest.raises(InvalidInstance):
         build()
+
+
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda flag: WeighingInstance(flag),
+        lambda flag: PigeonholeInstance((("red", 3),), required=flag),
+        lambda flag: TransferInstance((("red", 2),), (), moved=flag, query=DrawnIsMoved()),
+        lambda flag: PigeonholeInstance((("red", flag),), required=1),
+    ],
+    ids=["weighing-objects", "pigeonhole-required", "transfer-moved", "color-count"],
+)
+def test_integer_counts_refuse_bools(build, flag):
+    # True is an int to isinstance, but it would serialize as the word True.
+    with pytest.raises(InvalidInstance):
+        build(flag)
 
 
 def test_exact_keeps_a_fraction():

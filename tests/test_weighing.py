@@ -86,6 +86,17 @@ def test_minimax_table_matches_exhaustive_search_up_to_2000():
     assert weighing._worst_case_table(2000)[:2001] == exhaustive_worst_case(2000)
 
 
+def test_minimax_table_resumes_where_it_stopped(monkeypatch):
+    monkeypatch.setattr(weighing, "_worst_case", [0, 0])
+    for limit in [*range(2, 601), 601, 602, 1000, 1001, 1999, 2000]:
+        assert len(weighing._worst_case_table(limit)) == limit + 1
+    expected = exhaustive_worst_case(2000)
+    assert weighing._worst_case == expected
+    # A limit the table already covers is a lookup: nothing is appended.
+    assert weighing._worst_case_table(1500) is weighing._worst_case
+    assert weighing._worst_case == expected
+
+
 def test_minimax_table_rejects_a_decreasing_row(monkeypatch):
     # f(3) = 5 is corrupt: f(4) is at most 1 + max(f(2), f(0)) = 2.
     monkeypatch.setattr(weighing, "_worst_case", [0, 0, 1, 5])
