@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import os
@@ -49,7 +50,7 @@ from .weighing import (
     strategy_to_dict,
 )
 
-WEIGHING_ORACLE_LIMIT = 3 ** 12  # bounds --check and sweep; a sweep to it takes ~2 s
+WEIGHING_ORACLE_LIMIT = 3 ** 12  # bounds --check and sweep; a sweep to it takes ~1.5 s
 PIGEONHOLE_SWEEP_LIMITS = {"colors": 4, "count": 6, "required": 4}
 TRANSFER_SWEEP_LIMIT = 24  # about 4 s for a sweep at the cap
 STRATEGY_RENDER_LIMIT = 27  # explain-mode trees get big fast beyond this
@@ -82,6 +83,7 @@ class SolveReport:
     agreement: bool | None = None
     explanation: list[str] = field(default_factory=list)
     strategy: dict | None = None  # weighing only, explain mode
+    strategy_json: str | None = None  # json.dumps(strategy, indent=2), if already made
 
     def to_json(self) -> str:
         """This report as ``json.dump(reports, indent=2)`` writes a list item.
@@ -102,8 +104,8 @@ class SolveReport:
             lines = ",\n      ".join(map(text, self.explanation))
             parts.append(f',\n    "explanation": [\n      {lines}\n    ]')
         if self.strategy is not None:
-            strategy = json.dumps(self.strategy, indent=2).replace("\n", "\n    ")
-            parts.append(f',\n    "strategy": {strategy}')
+            strategy = self.strategy_json or json.dumps(self.strategy, indent=2)
+            parts.append(',\n    "strategy": ' + strategy.replace("\n", "\n    "))
         parts.append("\n  }")
         return "".join(parts)
 
@@ -115,6 +117,16 @@ class SolveReport:
             lines.append(f"  oracle = {oracle}  (agreement: {verdict})")
         lines.extend(f"  {line}" for line in self.explanation)
         return "\n".join(lines)
+
+
+# Once per size in a solve run (cmd_solve clears it): indent= makes json.dumps slow.
+@functools.lru_cache(maxsize=None)
+def _strategy(n: int) -> tuple[tuple[str, ...], dict, str]:
+    """The n-object strategy's explanation lines, dict and JSON text."""
+    tree = build_strategy(WeighingInstance(n))
+    lines = ("strategy:", *("  " + line for line in render_strategy(tree).splitlines()))
+    data = strategy_to_dict(tree)
+    return lines, data, json.dumps(data, indent=2)
 
 
 def _solve_rate_report(label: str, query: RateQuery, opts: SolveOptions) -> SolveReport:
@@ -165,12 +177,8 @@ def _solve_weighing_report(
                 f"weighings needed: P = {i} + 1 = {answer.weighings}"
             )
         if n <= STRATEGY_RENDER_LIMIT:
-            tree = build_strategy(inst)
-            report.strategy = strategy_to_dict(tree)
-            report.explanation.append("strategy:")
-            report.explanation.extend(
-                "  " + line for line in render_strategy(tree).splitlines()
-            )
+            lines, report.strategy, report.strategy_json = _strategy(n)
+            report.explanation.extend(lines)
         else:
             report.explanation.append(
                 f"strategy tree elided ({n} objects; render up to "
@@ -318,6 +326,7 @@ def _write_reports(
 
 def cmd_solve(paths: Sequence[str], opts: SolveOptions) -> int:
     """Solve every puzzle in the given files, writing each report as it is made."""
+    _strategy.cache_clear()  # strategies are kept for one run only
     if opts.out is not None and os.path.isfile(opts.out):
         for path in paths:
             if os.path.exists(path) and os.path.samefile(path, opts.out):

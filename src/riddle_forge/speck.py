@@ -9,8 +9,12 @@ followed by a unit or label word, parenthesised color lists
 ``(blue: 10, red: 8)``, or bare identifiers (used by ``query`` and
 ``label`` keys).  Identifiers are ASCII: ``[A-Za-z_][A-Za-z0-9_]*``.
 
-The lexer turns the source into a list of strings, each token its own
-source text, from one compiled regular expression; comments are dropped
+Two readers feed the same block builder.  The fast reader takes the leading
+lines in the canonical one-line form ``serialize_puzzle`` writes, one
+regular-expression match a line, up to the first that is not canonical or
+does not build; the token parser reads on from there, and every error comes
+from it.  Its lexer turns the source into a list of strings, each token its
+own source text, from one compiled regular expression; comments are dropped
 and the end of input is the empty string.  The parser tells a token's type
 from its first character and reads a number's value only where it expects
 one.  It carries ``(first, last)`` token-index pairs; only when there are
@@ -99,8 +103,8 @@ _Span = tuple[int, int]
 _Error = tuple[_Span, ParseErrorKind, str]
 
 
-def _lex(source: str) -> list[str]:
-    tokens = _TOKEN_RE.findall(source)
+def _lex(source: str, start: int) -> list[str]:
+    tokens = _TOKEN_RE.findall(source, start)
     if "#" in source:
         tokens = [tok for tok in tokens if tok[0] != "#"]  # drop the comments, if any
     tokens.append(_EOF)
@@ -125,14 +129,14 @@ def _describe(tok: str) -> str:
     return f"'{tok}'"
 
 
-def _locate(source: str, errors: list[_Error]) -> list[ParseError]:
-    """Give each error its source range, line and column.
+def _locate(source: str, start: int, errors: list[_Error]) -> list[ParseError]:
+    """Give each error in the tokens from ``start`` on its range, line and column.
 
     The tokens are found again, with their offsets, by the lexer's own
     pattern; line and column come from one table of line starts.
     """
     bounds = [
-        match.span() for match in _TOKEN_RE.finditer(source)
+        match.span() for match in _TOKEN_RE.finditer(source, start)
         if source[match.start()] != "#"
     ]
     bounds.append((len(source), len(source)))  # the end of input
@@ -682,6 +686,62 @@ class _Block:
         return tuple((name, count) for name, count, _, _ in value.items)
 
 
+# The canonical one-line blocks serialize_puzzle writes.  A where-clause holds
+# no color list, so it splits at ', '.  No statement starts with the key 'find',
+# which opens a find clause, and each is followed by '; ' and another or by ' }'.
+_CLAUSE = rf"{_IDENT_PATTERN} = (?:-?[0-9]+(?:/[0-9]+)?(?: {_IDENT_PATTERN})?|{_IDENT_PATTERN})"
+_COLOR = rf"{_IDENT_PATTERN}: -?[0-9]+"
+_STATEMENT = (
+    rf"(?:(?:find {_IDENT_PATTERN} where {_CLAUSE}(?:, {_CLAUSE})*|(?!find )(?:{_CLAUSE}"
+    rf"|{_IDENT_PATTERN} = \((?:{_COLOR}(?:, {_COLOR})*)?\)))(?:; (?=[A-Za-z_])|(?= \}})))"
+)
+# A whole line and its newline, if any (fullmatch), of a known kind.
+_CANONICAL_RE = re.compile(rf"puzzle ({'|'.join(_PAYLOAD_TYPES)}) \{{ ({_STATEMENT}+) \}}\n?")
+_LINE_END_RE = re.compile(r"\n|\Z")
+_NOWHERE = (0, 0)  # every span the fast reader makes: it reports no errors
+
+
+def _canonical_assign(text: str) -> _Assign:
+    """A ``key = value`` of a line _CANONICAL_RE matched, as the parser reads it."""
+    key, _, text = text.partition(" = ")
+    if text[0] == "(":
+        pairs = (item.partition(": ") for item in text[1:-1].split(", ") if item)
+        items = tuple((name, int(count), _NOWHERE, _NOWHERE) for name, _, count in pairs)
+        return _Assign(key, _NOWHERE, _ColorListValue(items, _NOWHERE))
+    if text[0] in _WORD_START:
+        return _Assign(key, _NOWHERE, _IdentValue(text, _NOWHERE))
+    number, _, word = text.partition(" ")
+    p, slash, q = number.partition("/")
+    value = Fraction(int(p), int(q)) if slash else int(p)
+    return _Assign(key, _NOWHERE, _NumberValue(value, _NOWHERE, word or None, _NOWHERE))
+
+
+def _read_canonical(source: str) -> tuple[list[PuzzleSpec], int]:
+    """The specs of the leading canonical lines, and the offset after them."""
+    builder, specs, start = _Parser([_EOF]), [], 0
+    for line_end in _LINE_END_RE.finditer(source):
+        match = _CANONICAL_RE.fullmatch(source, start, line_end.end())
+        if match is None:  # the token parser reads on from this line
+            break
+        assigns, finds = [], []
+        try:
+            for statement in match[2].split("; "):
+                if statement.startswith("find "):
+                    target, _, where = statement[5:].partition(" where ")
+                    clauses = tuple(map(_canonical_assign, where.split(", ")))
+                    finds.append(_Find(target, _NOWHERE, clauses, _NOWHERE))
+                else:
+                    assigns.append(_canonical_assign(statement))
+        except (ValueError, ZeroDivisionError):  # past int()'s digit limit, or p/0
+            break
+        spec = builder._build(_PAYLOAD_TYPES[match[1]], _Block(match[1], _NOWHERE, assigns, finds))
+        if spec is None:
+            break
+        specs.append(spec)
+        start = line_end.end()
+    return specs, start
+
+
 def parse_puzzles(source: str) -> list[PuzzleSpec]:
     """Parse a .speck source into puzzle specs.
 
@@ -689,10 +749,11 @@ def parse_puzzles(source: str) -> list[PuzzleSpec]:
     ParseFailure carrying every ParseError found (parsing resumes at the
     next block after an error).  An empty source yields an empty list.
     """
-    parser = _Parser(_lex(source))
-    specs = parser.parse_file()
+    specs, start = _read_canonical(source)
+    parser = _Parser(_lex(source, start))
+    specs += parser.parse_file()
     if parser.errors:
-        raise ParseFailure(_locate(source, parser.errors))
+        raise ParseFailure(_locate(source, start, parser.errors))
     return specs
 
 

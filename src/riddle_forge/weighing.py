@@ -58,9 +58,9 @@ def min_weighings_formula(inst: WeighingInstance) -> WeighingAnswer:
         # No bracketing exponent exists for a lone object; it is already
         # identified, so zero weighings by definition.
         return WeighingAnswer(exponent=0, weighings=0)
-    exponent = 0
-    while 3 ** (exponent + 1) < n:
-        exponent += 1
+    exponent, power = 0, 3  # power is 3 ** (exponent + 1)
+    while power < n:
+        exponent, power = exponent + 1, power * 3
     return WeighingAnswer(exponent=exponent, weighings=exponent + 1)
 
 

@@ -371,6 +371,27 @@ def test_explain_mode_includes_strategy_tree(tmp_path, capsys):
     assert report["strategy"]["on_balance"]["suspects"] == [6, 7, 8]
 
 
+def test_each_strategy_size_is_built_once_per_solve_run(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "sizes.speck"
+    path.write_text("puzzle weighing { objects = 9 }\npuzzle weighing { objects = 4 }\n" * 2,
+                    encoding="utf-8")
+    built = []
+    build = cli.build_strategy
+    monkeypatch.setattr(
+        cli, "build_strategy", lambda inst: built.append(inst.n_objects) or build(inst)
+    )
+    argv = ["solve", str(path), "--explain", "--format", "json"]
+    _, out, _ = run_main(argv, capsys)
+    assert built == [9, 4]
+    reports = json.loads(out)
+    for report in reports:
+        del report["label"]
+    assert reports[:2] == reports[2:]
+    assert reports[0]["strategy"]["left"] == [0, 1, 2]
+    run_main(argv, capsys)
+    assert built == [9, 4, 9, 4]  # kept for one run only
+
+
 def test_out_writes_lf_file(tmp_path, corpus_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run_main(

@@ -1,12 +1,15 @@
 """Puzzle DSL: golden parses, precise error spans, round-trip properties."""
 
+import functools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import riddle_forge.speck as speck
 from riddle_forge import (
     DrawnHasColor,
     DrawnIsMoved,
@@ -475,3 +478,89 @@ def test_parse_accepts_every_kind_round_tripped_together():
     specs = [random_spec(rng) for _ in range(25)]
     source = "\n".join(serialize_puzzle(s) for s in specs)
     assert parse_puzzles(source) == specs
+
+
+# ----------------------------------------------------------------------
+# The two readers: canonical lines are read without the token parser, which
+# reads on from the first line that is not canonical or does not build.
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def read_by_fast_reader(source):
+    """How many characters of ``source`` the fast reader takes."""
+    return speck._read_canonical(source)[1]
+
+
+def outcome(source):
+    try:
+        return [(spec.kind, spec.payload, spec.label) for spec in parse_puzzles(source)]
+    except ParseFailure as failure:
+        return [(str(error), error.span) for error in failure.errors]
+
+
+def both_readers(source, monkeypatch):
+    """parse_puzzles' outcome, and the token parser's alone."""
+    with monkeypatch.context() as patch:
+        patch.setattr(speck, "_read_canonical", lambda text: ([], 0))
+        alone = outcome(source)
+    return outcome(source), alone
+
+
+@functools.lru_cache(maxsize=None)
+def canonical_lines(count, seed):
+    rng = random.Random(seed)
+    return "".join(serialize_puzzle(random_spec(rng)) + "\n" for _ in range(count))
+
+
+def test_fast_reader_reads_every_serialized_line(monkeypatch):
+    source = canonical_lines(2000, 14)
+    assert read_by_fast_reader(source) == len(source)
+    both, alone = both_readers(source, monkeypatch)
+    assert both == alone
+    assert len(both) == 2000
+
+
+@pytest.mark.parametrize("name", ["bulk", "hard"])
+def test_fast_reader_reads_the_benchmark_inputs(monkeypatch, name):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import gen
+
+    rng = random.Random(1)
+    source = gen.bulk_file(rng, 500) if name == "bulk" else gen.hard_file(rng)
+    assert read_by_fast_reader(source.text) == len(source.text)
+    assert len(parse_puzzles(source.text)) == len(source.blocks)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "puzzle weighing { objects = 0 }",
+        "puzzle weighing { objects = 3; objects = 4 }",
+        "puzzle frobnicate { objects = 3 }",
+        "puzzle rate { find = 3 }",
+        "puzzle station { early = 3/0 min; saved = 1 min }",
+        "puzzle station { early = 3/-4 min; saved = 1 min }",
+        "puzzle station { early = 3/00 min; saved = 1 min }",
+        "puzzle weighing { objects = " + "7" * 5000 + " }",
+        "puzzle weighing { objects = ٣ }",
+        "puzzle weighing { label = café; objects = 3 }",
+        "puzzle weighing { objects = 3 }\r\n",
+        "puzzle weighing { objects = 3 }; puzzle weighing { objects = 4 }",
+        "puzzle rate { work = 6; subjects = 6; time = 6 min; "
+        "find subjects where work = (red: 1), time = 5 min }",
+        "puzzle transfer { container_a = (red: 1); container_b = (blue: 1); "
+        "moved = 1; query = moved label = x }",
+    ],
+    ids=[
+        "zero-objects", "duplicate-key", "unknown-kind", "find-as-key", "zero-denominator",
+        "negative-denominator", "zero-denominator-00", "5000-digits", "arabic-digit",
+        "non-ascii-word", "crlf", "two-blocks-one-line", "colors-in-where", "no-separator",
+    ],
+)
+def test_hand_over_gives_the_token_parsers_result(monkeypatch, line):
+    canonical = canonical_lines(1000, 15)
+    for source in (canonical + line + "\n" + canonical_lines(5, 16), canonical + line):
+        assert read_by_fast_reader(source) == len(canonical)
+        both, alone = both_readers(source, monkeypatch)
+        assert both == alone

@@ -48,6 +48,16 @@ def test_formula_brackets_between_powers_of_three():
         assert answer.weighings == answer.exponent + 1
 
 
+def test_formula_at_the_powers_of_three():
+    answer = weighing.WeighingAnswer  # (exponent, weighings)
+    assert min_weighings_formula(WeighingInstance(1)) == answer(0, 0)
+    assert min_weighings_formula(WeighingInstance(2)) == answer(0, 1)
+    for k in range(1, 41):
+        # 3^(k-1) < 3^k <= 3^k, and 3^k < 3^k + 1 <= 3^(k+1).
+        assert min_weighings_formula(WeighingInstance(3**k)) == answer(k - 1, k)
+        assert min_weighings_formula(WeighingInstance(3**k + 1)) == answer(k, k + 1)
+
+
 def test_oracle_known_values():
     assert min_weighings_oracle(WeighingInstance(13)) == 3
     assert min_weighings_oracle(WeighingInstance(2)) == 1
