@@ -61,7 +61,6 @@ from .weighing import (
     Leaf,
     StrategyNode,
     Weigh,
-    WeighingAnswer,
     WeighingInstance,
     build_strategy,
     min_weighings_formula,
@@ -102,7 +101,6 @@ __all__ = [
     "TransferInstance",
     "Unit",
     "Weigh",
-    "WeighingAnswer",
     "WeighingInstance",
     "adversarial_sequence",
     "build_strategy",

@@ -144,18 +144,13 @@ class SurveyRow:
         )
 
 
-def transfer_formula_survey(max_n: int, max_d: int) -> list[SurveyRow]:
+def transfer_formula_survey(max_n: int, max_d: int) -> Iterator[SurveyRow]:
     """Compare 2n/(n+d) with exact enumeration over the canonical family.
 
-    Rows are emitted in a fixed nested order (n, d, color split, moved,
-    query), so the survey is deterministic for given bounds.  Agreement is
-    recorded, never asserted.
+    Rows are made one at a time, in a fixed nested order (n, d, color split,
+    moved, query), so the survey is deterministic for given bounds.
+    Agreement is recorded, never asserted.
     """
-    return list(iter_transfer_survey(max_n, max_d))
-
-
-def iter_transfer_survey(max_n: int, max_d: int) -> Iterator[SurveyRow]:
-    """The rows of transfer_formula_survey, made one at a time."""
     if not _is_int(max_n) or max_n < 1 or not _is_int(max_d) or max_d < 1:
         raise InvalidInstance("survey bounds must be positive integers")
     for n in range(1, max_n + 1):

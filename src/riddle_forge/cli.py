@@ -23,10 +23,10 @@ from .classics import (
     SURVEY_HEADER,
     StationInstance,
     TransferInstance,
-    iter_transfer_survey,
     station_walk_formula,
     station_walk_simulate,
     survey_line,
+    transfer_formula_survey,
     transfer_probability_enumerate,
     transfer_probability_formula,
 )
@@ -82,14 +82,14 @@ class SolveReport:
     oracle: str | None = None
     agreement: bool | None = None
     explanation: list[str] = field(default_factory=list)
-    strategy: dict | None = None  # weighing only, explain mode
-    strategy_json: str | None = None  # json.dumps(strategy, indent=2), if already made
+    strategy: str | None = None  # weighing only, explain mode: JSON text, indent=2
 
     def to_json(self) -> str:
         """This report as ``json.dump(reports, indent=2)`` writes a list item.
 
         Keys in order: label, kind, answer; oracle and agreement when
-        checked; explanation when nonempty; strategy when present.
+        checked; explanation when nonempty; strategy when present, its JSON
+        text indented one level further.
         """
         text = _json_str
         parts = [
@@ -104,8 +104,7 @@ class SolveReport:
             lines = ",\n      ".join(map(text, self.explanation))
             parts.append(f',\n    "explanation": [\n      {lines}\n    ]')
         if self.strategy is not None:
-            strategy = self.strategy_json or json.dumps(self.strategy, indent=2)
-            parts.append(',\n    "strategy": ' + strategy.replace("\n", "\n    "))
+            parts.append(',\n    "strategy": ' + self.strategy.replace("\n", "\n    "))
         parts.append("\n  }")
         return "".join(parts)
 
@@ -121,12 +120,11 @@ class SolveReport:
 
 # Once per size in a solve run (cmd_solve clears it): indent= makes json.dumps slow.
 @functools.lru_cache(maxsize=None)
-def _strategy(n: int) -> tuple[tuple[str, ...], dict, str]:
-    """The n-object strategy's explanation lines, dict and JSON text."""
+def _strategy(n: int) -> tuple[tuple[str, ...], str]:
+    """The n-object strategy's explanation lines and JSON text."""
     tree = build_strategy(WeighingInstance(n))
     lines = ("strategy:", *("  " + line for line in render_strategy(tree).splitlines()))
-    data = strategy_to_dict(tree)
-    return lines, data, json.dumps(data, indent=2)
+    return lines, json.dumps(strategy_to_dict(tree), indent=2)
 
 
 def _solve_rate_report(label: str, query: RateQuery, opts: SolveOptions) -> SolveReport:
@@ -162,22 +160,22 @@ def _solve_rate_report(label: str, query: RateQuery, opts: SolveOptions) -> Solv
 def _solve_weighing_report(
     label: str, inst: WeighingInstance, opts: SolveOptions
 ) -> SolveReport:
-    answer = min_weighings_formula(inst)
-    report = SolveReport(label, inst.puzzle_kind, str(answer.weighings))
+    weighings = min_weighings_formula(inst)
+    report = SolveReport(label, inst.puzzle_kind, str(weighings))
     if opts.explain:
         n = inst.n_objects
         if n == 1:
             report.explanation.append("a single object is already identified")
         else:
-            i = answer.exponent
+            i = weighings - 1
             report.explanation.append(
                 f"bracket between powers of three: 3^{i} < {n} <= 3^{i + 1}"
             )
             report.explanation.append(
-                f"weighings needed: P = {i} + 1 = {answer.weighings}"
+                f"weighings needed: P = {i} + 1 = {weighings}"
             )
         if n <= STRATEGY_RENDER_LIMIT:
-            lines, report.strategy, report.strategy_json = _strategy(n)
+            lines, report.strategy = _strategy(n)
             report.explanation.extend(lines)
         else:
             report.explanation.append(
@@ -194,7 +192,7 @@ def _solve_weighing_report(
         else:
             oracle = min_weighings_oracle(inst)
             report.oracle = str(oracle)
-            report.agreement = oracle == answer.weighings
+            report.agreement = oracle == weighings
     return report
 
 
@@ -338,7 +336,7 @@ def cmd_solve(paths: Sequence[str], opts: SolveOptions) -> int:
         nonlocal failed, disagreed
         for path in paths:
             try:
-                text = Path(path).read_text(encoding="utf-8")
+                text = Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is dropped
             except (OSError, UnicodeDecodeError) as exc:
                 print(f"error: {path}: {exc}", file=sys.stderr)
                 failed = True
@@ -388,7 +386,7 @@ def _sweep_weighing(max_objects: int) -> int:
     compared = 0
     for n in range(2, max_objects + 1):
         inst = WeighingInstance(n)
-        formula = min_weighings_formula(inst).weighings
+        formula = min_weighings_formula(inst)
         oracle = min_weighings_oracle(inst)
         compared += 1
         if formula != oracle:
@@ -459,7 +457,7 @@ def _sweep_transfer(max_n: int, max_d: int, out: str) -> int:
     # written as they are made, so the report is never held in memory.
     with open(out, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(SURVEY_HEADER)
-        for row in iter_transfer_survey(max_n, max_d):
+        for row in transfer_formula_survey(max_n, max_d):
             handle.write(survey_line(row))
             instances += 1
             if row.match:

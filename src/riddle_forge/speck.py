@@ -11,9 +11,9 @@ followed by a unit or label word, parenthesised color lists
 
 Two readers feed the same block builder.  The fast reader takes the leading
 lines in the canonical one-line form ``serialize_puzzle`` writes, one
-regular-expression match a line, up to the first that is not canonical or
-does not build; the token parser reads on from there, and every error comes
-from it.  Its lexer turns the source into a list of strings, each token its
+regular-expression match a line, and steps over blank and comment-only lines
+among them, up to the first that is not canonical or does not build; the
+token parser reads on from there, and every error comes from it.  Its lexer turns the source into a list of strings, each token its
 own source text, from one compiled regular expression; comments are dropped
 and the end of input is the empty string.  The parser tells a token's type
 from its first character and reads a number's value only where it expects
@@ -332,7 +332,10 @@ class _Parser:
                  + ", ".join(_PAYLOAD_TYPES))
             )
             return None
-        return self._build(payload_type, _Block(kind_name, kind_span, assigns, finds))
+        block = _Block(kind_name, kind_span, assigns, finds)
+        spec = block.build(payload_type)
+        self.errors.extend(block.errors)
+        return spec
 
     def _parse_assign(self, what: str) -> _Assign:
         key_at = self._expect_word(what)
@@ -421,38 +424,16 @@ class _Parser:
         self._expect(")", "')'")
         return _ColorListValue(tuple(items), span)
 
-    # -- semantics: turn statements into payloads -------------------------
-
-    def _build(self, payload_type: type, block: "_Block") -> PuzzleSpec | None:
-        kind, errors, table = block.kind, block.errors, block.table
-        if block.finds and payload_type is not RateQuery:
-            errors.append(
-                (block.finds[0].span, ParseErrorKind.SYNTAX,
-                 f"'find' is only meaningful in rate puzzles, not {kind}")
-            )
-
-        label = block.word(table.pop("label", None))
-        payload = payload_type.from_block(block)  # takes the keys the kind knows
-
-        for assign in table.values():
-            errors.append(
-                (assign.key_span, ParseErrorKind.SYNTAX,
-                 f"unexpected key '{assign.key}' in a {kind} puzzle")
-            )
-        if errors or payload is None:
-            self.errors.extend(errors)
-            return None
-        return PuzzleSpec(payload, label)
-
 
 class _Block:
     """One block's statements, as a payload class's ``from_block`` reads them.
 
-    ``take`` claims keys from the table.  The readers ``word``, ``count``,
-    ``time``, ``integer`` and ``colors`` turn a statement into a value, or
-    report an error and give None, as they do when given None (a missing key,
-    already reported).  ``find`` reads the ``find ... where ...`` clause, and
-    ``make`` reports a constructor's refusal.
+    ``build`` makes the block's spec, or gives None with the reasons in
+    ``errors``.  ``take`` claims keys from the table.  The readers ``word``,
+    ``count``, ``time``, ``integer`` and ``colors`` turn a statement into a
+    value, or report an error and give None, as they do when given None (a
+    missing key, already reported).  ``find`` reads the ``find ... where ...``
+    clause, and ``make`` reports a constructor's refusal.
     """
 
     __slots__ = ("kind", "kind_span", "table", "finds", "errors")
@@ -471,6 +452,26 @@ class _Block:
                 )
             else:
                 self.table[assign.key] = assign
+
+    def build(self, payload_type: type) -> PuzzleSpec | None:
+        kind, errors, table = self.kind, self.errors, self.table
+        if self.finds and payload_type is not RateQuery:
+            errors.append(
+                (self.finds[0].span, ParseErrorKind.SYNTAX,
+                 f"'find' is only meaningful in rate puzzles, not {kind}")
+            )
+
+        label = self.word(table.pop("label", None))
+        payload = payload_type.from_block(self)  # takes the keys the kind knows
+
+        for assign in table.values():
+            errors.append(
+                (assign.key_span, ParseErrorKind.SYNTAX,
+                 f"unexpected key '{assign.key}' in a {kind} puzzle")
+            )
+        if errors or payload is None:
+            return None
+        return PuzzleSpec(payload, label)
 
     def take(self, *keys: str) -> tuple[_Assign | None, ...]:
         """The statements assigning ``keys``; each missing one is an error."""
@@ -698,6 +699,7 @@ _STATEMENT = (
 # A whole line and its newline, if any (fullmatch), of a known kind.
 _CANONICAL_RE = re.compile(rf"puzzle ({'|'.join(_PAYLOAD_TYPES)}) \{{ ({_STATEMENT}+) \}}\n?")
 _LINE_END_RE = re.compile(r"\n|\Z")
+_NOTHING_RE = re.compile(r"[ \t\r]*(?:\#[^\n]*)?\n?")  # a blank or comment-only line
 _NOWHERE = (0, 0)  # every span the fast reader makes: it reports no errors
 
 
@@ -717,12 +719,20 @@ def _canonical_assign(text: str) -> _Assign:
 
 
 def _read_canonical(source: str) -> tuple[list[PuzzleSpec], int]:
-    """The specs of the leading canonical lines, and the offset after them."""
-    builder, specs, start = _Parser([_EOF]), [], 0
+    """The specs of the leading canonical lines, and the offset after them.
+
+    Blank and comment-only lines among them hold no tokens, so they are
+    stepped over.
+    """
+    specs, start = [], 0
     for line_end in _LINE_END_RE.finditer(source):
-        match = _CANONICAL_RE.fullmatch(source, start, line_end.end())
-        if match is None:  # the token parser reads on from this line
-            break
+        end = line_end.end()
+        match = _CANONICAL_RE.fullmatch(source, start, end)
+        if match is None:
+            if _NOTHING_RE.fullmatch(source, start, end) is None:
+                break  # the token parser reads on from this line
+            start = end
+            continue
         assigns, finds = [], []
         try:
             for statement in match[2].split("; "):
@@ -734,11 +744,11 @@ def _read_canonical(source: str) -> tuple[list[PuzzleSpec], int]:
                     assigns.append(_canonical_assign(statement))
         except (ValueError, ZeroDivisionError):  # past int()'s digit limit, or p/0
             break
-        spec = builder._build(_PAYLOAD_TYPES[match[1]], _Block(match[1], _NOWHERE, assigns, finds))
+        spec = _Block(match[1], _NOWHERE, assigns, finds).build(_PAYLOAD_TYPES[match[1]])
         if spec is None:
             break
         specs.append(spec)
-        start = line_end.end()
+        start = end
     return specs, start
 
 

@@ -43,25 +43,16 @@ class WeighingInstance:
         return [("objects", self.n_objects)]
 
 
-@dataclass(frozen=True)
-class WeighingAnswer:
-    """The bracketing exponent and the weighing count it implies."""
+def min_weighings_formula(inst: WeighingInstance) -> int:
+    """Closed-form minimum weighing count P, where 3^(P-1) < n <= 3^P.
 
-    exponent: int  # 3**exponent < n_objects <= 3**(exponent + 1) for n >= 2
-    weighings: int  # exponent + 1; defined as 0 for a single object
-
-
-def min_weighings_formula(inst: WeighingInstance) -> WeighingAnswer:
-    """Closed-form minimum weighing count via the powers-of-three bracket."""
+    A lone object is already identified: zero weighings by definition.
+    """
     n = inst.n_objects
-    if n == 1:
-        # No bracketing exponent exists for a lone object; it is already
-        # identified, so zero weighings by definition.
-        return WeighingAnswer(exponent=0, weighings=0)
-    exponent, power = 0, 3  # power is 3 ** (exponent + 1)
+    weighings, power = 0, 1  # power is 3 ** weighings
     while power < n:
-        exponent, power = exponent + 1, power * 3
-    return WeighingAnswer(exponent=exponent, weighings=exponent + 1)
+        weighings, power = weighings + 1, power * 3
+    return weighings
 
 
 # Worst-case-optimal weighing counts indexed by suspect count.  Index 0 is a
@@ -158,20 +149,11 @@ class StrategyNode:
     action: Union[Leaf, Weigh]
 
 
-def _best_pan_size(m: int) -> int:
-    """Pan size minimising the largest outcome class; smallest wins ties."""
-    best_a, best_worst = 1, m
-    for a in range(1, m // 2 + 1):
-        worst = max(a, m - 2 * a)
-        if worst < best_worst:
-            best_a, best_worst = a, worst
-    return best_a
-
-
 def _build(suspects: tuple[int, ...]) -> StrategyNode:
     if len(suspects) == 1:
         return StrategyNode(suspects, Leaf(suspects[0]))
-    a = _best_pan_size(len(suspects))
+    # a = (m + 1) // 3 is the smallest pan size minimising max(a, m - 2a).
+    a = (len(suspects) + 1) // 3
     left, right, aside = suspects[:a], suspects[a : 2 * a], suspects[2 * a :]
     return StrategyNode(
         suspects,

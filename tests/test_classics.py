@@ -153,7 +153,7 @@ def test_enumeration_normalises_exactly():
 
 
 def test_survey_smallest_bounds_hand_checked():
-    rows = transfer_formula_survey(1, 1)
+    rows = list(transfer_formula_survey(1, 1))
     facts = [
         (row.destination_same, row.query, row.enumerated, row.formula, row.match)
         for row in rows
@@ -167,8 +167,8 @@ def test_survey_smallest_bounds_hand_checked():
 
 
 def test_survey_is_deterministic():
-    first = transfer_formula_survey(3, 3)
-    second = transfer_formula_survey(3, 3)
+    first = list(transfer_formula_survey(3, 3))
+    second = list(transfer_formula_survey(3, 3))
     assert first == second
     assert len(first) == 108  # sum over n<=3 of 2n times sum over d<=3 of d+1
     report = format_survey(first)
@@ -179,9 +179,9 @@ def test_survey_is_deterministic():
 
 def test_survey_rejects_empty_bounds():
     with pytest.raises(InvalidInstance):
-        transfer_formula_survey(0, 1)
+        list(transfer_formula_survey(0, 1))
     with pytest.raises(InvalidInstance):
-        transfer_formula_survey(1, 0)
+        list(transfer_formula_survey(1, 0))
 
 
 def test_station_formula_known_values():

@@ -133,6 +133,7 @@ _JSON_VALUES = st.recursive(
 @st.composite
 def _report_and_dict(draw):
     """A SolveReport and the dict json.dump should write for it."""
+    strategy = draw(st.none() | st.dictionaries(_JSON_TEXT, _JSON_VALUES, max_size=3))
     report = cli.SolveReport(
         label=draw(_JSON_TEXT),
         kind=draw(_JSON_TEXT),
@@ -141,7 +142,7 @@ def _report_and_dict(draw):
         oracle=draw(st.none() | _JSON_TEXT),
         agreement=draw(st.sampled_from([True, False, None])),
         explanation=draw(st.lists(_JSON_TEXT, max_size=3)),
-        strategy=draw(st.none() | st.dictionaries(_JSON_TEXT, _JSON_VALUES, max_size=3)),
+        strategy=None if strategy is None else json.dumps(strategy, indent=2),
     )
     data = {"label": report.label, "kind": report.kind, "answer": report.answer}
     if report.checked:
@@ -149,8 +150,8 @@ def _report_and_dict(draw):
         data["agreement"] = report.agreement
     if report.explanation:
         data["explanation"] = report.explanation
-    if report.strategy is not None:
-        data["strategy"] = report.strategy
+    if strategy is not None:
+        data["strategy"] = strategy
     return report, data
 
 

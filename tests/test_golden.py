@@ -24,6 +24,7 @@ CASES = [
     (["--check", "--explain", "--format", "json", "all_kinds.speck"],
      "all_kinds.json", None, 2),
     (["errors.speck"], None, "errors.stderr", 1),
+    (["--check", "--explain", "strategies.speck"], "strategies.txt", None, 0),
 ]
 
 
@@ -31,17 +32,31 @@ def _golden(name):
     return b"" if name is None else (GOLDEN / name).read_bytes()
 
 
-@pytest.mark.parametrize("argv, stdout, stderr, code", CASES, ids=[c[1] or c[2] for c in CASES])
-def test_cli_output_matches_golden(argv, stdout, stderr, code):
+def _solve(argv, cwd):
     package_root = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "riddle_forge", "solve", *argv],
-        cwd=GOLDEN,
+        cwd=cwd,
         capture_output=True,
         timeout=60,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+@pytest.mark.parametrize("argv, stdout, stderr, code", CASES, ids=[c[1] or c[2] for c in CASES])
+def test_cli_output_matches_golden(argv, stdout, stderr, code):
+    done = _solve(argv, GOLDEN)
+    assert done.stdout == _golden(stdout)
+    assert done.stderr == _golden(stderr)
+    assert done.returncode == code
+
+
+def test_a_leading_byte_order_mark_is_dropped(tmp_path):
+    argv, stdout, stderr, code = CASES[0]
+    source = (GOLDEN / argv[-1]).read_bytes()
+    (tmp_path / argv[-1]).write_bytes(b"\xef\xbb\xbf" + source)
+    done = _solve(argv, tmp_path)
     assert done.stdout == _golden(stdout)
     assert done.stderr == _golden(stderr)
     assert done.returncode == code

@@ -482,7 +482,8 @@ def test_parse_accepts_every_kind_round_tripped_together():
 
 # ----------------------------------------------------------------------
 # The two readers: canonical lines are read without the token parser, which
-# reads on from the first line that is not canonical or does not build.
+# reads on from the first line that is not canonical or does not build.  Blank
+# and comment-only lines hold no tokens, so the fast reader steps over them.
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -564,3 +565,27 @@ def test_hand_over_gives_the_token_parsers_result(monkeypatch, line):
         assert read_by_fast_reader(source) == len(canonical)
         both, alone = both_readers(source, monkeypatch)
         assert both == alone
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        ["# header\n", "A", "B"],
+        ["\n", "A", "B"],
+        ["\r\n", "A", "B"],
+        ["A", "  # between \t\n", "B"],
+        ["A", "B", "#"],
+        ["A", " \t\r\n", "B"],
+    ],
+    ids=["leading-comment", "blank-line", "cr-only-line", "comment-between",
+         "comment-at-end", "blanks-between"],
+)
+def test_fast_reader_steps_over_blank_and_comment_lines(monkeypatch, lines):
+    parts = {"A": canonical_lines(300, 17), "B": canonical_lines(300, 18)}
+    for newline in ("", "\n"):
+        source = "".join(parts.get(line, line) for line in lines)
+        source = source.removesuffix("\n") + newline
+        assert read_by_fast_reader(source) == len(source)
+        both, alone = both_readers(source, monkeypatch)
+        assert both == alone
+        assert len(both) == 600
