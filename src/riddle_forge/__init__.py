@@ -2,8 +2,9 @@
 
 Work-rate proportionality, balance-scale weighing counts, and pigeonhole
 draw guarantees, plus two background classics (container transfer, station
-walk), a small puzzle DSL, and a CLI that cross-checks every formula
-against a brute-force or adversarial oracle.
+walk), a small puzzle DSL, and a CLI that cross-checks the weighing,
+pigeonhole, transfer and station formulas against an independent oracle
+(rate has no oracle).
 """
 
 from .classics import (
@@ -59,7 +60,6 @@ from .speck import (
 )
 from .weighing import (
     Leaf,
-    StrategyNode,
     Weigh,
     WeighingInstance,
     build_strategy,
@@ -96,7 +96,6 @@ __all__ = [
     "Rational",
     "SourceSpan",
     "StationInstance",
-    "StrategyNode",
     "SurveyRow",
     "TransferInstance",
     "Unit",

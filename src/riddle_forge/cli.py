@@ -15,7 +15,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -148,7 +147,7 @@ def _solve_rate_report(label: str, query: RateQuery, opts: SolveOptions) -> Solv
         report.explanation.append(f"solve {w}/({s}*{t}) = {k}")
         word = getattr(known, query.target.value).label  # a time carries no label
         suffix = f" {word}" if word else ""
-        if rounded is not None and Fraction(rounded) != exact:
+        if rounded is not None and rounded != exact:
             report.explanation.append(
                 f"x = {exact}{suffix}, rounded up to {rounded} whole"
             )
@@ -357,7 +356,11 @@ def cmd_solve(paths: Sequence[str], opts: SolveOptions) -> int:
                     # Only an exact value past int-to-str's digit limit is expected.
                     if "integer string conversion" not in str(exc):
                         raise
-                    print(f"error: {path}: {label}: {exc}", file=sys.stderr)
+                    print(
+                        f"error: {path}: {label}: exact value has more than "
+                        f"{sys.get_int_max_str_digits()} digits, too long to print",
+                        file=sys.stderr,
+                    )
                     failed = True
                     continue
                 disagreed = disagreed or report.agreement is False

@@ -15,8 +15,7 @@ three near-equal groups" procedure executable and checkable.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, field
 
 from .core import _is_int
 from .errors import InvalidInstance, MalformedTree
@@ -129,91 +128,74 @@ def min_weighings_oracle(inst: WeighingInstance) -> int:
 class Leaf:
     identified: int
 
+    @property
+    def suspects(self) -> tuple[int, ...]:
+        return (self.identified,)
+
 
 @dataclass(frozen=True)
 class Weigh:
-    left: tuple[int, ...]
-    right: tuple[int, ...]
-    on_left_heavy: "StrategyNode"
-    on_right_heavy: "StrategyNode"
+    """A decision-tree node: weigh, then follow the outcome's subtree.
+
+    Each pan is the suspects of the subtree that follows it coming down
+    heavy, so no pan is stored apart from the subtree it could disagree with.
+    """
+
+    on_left_heavy: Leaf | Weigh
+    on_right_heavy: Leaf | Weigh
     # None only when nothing is set aside; a balanced outcome is then
     # impossible (the heavy object must sit on one of the pans).
-    on_balance: "StrategyNode | None"
+    on_balance: Leaf | Weigh | None = None
+    # The pans, then the set-aside group.
+    suspects: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        aside = () if self.on_balance is None else self.on_balance.suspects
+        object.__setattr__(self, "suspects", self.left + self.right + aside)
+
+    @property
+    def left(self) -> tuple[int, ...]:
+        return self.on_left_heavy.suspects
+
+    @property
+    def right(self) -> tuple[int, ...]:
+        return self.on_right_heavy.suspects
+
+    def branches(self) -> list[tuple[str, Leaf | Weigh]]:
+        """(outcome, subtree) for each outcome that can happen."""
+        pairs = [("left heavier", self.on_left_heavy), ("right heavier", self.on_right_heavy)]
+        if self.on_balance is not None:
+            pairs.append(("balanced", self.on_balance))
+        return pairs
 
 
-@dataclass(frozen=True)
-class StrategyNode:
-    """A decision-tree node: the still-suspect objects and what to do next."""
-
-    suspects: tuple[int, ...]
-    action: Union[Leaf, Weigh]
-
-
-def _build(suspects: tuple[int, ...]) -> StrategyNode:
+def _build(suspects: tuple[int, ...]) -> Leaf | Weigh:
     if len(suspects) == 1:
-        return StrategyNode(suspects, Leaf(suspects[0]))
+        return Leaf(suspects[0])
     # a = (m + 1) // 3 is the smallest pan size minimising max(a, m - 2a).
     a = (len(suspects) + 1) // 3
-    left, right, aside = suspects[:a], suspects[a : 2 * a], suspects[2 * a :]
-    return StrategyNode(
-        suspects,
-        Weigh(
-            left=left,
-            right=right,
-            on_left_heavy=_build(left),
-            on_right_heavy=_build(right),
-            on_balance=_build(aside) if aside else None,
-        ),
+    aside = suspects[2 * a :]
+    return Weigh(
+        _build(suspects[:a]),
+        _build(suspects[a : 2 * a]),
+        _build(aside) if aside else None,
     )
 
 
-def build_strategy(inst: WeighingInstance) -> StrategyNode:
+def build_strategy(inst: WeighingInstance) -> Leaf | Weigh:
     """Deterministic near-equal-thirds strategy tree of optimal depth."""
     return _build(tuple(range(inst.n_objects)))
 
 
-def _check_node(node: StrategyNode) -> None:
-    suspects = node.suspects
-    suspect_set = set(suspects)
-    if len(suspect_set) != len(suspects) or not suspects:
-        raise MalformedTree(f"suspect list {suspects!r} is empty or repeats objects")
-    action = node.action
-    if isinstance(action, Leaf):
-        if len(suspects) != 1 or action.identified != suspects[0]:
-            raise MalformedTree(
-                f"leaf identifies {action.identified} but suspects are {suspects!r}"
-            )
-        return
-    left, right = set(action.left), set(action.right)
-    if not action.left or not action.right:
-        raise MalformedTree("both pans must be nonempty")
-    if len(left) != len(action.left) or len(right) != len(action.right):
-        raise MalformedTree("a pan repeats an object")
-    if len(left) != len(right):
-        raise MalformedTree(
-            f"pans differ in size: {len(left)} vs {len(right)}"
-        )
-    if left & right:
-        raise MalformedTree(f"pans overlap on {sorted(left & right)}")
-    if not (left | right) <= suspect_set:
-        raise MalformedTree("pans contain non-suspects")
-    aside = suspect_set - left - right
-    for branch, child, expected in (
-        ("left-heavy", action.on_left_heavy, left),
-        ("right-heavy", action.on_right_heavy, right),
-        ("balance", action.on_balance, aside),
-    ):
-        if child is None:
-            if expected:
-                raise MalformedTree(f"missing {branch} child for suspects {sorted(expected)}")
-            continue
-        if set(child.suspects) != expected:
-            raise MalformedTree(
-                f"{branch} child covers {sorted(child.suspects)}, expected {sorted(expected)}"
-            )
+def _check_node(node: Weigh) -> None:
+    """The two invariants a node can break: every other one is its shape."""
+    if len(node.left) != len(node.right):
+        raise MalformedTree(f"pans differ in size: {len(node.left)} vs {len(node.right)}")
+    if len(set(node.suspects)) != len(node.suspects):
+        raise MalformedTree(f"suspect list {node.suspects!r} repeats objects")
 
 
-def simulate_strategy(tree: StrategyNode, heavy_index: int) -> tuple[int, int]:
+def simulate_strategy(tree: Leaf | Weigh, heavy_index: int) -> tuple[int, int]:
     """Walk the tree as the scale would respond if ``heavy_index`` is heavy.
 
     Returns the identified object and the number of weighings spent.  Every
@@ -222,89 +204,69 @@ def simulate_strategy(tree: StrategyNode, heavy_index: int) -> tuple[int, int]:
     if heavy_index not in tree.suspects:
         raise InvalidInstance(f"object {heavy_index} is not among the suspects")
     node, used = tree, 0
-    while True:
+    # heavy_index stays among node's suspects, so a balance is never None.
+    while isinstance(node, Weigh):
         _check_node(node)
-        action = node.action
-        if isinstance(action, Leaf):
-            return action.identified, used
         used += 1
-        if heavy_index in action.left:
-            node = action.on_left_heavy
-        elif heavy_index in action.right:
-            node = action.on_right_heavy
+        if heavy_index in node.left:
+            node = node.on_left_heavy
+        elif heavy_index in node.right:
+            node = node.on_right_heavy
         else:
-            node = action.on_balance  # _check_node proved it exists
+            node = node.on_balance
+    return node.identified, used
 
 
-def validate_strategy(tree: StrategyNode) -> None:
+def validate_strategy(tree: Leaf | Weigh) -> None:
     """Check the structural invariants of every node in the tree."""
-    _check_node(tree)
-    if isinstance(tree.action, Weigh):
-        for child in (
-            tree.action.on_left_heavy,
-            tree.action.on_right_heavy,
-            tree.action.on_balance,
-        ):
-            if child is not None:
-                validate_strategy(child)
+    if isinstance(tree, Weigh):
+        _check_node(tree)
+        for _, child in tree.branches():
+            validate_strategy(child)
 
 
-def strategy_depth(tree: StrategyNode) -> int:
+def strategy_depth(tree: Leaf | Weigh) -> int:
     """Worst-case number of weighings the tree can spend."""
-    if isinstance(tree.action, Leaf):
+    if isinstance(tree, Leaf):
         return 0
-    children = [tree.action.on_left_heavy, tree.action.on_right_heavy]
-    if tree.action.on_balance is not None:
-        children.append(tree.action.on_balance)
-    return 1 + max(strategy_depth(child) for child in children)
+    return 1 + max(strategy_depth(child) for _, child in tree.branches())
 
 
 def _ids(objects: tuple[int, ...]) -> str:
     return " ".join(str(i) for i in objects)
 
 
-def _render(node: StrategyNode, indent: str, lines: list[str]) -> None:
-    if isinstance(node.action, Leaf):
-        lines.append(f"{indent}object {node.action.identified}")
+def _render(node: Leaf | Weigh, indent: str, lines: list[str]) -> None:
+    if isinstance(node, Leaf):
+        lines.append(f"{indent}object {node.identified}")
         return
-    action = node.action
-    lines.append(f"{indent}weigh [{_ids(action.left)}] vs [{_ids(action.right)}]")
-    branches = (
-        ("left heavier", action.on_left_heavy),
-        ("right heavier", action.on_right_heavy),
-        ("balanced", action.on_balance),
-    )
-    for name, child in branches:
-        if child is None:
-            continue
-        if isinstance(child.action, Leaf):
-            lines.append(f"{indent}  {name}: object {child.action.identified}")
+    lines.append(f"{indent}weigh [{_ids(node.left)}] vs [{_ids(node.right)}]")
+    for name, child in node.branches():
+        if isinstance(child, Leaf):
+            lines.append(f"{indent}  {name}: object {child.identified}")
         else:
             lines.append(f"{indent}  {name}:")
             _render(child, indent + "    ", lines)
 
 
-def render_strategy(tree: StrategyNode) -> str:
+def render_strategy(tree: Leaf | Weigh) -> str:
     """Indented, human-readable text form of a strategy tree."""
     lines: list[str] = []
     _render(tree, "", lines)
     return "\n".join(lines)
 
 
-def strategy_to_dict(tree: StrategyNode) -> dict:
+def strategy_to_dict(tree: Leaf | Weigh) -> dict:
     """JSON-ready nested form of a strategy tree."""
-    if isinstance(tree.action, Leaf):
-        return {"suspects": list(tree.suspects), "identified": tree.action.identified}
-    action = tree.action
+    if isinstance(tree, Leaf):
+        return {"suspects": [tree.identified], "identified": tree.identified}
     return {
         "suspects": list(tree.suspects),
-        "left": list(action.left),
-        "right": list(action.right),
-        "on_left_heavy": strategy_to_dict(action.on_left_heavy),
-        "on_right_heavy": strategy_to_dict(action.on_right_heavy),
+        "left": list(tree.left),
+        "right": list(tree.right),
+        "on_left_heavy": strategy_to_dict(tree.on_left_heavy),
+        "on_right_heavy": strategy_to_dict(tree.on_right_heavy),
         "on_balance": (
-            strategy_to_dict(action.on_balance)
-            if action.on_balance is not None
-            else None
+            None if tree.on_balance is None else strategy_to_dict(tree.on_balance)
         ),
     }

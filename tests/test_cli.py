@@ -569,7 +569,7 @@ def test_module_entry_point(corpus_path):
 NINES_3000 = b"9" * 3000
 SEVENS, THREES = b"7" * 2500, b"3" * 2500
 # An exact answer with more digits than int-to-str conversion allows.
-TOO_LONG = "bad.speck: bad#1: Exceeds the limit (4300 digits)"
+TOO_LONG = "bad.speck: bad#1: exact value has more than 4300 digits, too long to print\n"
 
 
 @pytest.mark.parametrize(

@@ -25,6 +25,8 @@ CASES = [
      "all_kinds.json", None, 2),
     (["errors.speck"], None, "errors.stderr", 1),
     (["--check", "--explain", "strategies.speck"], "strategies.txt", None, 0),
+    (["--check", "--explain", "--format", "json", "strategies.speck"],
+     "strategies.json", None, 0),
 ]
 
 

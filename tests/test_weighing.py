@@ -9,7 +9,6 @@ from riddle_forge import (
     InvalidInstance,
     Leaf,
     MalformedTree,
-    StrategyNode,
     Weigh,
     WeighingInstance,
     build_strategy,
@@ -22,10 +21,6 @@ from riddle_forge import (
     validate_strategy,
 )
 from oracles import exhaustive_worst_case
-
-
-def leaf(i):
-    return StrategyNode((i,), Leaf(i))
 
 
 def test_formula_known_values():
@@ -133,29 +128,24 @@ def test_minimax_table_grows_safely_under_concurrent_callers(monkeypatch):
 
 def test_strategy_nine_objects_matches_equal_thirds():
     tree = build_strategy(WeighingInstance(9))
-    assert tree.action.left == (0, 1, 2)
-    assert tree.action.right == (3, 4, 5)
-    assert all(
-        len(child.suspects) == 3
-        for child in (
-            tree.action.on_left_heavy,
-            tree.action.on_right_heavy,
-            tree.action.on_balance,
-        )
-    )
+    assert tree.left == (0, 1, 2)
+    assert tree.right == (3, 4, 5)
+    assert tree.on_balance.suspects == (6, 7, 8)
     assert strategy_depth(tree) == 2
 
 
 def test_strategy_single_object_is_a_leaf():
     tree = build_strategy(WeighingInstance(1))
-    assert tree == StrategyNode((0,), Leaf(0))
+    assert tree == Leaf(0)
+    assert tree.suspects == (0,)
 
 
 def test_strategy_thirteen_objects_pans_of_four():
     tree = build_strategy(WeighingInstance(13))
-    assert len(tree.action.left) == 4
-    assert len(tree.action.right) == 4
-    assert len(tree.action.on_balance.suspects) == 5
+    assert len(tree.left) == 4
+    assert len(tree.right) == 4
+    assert len(tree.on_balance.suspects) == 5
+    assert tree.suspects == tuple(range(13))
     assert strategy_depth(tree) == 3
 
 
@@ -196,20 +186,13 @@ def test_strategy_soundness_small_range():
 
 
 def test_malformed_trees_are_rejected():
-    unequal_pans = StrategyNode((0, 1, 2), Weigh((0,), (1, 2), leaf(0), leaf(1), None))
-    overlapping = StrategyNode((0, 1, 2), Weigh((0, 1), (1, 2), leaf(0), leaf(1), None))
-    wrong_child = StrategyNode((0, 1), Weigh((0,), (1,), leaf(1), leaf(0), None))
-    fat_leaf = StrategyNode((0, 1), Leaf(0))
-    missing_balance = StrategyNode((0, 1, 2), Weigh((0,), (1,), leaf(0), leaf(1), None))
-    non_suspect_pan = StrategyNode((0, 1), Weigh((0,), (5,), leaf(0), leaf(5), None))
-    for tree in (
-        unequal_pans,
-        overlapping,
-        wrong_child,
-        fat_leaf,
-        missing_balance,
-        non_suspect_pan,
-    ):
+    # A pan is the subtree it leads to, so a tree can only have unequal pans
+    # or an object that appears twice among a node's suspects.
+    unequal_pans = Weigh(Leaf(0), Weigh(Leaf(1), Leaf(2)))
+    overlapping = Weigh(Weigh(Leaf(0), Leaf(1)), Weigh(Leaf(1), Leaf(2)))
+    on_a_pan_and_aside = Weigh(Leaf(0), Leaf(1), Leaf(0))
+    below_the_root = Weigh(Leaf(3), Leaf(4), unequal_pans)
+    for tree in (unequal_pans, overlapping, on_a_pan_and_aside, below_the_root):
         with pytest.raises(MalformedTree):
             simulate_strategy(tree, 0)
         with pytest.raises(MalformedTree):
