@@ -16,51 +16,53 @@ about the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
-from .core import Quantity, Rational, _exact, _is_int, _normalize_counts
+from .core import Quantity, Rational, Value, _exact, _is_int, _normalize_counts, _set
 from .errors import InvalidInstance, NoMeeting
 
 
-@dataclass(frozen=True)
-class DrawnIsMoved:
+class DrawnIsMoved(Value):
     """Event: the object drawn from B is one of the transferred ones."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class DrawnHasColor:
+
+class DrawnHasColor(Value):
     """Event: the object drawn from B has the given color."""
 
-    color: str
+    __slots__ = _fields = ("color",)
+
+    def __init__(self, color: str) -> None:
+        if not isinstance(color, str):
+            raise InvalidInstance(f"query color must be a string, not {type(color).__name__}")
+        _set(self, "color", color)
 
 
 Query = Union[DrawnIsMoved, DrawnHasColor]
 
 
-@dataclass(frozen=True)
-class TransferInstance:
+class TransferInstance(Value):
     """Two containers, a uniform random transfer from A to B, one draw from B."""
 
-    container_a: tuple[tuple[str, int], ...]
-    container_b: tuple[tuple[str, int], ...]
-    moved: int
-    query: Query
-
+    __slots__ = _fields = ("container_a", "container_b", "moved", "query")
     puzzle_kind = "transfer"
 
-    def __post_init__(self) -> None:
-        a = _normalize_counts(self.container_a, "container_a")
-        b = _normalize_counts(self.container_b, "container_b")
-        object.__setattr__(self, "container_a", a)
-        object.__setattr__(self, "container_b", b)
-        if not _is_int(self.moved) or self.moved < 1:
+    def __init__(self, container_a: tuple[tuple[str, int], ...],
+                 container_b: tuple[tuple[str, int], ...], moved: int, query: Query) -> None:
+        a = _normalize_counts(container_a, "container_a")
+        b = _normalize_counts(container_b, "container_b")
+        if not _is_int(moved) or moved < 1:
             raise InvalidInstance("moved must be a positive integer")
-        if self.moved > sum(count for _, count in a):
+        if moved > sum(count for _, count in a):
             raise InvalidInstance("cannot move more objects than container_a holds")
-        if not isinstance(self.query, (DrawnIsMoved, DrawnHasColor)):
+        if not isinstance(query, (DrawnIsMoved, DrawnHasColor)):
             raise InvalidInstance("query must be DrawnIsMoved or DrawnHasColor")
+        _set(self, "container_a", a)
+        _set(self, "container_b", b)
+        _set(self, "moved", moved)
+        _set(self, "query", query)
 
     @classmethod
     def from_block(cls, block) -> "TransferInstance | None":
@@ -115,8 +117,7 @@ def transfer_probability_enumerate(inst: TransferInstance) -> Rational:
     return Fraction(b_c * total_a + moved * a_c, total_a * after)
 
 
-@dataclass(frozen=True)
-class SurveyRow:
+class SurveyRow(Value):
     """One instance of the canonical survey family, with both answers.
 
     The family: container A holds ``source_total`` objects of one color
@@ -125,13 +126,18 @@ class SurveyRow:
     query is either DrawnIsMoved or DrawnHasColor("alpha").
     """
 
-    source_total: int
-    destination_total: int
-    destination_same: int
-    moved: int
-    query: str  # "drawn_is_moved" | "drawn_has_color"
-    enumerated: Rational
-    formula: Rational
+    __slots__ = _fields = ("source_total", "destination_total", "destination_same", "moved",
+                           "query", "enumerated", "formula")
+
+    def __init__(self, source_total: int, destination_total: int, destination_same: int,
+                 moved: int, query: str, enumerated: Rational, formula: Rational) -> None:
+        _set(self, "source_total", source_total)
+        _set(self, "destination_total", destination_total)
+        _set(self, "destination_same", destination_same)
+        _set(self, "moved", moved)
+        _set(self, "query", query)  # "drawn_is_moved" | "drawn_has_color"
+        _set(self, "enumerated", enumerated)
+        _set(self, "formula", formula)
 
     @property
     def match(self) -> bool:
@@ -193,20 +199,15 @@ def format_survey(rows: Iterable[SurveyRow]) -> str:
     return SURVEY_HEADER + "".join(map(survey_line, rows))
 
 
-@dataclass(frozen=True)
-class StationInstance:
+class StationInstance(Value):
     """Walker leaves X minutes early; the pair gets home Y minutes early."""
 
-    early_minutes: Rational
-    saved_minutes: Rational
-
+    __slots__ = _fields = ("early_minutes", "saved_minutes")
     puzzle_kind = "station"
 
-    def __post_init__(self) -> None:
-        early = _exact(self.early_minutes, "early_minutes")
-        saved = _exact(self.saved_minutes, "saved_minutes")
-        object.__setattr__(self, "early_minutes", early)
-        object.__setattr__(self, "saved_minutes", saved)
+    def __init__(self, early_minutes: Rational, saved_minutes: Rational) -> None:
+        early = _exact(early_minutes, "early_minutes")
+        saved = _exact(saved_minutes, "saved_minutes")
         if early.numerator <= 0 or saved.numerator <= 0:  # denominators are positive
             raise InvalidInstance("early and saved minutes must be positive")
         if saved > 2 * early:
@@ -214,6 +215,8 @@ class StationInstance:
                 "saved_minutes cannot exceed twice early_minutes; "
                 "the meeting scenario would be inconsistent"
             )
+        _set(self, "early_minutes", early)
+        _set(self, "saved_minutes", saved)
 
     @classmethod
     def from_block(cls, block) -> "StationInstance | None":

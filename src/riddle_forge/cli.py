@@ -14,7 +14,6 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -56,13 +55,16 @@ STRATEGY_RENDER_LIMIT = 27  # explain-mode trees get big fast beyond this
 STALL_SHOWN = 30  # explain-mode draws of the longest stall
 
 
-@dataclass
 class SolveOptions:
-    check: bool = False
-    explain: bool = False
-    fmt: str = "text"
-    ceil_subjects: bool = False
-    out: str | None = None
+    __slots__ = ("check", "explain", "fmt", "ceil_subjects", "out")
+
+    def __init__(self, check: bool = False, explain: bool = False, fmt: str = "text",
+                 ceil_subjects: bool = False, out: str | None = None) -> None:
+        self.check = check
+        self.explain = explain
+        self.fmt = fmt
+        self.ceil_subjects = ceil_subjects
+        self.out = out
 
 
 # json.dump's own string encoder (ensure_ascii) and constants.
@@ -70,18 +72,23 @@ _json_str = json.encoder.encode_basestring_ascii
 _JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
 
 
-@dataclass
 class SolveReport:
     """One solved puzzle, ready for text or JSON output."""
 
-    label: str
-    kind: str
-    answer: str
-    checked: bool = False
-    oracle: str | None = None
-    agreement: bool | None = None
-    explanation: list[str] = field(default_factory=list)
-    strategy: str | None = None  # weighing only, explain mode: JSON text, indent=2
+    __slots__ = ("label", "kind", "answer", "checked", "oracle", "agreement", "explanation",
+                 "strategy")
+
+    def __init__(self, label: str, kind: str, answer: str, checked: bool = False,
+                 oracle: str | None = None, agreement: bool | None = None,
+                 explanation: list[str] | None = None, strategy: str | None = None) -> None:
+        self.label = label
+        self.kind = kind
+        self.answer = answer
+        self.checked = checked
+        self.oracle = oracle
+        self.agreement = agreement
+        self.explanation = [] if explanation is None else explanation  # one list per report
+        self.strategy = strategy  # weighing only, explain mode: JSON text, indent=2
 
     def to_json(self) -> str:
         """This report as ``json.dump(reports, indent=2)`` writes a list item.

@@ -1,14 +1,16 @@
 """Shared value types: exact rationals, unit-tagged quantities, and the
 puzzle spec that wraps any of the five puzzle payloads.
 
-Everything here is an immutable value; instances may be shared freely
-between threads.
+Every puzzle value is a ``Value``: a ``__slots__`` class whose ``__init__``
+checks its arguments before it sets its fields, so values can be shared
+freely between threads.  No class is generated at import time: that
+machinery (and the ``inspect`` module it loads) was half of the import time
+every CLI run pays; see README, "Everything is an immutable value".
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Any
@@ -49,13 +51,49 @@ def _normalize_counts(
     return pairs
 
 
+_set = object.__setattr__  # how an __init__ sets a field of its own value
+
+
+class Value:
+    """Immutable value: its fields are named, in order, by ``_fields``.
+
+    Equality and hash go by exact type and fields; the repr is the keyword
+    constructor call; fields cannot be assigned or deleted; a pickle or copy
+    calls the constructor (and its checks) again.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
 class Unit(Enum):
     COUNT = "count"
     MINUTES = "min"
 
 
-@dataclass(frozen=True)
-class Quantity:
+class Quantity(Value):
     """A nonnegative magnitude tagged with its unit.
 
     Time is always stored in minutes (the parser folds hours in on the way
@@ -63,17 +101,20 @@ class Quantity:
     source text ("cats", "mice", ...); it carries no semantic weight.
     """
 
-    magnitude: Rational
-    unit: Unit
-    label: str | None = None
+    __slots__ = _fields = ("magnitude", "unit", "label")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "magnitude", _exact(self.magnitude, "magnitude"))
+    def __init__(self, magnitude: Rational, unit: Unit, label: str | None = None) -> None:
+        magnitude = _exact(magnitude, "magnitude")
         # A Fraction's denominator is positive: its sign is its numerator's.
-        if self.magnitude.numerator < 0:
-            raise InvalidInstance(f"quantity magnitude must be >= 0, got {self.magnitude}")
-        if self.unit is Unit.MINUTES and self.label is not None:
+        if magnitude.numerator < 0:
+            raise InvalidInstance(f"quantity magnitude must be >= 0, got {magnitude}")
+        if unit is Unit.MINUTES and label is not None:
             raise InvalidInstance("time quantities carry a unit, not a label")
+        if label is not None and not isinstance(label, str):
+            raise InvalidInstance(f"quantity label must be a string, not {type(label).__name__}")
+        _set(self, "magnitude", magnitude)
+        _set(self, "unit", unit)
+        _set(self, "label", label)
 
     @classmethod
     def count(cls, magnitude: int | Fraction, label: str | None = None) -> "Quantity":
@@ -88,20 +129,22 @@ class Quantity:
         return cls(_exact(magnitude, "hours") * 60, Unit.MINUTES)
 
 
-@dataclass(frozen=True)
-class PuzzleSpec:
+class PuzzleSpec(Value):
     """One puzzle: a payload of one of the five puzzle types, and a label.
 
     Payload classes name their kind through a ``puzzle_kind`` class
     attribute; the constructor refuses a payload that has none.
     """
 
-    payload: Any
-    label: str | None = None
+    __slots__ = _fields = ("payload", "label")
 
-    def __post_init__(self) -> None:
-        if not hasattr(type(self.payload), "puzzle_kind"):
-            raise InvalidInstance(f"{type(self.payload).__name__} is not a puzzle payload")
+    def __init__(self, payload: Any, label: str | None = None) -> None:
+        if not hasattr(type(payload), "puzzle_kind"):
+            raise InvalidInstance(f"{type(payload).__name__} is not a puzzle payload")
+        if label is not None and not isinstance(label, str):
+            raise InvalidInstance(f"puzzle label must be a string, not {type(label).__name__}")
+        _set(self, "payload", payload)
+        _set(self, "label", label)
 
     @property
     def kind(self) -> str:

@@ -8,28 +8,24 @@ any instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import _is_int, _normalize_counts
+from .core import Value, _is_int, _normalize_counts, _set
 from .errors import Infeasible, InvalidInstance
 
 
-@dataclass(frozen=True)
-class PigeonholeInstance:
+class PigeonholeInstance(Value):
     """Ordered per-color counts plus the same-color run being asked for."""
 
-    color_counts: tuple[tuple[str, int], ...]
-    required: int
-
+    __slots__ = _fields = ("color_counts", "required")
     puzzle_kind = "pigeonhole"
 
-    def __post_init__(self) -> None:
-        pairs = _normalize_counts(self.color_counts, "color_counts")
+    def __init__(self, color_counts: tuple[tuple[str, int], ...], required: int) -> None:
+        pairs = _normalize_counts(color_counts, "color_counts")
         if not pairs:
             raise InvalidInstance("at least one color is required")
-        object.__setattr__(self, "color_counts", pairs)
-        if not _is_int(self.required) or self.required < 1:
+        if not _is_int(required) or required < 1:
             raise InvalidInstance("required must be a positive integer")
+        _set(self, "color_counts", pairs)
+        _set(self, "required", required)
 
     @classmethod
     def from_block(cls, block) -> "PigeonholeInstance | None":

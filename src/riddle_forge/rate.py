@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from enum import Enum
 
-from .core import Quantity, Rational, Unit
+from .core import Quantity, Rational, Unit, Value, _set
 from .errors import InvalidInstance
 
 
@@ -40,18 +39,18 @@ def _check_positive(quantity: Quantity, name: str, unit: Unit) -> None:
         raise InvalidInstance(f"{name} must be strictly positive")
 
 
-@dataclass(frozen=True)
-class RateScenario:
+class RateScenario(Value):
     """A complete (work, subjects, time) triple, all strictly positive."""
 
-    work: Quantity
-    subjects: Quantity
-    time: Quantity
+    __slots__ = _fields = ("work", "subjects", "time")
 
-    def __post_init__(self) -> None:
-        _check_positive(self.work, "work", Unit.COUNT)
-        _check_positive(self.subjects, "subjects", Unit.COUNT)
-        _check_positive(self.time, "time", Unit.MINUTES)
+    def __init__(self, work: Quantity, subjects: Quantity, time: Quantity) -> None:
+        _check_positive(work, "work", Unit.COUNT)
+        _check_positive(subjects, "subjects", Unit.COUNT)
+        _check_positive(time, "time", Unit.MINUTES)
+        _set(self, "work", work)
+        _set(self, "subjects", subjects)
+        _set(self, "time", time)
 
 
 def rate_constant(scenario: RateScenario) -> Rational:
@@ -61,35 +60,33 @@ def rate_constant(scenario: RateScenario) -> Rational:
     )
 
 
-@dataclass(frozen=True)
-class RateQuery:
+class RateQuery(Value):
     """A known scenario plus two given quantities; solve for the third.
 
     The field named by ``target`` must be None, the other two must be
     present, strictly positive, and carry the right unit.
     """
 
-    known: RateScenario
-    target: RateField
-    work: Quantity | None = None
-    subjects: Quantity | None = None
-    time: Quantity | None = None
-
+    __slots__ = _fields = ("known", "target", "work", "subjects", "time")
     puzzle_kind = "rate"
 
-    def __post_init__(self) -> None:
-        by_field = _by_field(self)
-        if by_field[self.target] is not None:
-            raise InvalidInstance(
-                f"target '{self.target.value}' must not also be given"
-            )
+    def __init__(self, known: RateScenario, target: RateField, work: Quantity | None = None,
+                 subjects: Quantity | None = None, time: Quantity | None = None) -> None:
+        by_field = dict(zip(_FIELDS, (work, subjects, time)))
+        if by_field[target] is not None:
+            raise InvalidInstance(f"target '{target.value}' must not also be given")
         for field, quantity in by_field.items():
-            if field is self.target:
+            if field is target:
                 continue
             if quantity is None:
                 raise InvalidInstance(f"missing given quantity '{field.value}'")
             unit = Unit.MINUTES if field is RateField.TIME else Unit.COUNT
             _check_positive(quantity, field.value, unit)
+        _set(self, "known", known)
+        _set(self, "target", target)
+        _set(self, "work", work)
+        _set(self, "subjects", subjects)
+        _set(self, "time", time)
 
     def given(self) -> dict[RateField, Quantity]:
         """The two given quantities, keyed by field."""

@@ -32,24 +32,25 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Union
 
 from .classics import StationInstance, TransferInstance
-from .core import PuzzleSpec, Quantity, Unit
+from .core import PuzzleSpec, Quantity, Unit, Value, _set
 from .errors import InvalidInstance
 from .pigeonhole import PigeonholeInstance
 from .rate import RateQuery
 from .weighing import WeighingInstance
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    line: int  # 1-based
-    column: int  # 1-based, one per character (a tab counts as one)
-    length: int
+class SourceSpan(Value):
+    __slots__ = _fields = ("line", "column", "length")
+
+    def __init__(self, line: int, column: int, length: int) -> None:
+        _set(self, "line", line)  # 1-based
+        _set(self, "column", column)  # 1-based, one per character (a tab counts as one)
+        _set(self, "length", length)
 
 
 class ParseErrorKind(Enum):
@@ -63,11 +64,13 @@ class ParseErrorKind(Enum):
     SYNTAX = "syntax"
 
 
-@dataclass(frozen=True)
-class ParseError:
-    span: SourceSpan
-    kind: ParseErrorKind
-    message: str
+class ParseError(Value):
+    __slots__ = _fields = ("span", "kind", "message")
+
+    def __init__(self, span: SourceSpan, kind: ParseErrorKind, message: str) -> None:
+        _set(self, "span", span)
+        _set(self, "kind", kind)
+        _set(self, "message", message)
 
     def __str__(self) -> str:
         return f"{self.span.line}:{self.span.column}: {self.kind.value}: {self.message}"

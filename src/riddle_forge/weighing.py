@@ -15,21 +15,19 @@ three near-equal groups" procedure executable and checkable.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
 
-from .core import _is_int
+from .core import Value, _is_int, _set
 from .errors import InvalidInstance, MalformedTree
 
 
-@dataclass(frozen=True)
-class WeighingInstance:
-    n_objects: int
-
+class WeighingInstance(Value):
+    __slots__ = _fields = ("n_objects",)
     puzzle_kind = "weighing"
 
-    def __post_init__(self) -> None:
-        if not _is_int(self.n_objects) or self.n_objects < 1:
+    def __init__(self, n_objects: int) -> None:
+        if not _is_int(n_objects) or n_objects < 1:
             raise InvalidInstance("n_objects must be a positive integer")
+        _set(self, "n_objects", n_objects)
 
     @classmethod
     def from_block(cls, block) -> "WeighingInstance | None":
@@ -124,34 +122,36 @@ def min_weighings_oracle(inst: WeighingInstance) -> int:
     return _worst_case_table(inst.n_objects)[inst.n_objects]
 
 
-@dataclass(frozen=True)
-class Leaf:
-    identified: int
+class Leaf(Value):
+    __slots__ = _fields = ("identified",)
+
+    def __init__(self, identified: int) -> None:
+        _set(self, "identified", identified)
 
     @property
     def suspects(self) -> tuple[int, ...]:
         return (self.identified,)
 
 
-@dataclass(frozen=True)
-class Weigh:
+class Weigh(Value):
     """A decision-tree node: weigh, then follow the outcome's subtree.
 
     Each pan is the suspects of the subtree that follows it coming down
     heavy, so no pan is stored apart from the subtree it could disagree with.
     """
 
-    on_left_heavy: Leaf | Weigh
-    on_right_heavy: Leaf | Weigh
-    # None only when nothing is set aside; a balanced outcome is then
-    # impossible (the heavy object must sit on one of the pans).
-    on_balance: Leaf | Weigh | None = None
-    # The pans, then the set-aside group.
-    suspects: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # ``suspects`` (the pans, then the set-aside group) is worked out, not a field.
+    _fields = ("on_left_heavy", "on_right_heavy", "on_balance")
+    __slots__ = (*_fields, "suspects")
 
-    def __post_init__(self) -> None:
-        aside = () if self.on_balance is None else self.on_balance.suspects
-        object.__setattr__(self, "suspects", self.left + self.right + aside)
+    # on_balance is None only when nothing is set aside, so the heavy object is on a pan.
+    def __init__(self, on_left_heavy: Leaf | Weigh, on_right_heavy: Leaf | Weigh,
+                 on_balance: Leaf | Weigh | None = None) -> None:
+        aside = () if on_balance is None else on_balance.suspects
+        _set(self, "on_left_heavy", on_left_heavy)
+        _set(self, "on_right_heavy", on_right_heavy)
+        _set(self, "on_balance", on_balance)
+        _set(self, "suspects", on_left_heavy.suspects + on_right_heavy.suspects + aside)
 
     @property
     def left(self) -> tuple[int, ...]:

@@ -163,6 +163,37 @@ def test_json_reports_are_written_as_json_dump_writes_them(pairs):
     assert handle.getvalue() == json.dumps([data for _, data in pairs], indent=2) + "\n"
 
 
+def test_solve_records_keep_their_defaults():
+    first, second = cli.SolveReport("a", "rate", "1"), cli.SolveReport("b", "rate", "2")
+    first.explanation.append("line")
+    assert second.explanation == [] and first.explanation is not second.explanation
+    opts = cli.SolveOptions()
+    assert (opts.check, opts.explain, opts.fmt, opts.ceil_subjects, opts.out) == (
+        False, False, "text", False, None
+    )
+
+
+def _modules_after(statement):
+    """The modules a fresh interpreter has loaded after running ``statement``."""
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    probe = subprocess.run(
+        [sys.executable, "-c", f"{statement}; import sys; print(*sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": package_root},
+        check=True,
+    )
+    return set(probe.stdout.split())
+
+
+def test_cli_import_loads_no_class_generator():
+    # Every CLI run pays for what the import loads; these two were half of it.
+    added = _modules_after("import riddle_forge.cli") - _modules_after("pass")
+    assert "riddle_forge.cli" in added
+    assert {"dataclasses", "inspect"} & added == set()
+
+
 def test_solve_parse_error_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.speck"
     bad.write_text("puzzle weighing { objects = -3 }\n", encoding="utf-8")

@@ -1,7 +1,9 @@
 """Core value types: quantities and the puzzle union."""
 
 import ast
+import copy
 import io
+import pickle
 import tokenize
 from fractions import Fraction
 from pathlib import Path
@@ -9,15 +11,26 @@ from pathlib import Path
 import pytest
 
 from riddle_forge import (
+    DrawnHasColor,
     DrawnIsMoved,
     InvalidInstance,
+    Leaf,
+    ParseError,
+    ParseErrorKind,
     PigeonholeInstance,
     PuzzleSpec,
     Quantity,
+    RateField,
+    RateQuery,
     RateScenario,
+    SourceSpan,
+    StationInstance,
+    SurveyRow,
     TransferInstance,
     Unit,
+    Weigh,
     WeighingInstance,
+    build_strategy,
 )
 from riddle_forge.core import _exact
 
@@ -51,6 +64,23 @@ def test_quantity_rejects_bad_values():
 )
 def test_constructors_check_direct_callers(build):
     with pytest.raises(InvalidInstance):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: DrawnHasColor(None),
+        lambda: DrawnHasColor(5),
+        lambda: PuzzleSpec(WeighingInstance(3), label=5),
+        lambda: Quantity(3, Unit.COUNT, 7),
+        lambda: PuzzleSpec(WeighingInstance(3), label=b"stamps"),
+    ],
+    ids=["color-none", "color-int", "spec-label-int", "quantity-label-int", "spec-label-bytes"],
+)
+def test_words_must_be_strings(build):
+    # A non-string word cannot be written as DSL text that reads back as the same spec.
+    with pytest.raises(InvalidInstance, match="must be a string"):
         build()
 
 
@@ -102,3 +132,76 @@ def test_package_source_has_no_floats():
                 float_names.append(where)
     assert float_literals == []
     assert float_names == [("core.py", "if isinstance(value, float):")]
+
+
+_KNOWN = RateScenario(Quantity.count(6), Quantity.count(6), Quantity.minutes(6))
+_KNOWN_REPR = (
+    "RateScenario(work=Quantity(magnitude=Fraction(6, 1), unit=<Unit.COUNT: 'count'>, "
+    "label=None), subjects=Quantity(magnitude=Fraction(6, 1), unit=<Unit.COUNT: 'count'>, "
+    "label=None), time=Quantity(magnitude=Fraction(6, 1), unit=<Unit.MINUTES: 'min'>, label=None))"
+)
+_TREE = build_strategy(WeighingInstance(13))
+
+
+# (class, constructor arguments, the repr the former dataclass code gave).
+_VALUES = [
+    (Quantity, (Fraction(3, 2), Unit.COUNT, "cats"),
+     "Quantity(magnitude=Fraction(3, 2), unit=<Unit.COUNT: 'count'>, label='cats')"),
+    (PuzzleSpec, (WeighingInstance(13), "coins"),
+     "PuzzleSpec(payload=WeighingInstance(n_objects=13), label='coins')"),
+    (RateScenario, (_KNOWN.work, _KNOWN.subjects, _KNOWN.time), _KNOWN_REPR),
+    (RateQuery, (_KNOWN, RateField.SUBJECTS, Quantity.count(100), None, Quantity.minutes(100)),
+     f"RateQuery(known={_KNOWN_REPR}, target=<RateField.SUBJECTS: 'subjects'>, "
+     "work=Quantity(magnitude=Fraction(100, 1), unit=<Unit.COUNT: 'count'>, label=None), "
+     "subjects=None, "
+     "time=Quantity(magnitude=Fraction(100, 1), unit=<Unit.MINUTES: 'min'>, label=None))"),
+    (WeighingInstance, (13,), "WeighingInstance(n_objects=13)"),
+    (Leaf, (3,), "Leaf(identified=3)"),
+    (Weigh, (_TREE.on_left_heavy, _TREE.on_right_heavy, _TREE.on_balance),
+     "Weigh(on_left_heavy=Weigh(on_left_heavy=Leaf(identified=0), "
+     "on_right_heavy=Leaf(identified=1), on_balance=Weigh(on_left_heavy=Leaf(identified=2), "
+     "on_right_heavy=Leaf(identified=3), on_balance=None)), "
+     "on_right_heavy=Weigh(on_left_heavy=Leaf(identified=4), "
+     "on_right_heavy=Leaf(identified=5), on_balance=Weigh(on_left_heavy=Leaf(identified=6), "
+     "on_right_heavy=Leaf(identified=7), on_balance=None)), "
+     "on_balance=Weigh(on_left_heavy=Weigh(on_left_heavy=Leaf(identified=8), "
+     "on_right_heavy=Leaf(identified=9), on_balance=None), "
+     "on_right_heavy=Weigh(on_left_heavy=Leaf(identified=10), "
+     "on_right_heavy=Leaf(identified=11), on_balance=None), on_balance=Leaf(identified=12)))"),
+    (PigeonholeInstance, ((("blue", 10), ("red", 8)), 2),
+     "PigeonholeInstance(color_counts=(('blue', 10), ('red', 8)), required=2)"),
+    (DrawnIsMoved, (), "DrawnIsMoved()"),
+    (DrawnHasColor, ("red",), "DrawnHasColor(color='red')"),
+    (TransferInstance, ((("red", 3), ("blue", 1)), (("blue", 2),), 2, DrawnHasColor("red")),
+     "TransferInstance(container_a=(('red', 3), ('blue', 1)), container_b=(('blue', 2),), "
+     "moved=2, query=DrawnHasColor(color='red'))"),
+    (SurveyRow, (2, 3, 1, 1, "drawn_is_moved", Fraction(1, 4), Fraction(4, 5)),
+     "SurveyRow(source_total=2, destination_total=3, destination_same=1, moved=1, "
+     "query='drawn_is_moved', enumerated=Fraction(1, 4), formula=Fraction(4, 5))"),
+    (StationInstance, (Fraction(20), Fraction(15)),
+     "StationInstance(early_minutes=Fraction(20, 1), saved_minutes=Fraction(15, 1))"),
+    (SourceSpan, (1, 2, 3), "SourceSpan(line=1, column=2, length=3)"),
+    (ParseError, (SourceSpan(1, 2, 3), ParseErrorKind.SYNTAX, "expected '='"),
+     "ParseError(span=SourceSpan(line=1, column=2, length=3), "
+     "kind=<ParseErrorKind.SYNTAX: 'syntax'>, message=\"expected '='\")"),
+]
+
+
+@pytest.mark.parametrize("cls, args, expected_repr", _VALUES, ids=[c.__name__ for c, *_ in _VALUES])
+def test_value_contract(cls, args, expected_repr):
+    value, twin = cls(*args), cls(*args)
+    assert value == twin and hash(value) == hash(twin)
+    # Same fields, another class: never equal, either way round.
+    other = type(f"Other{cls.__name__}", (cls,), {"__slots__": ()})(*args)
+    assert value != other and other != value
+    for name in (*cls.__slots__, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert value == twin
+    for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert type(copied) is cls and copied == value
+        if cls is Weigh:
+            assert copied.suspects == value.suspects == tuple(range(13))
+    assert repr(value) == expected_repr
