@@ -17,7 +17,7 @@ about the identity.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator
 
 from .core import Quantity, Rational, Value, _exact, _is_int, _normalize_counts, _set
 from .errors import InvalidInstance, NoMeeting
@@ -40,7 +40,7 @@ class DrawnHasColor(Value):
         _set(self, "color", color)
 
 
-Query = Union[DrawnIsMoved, DrawnHasColor]
+Query = DrawnIsMoved | DrawnHasColor
 
 
 class TransferInstance(Value):

@@ -13,12 +13,19 @@ Two readers feed the same block builder.  The fast reader takes the leading
 lines in the canonical one-line form ``serialize_puzzle`` writes, one
 regular-expression match a line, and steps over blank and comment-only lines
 among them, up to the first that is not canonical or does not build; the
-token parser reads on from there, and every error comes from it.  Its lexer turns the source into a list of strings, each token its
-own source text, from one compiled regular expression; comments are dropped
-and the end of input is the empty string.  The parser tells a token's type
-from its first character and reads a number's value only where it expects
-one.  It carries ``(first, last)`` token-index pairs; only when there are
-errors is the source scanned again for their offsets, lines and columns.
+token parser reads on from there, and every error comes from it.  Its lexer
+turns the source into a list of strings, each token its own source text,
+from one compiled regular expression; comments are dropped and the end of
+input is the empty string.  The parser tells a token's type from its first
+character and reads a number's value only where it expects one.  It carries
+``(first, last)`` token-index pairs; only when there are errors is the
+source scanned again for their offsets, lines and columns.
+
+Both readers make each ``key = value`` statement one ``_Assign`` record that
+holds its parsed value: an ``int`` or ``Fraction`` for a number (its trailing
+word, if any, in ``word``), a ``str`` for a word, or a tuple of ``(name,
+count, name_span, count_span)`` items for a color list.  The block's value
+readers tell the three apart by the value's Python type.
 
 Errors carry precise source spans and a kind; parsing recovers at block
 boundaries so one bad block does not hide errors in the next.
@@ -34,7 +41,7 @@ import re
 from bisect import bisect_right
 from enum import Enum
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 from .classics import StationInstance, TransferInstance
 from .core import PuzzleSpec, Quantity, Unit, Value, _set
@@ -156,41 +163,23 @@ def _locate(source: str, start: int, errors: list[_Error]) -> list[ParseError]:
 
 
 # ----------------------------------------------------------------------
-# Parsed value forms (parser-internal)
-
-class _NumberValue(NamedTuple):
-    value: int | Fraction
-    span: _Span
-    word: str | None  # trailing unit-or-label word, if any
-    word_span: _Span | None
-
-
-class _ColorListValue(NamedTuple):
-    # (name, count, name_span, count_span) per item, declaration order
-    items: tuple[tuple[str, int, _Span, _Span], ...]
-    span: _Span
-
-
-class _IdentValue(NamedTuple):
-    name: str
-    span: _Span
-
-
-_Value = Union[_NumberValue, _ColorListValue, _IdentValue]
-
-
-def _value_what(value: _Value) -> str:
-    if isinstance(value, _NumberValue):
-        return "a number"
-    if isinstance(value, _ColorListValue):
-        return "a color list"
-    return f"the word '{value.name}'"
-
+# Parsed statements (parser-internal)
 
 class _Assign(NamedTuple):
+    """A ``key = value`` statement, its value parsed (see the module docstring)."""
+
     key: str
     key_span: _Span
-    value: _Value
+    value: int | Fraction | str | tuple[tuple[str, int, _Span, _Span], ...]
+    span: _Span  # the value's
+    word: str | None = None  # a number's trailing unit-or-label word, if any
+    word_span: _Span | None = None
+
+
+def _value_what(value: object) -> str:
+    if isinstance(value, str):
+        return f"the word '{value}'"
+    return "a color list" if isinstance(value, tuple) else "a number"
 
 
 class _Find(NamedTuple):
@@ -343,7 +332,7 @@ class _Parser:
     def _parse_assign(self, what: str) -> _Assign:
         key_at = self._expect_word(what)
         self._expect("=", "'='")
-        return _Assign(self.tokens[key_at], (key_at, key_at), self._parse_value())
+        return self._parse_value(self.tokens[key_at], (key_at, key_at))
 
     def _parse_find(self) -> _Find:
         find_at = self.pos
@@ -366,19 +355,19 @@ class _Parser:
 
     # -- values ----------------------------------------------------------
 
-    def _parse_value(self) -> _Value:
+    def _parse_value(self, key: str, key_span: _Span) -> _Assign:
         pos = self.pos
         tok = self.tokens[pos]
         if tok[:1] in _WORD_START:
             self.pos = pos + 1
-            return _IdentValue(tok, (pos, pos))
+            return _Assign(key, key_span, tok, (pos, pos))
         if tok == "(":
-            return self._parse_colorlist()
+            return self._parse_colorlist(key, key_span)
         if _is_number(tok):
-            return self._parse_number_value()
+            return self._parse_number_value(key, key_span)
         raise self._unexpected("a value")
 
-    def _parse_number_value(self) -> _NumberValue:
+    def _parse_number_value(self, key: str, key_span: _Span) -> _Assign:
         value: int | Fraction
         value, num_at = self._expect_int("a value")
         span = (num_at, num_at)
@@ -396,10 +385,10 @@ class _Parser:
         word = self.tokens[pos]
         if word[:1] in _WORD_START:
             self.pos = pos + 1
-            return _NumberValue(value, span, word, (pos, pos))
-        return _NumberValue(value, span, None, None)
+            return _Assign(key, key_span, value, span, word, (pos, pos))
+        return _Assign(key, key_span, value, span)
 
-    def _parse_colorlist(self) -> _ColorListValue:
+    def _parse_colorlist(self, key: str, key_span: _Span) -> _Assign:
         open_at = self.pos
         self.pos += 1  # the '('
         span = (open_at, open_at)
@@ -407,7 +396,7 @@ class _Parser:
         items: list[tuple[str, int, _Span, _Span]] = []
         if self.tokens[self.pos] == ")":
             self.pos += 1
-            return _ColorListValue((), span)
+            return _Assign(key, key_span, (), span)
         while True:
             self._skip_newlines()
             name_at = self._expect_word("a color name")
@@ -425,7 +414,7 @@ class _Parser:
                 continue
             break
         self._expect(")", "')'")
-        return _ColorListValue(tuple(items), span)
+        return _Assign(key, key_span, tuple(items), span)
 
 
 class _Block:
@@ -496,7 +485,7 @@ class _Block:
         try:
             return payload_type(*args, **kwargs)
         except InvalidInstance as exc:
-            span = self.kind_span if at is None else at.value.span
+            span = self.kind_span if at is None else at.span
             self.errors.append((span, ParseErrorKind.SYNTAX, str(exc)))
             return None
 
@@ -562,32 +551,32 @@ class _Block:
         if assign is None:
             return None
         value = assign.value
-        if not isinstance(value, _IdentValue):
+        if not isinstance(value, str):
             self.errors.append(
-                (value.span, ParseErrorKind.TYPE_MISMATCH,
+                (assign.span, ParseErrorKind.TYPE_MISMATCH,
                  f"key '{assign.key}' expects a word, found {_value_what(value)}")
             )
             return None
-        return value.name
+        return value
 
     def _number(
         self, assign: _Assign | None, expects: str, counts: bool
-    ) -> _NumberValue | None:
+    ) -> int | Fraction | None:
         """The assigned number; with ``counts``, one that carries no time unit."""
         if assign is None:
             return None
         value = assign.value
-        if not isinstance(value, _NumberValue):
+        if isinstance(value, (str, tuple)):
             self.errors.append(
-                (value.span, ParseErrorKind.TYPE_MISMATCH,
+                (assign.span, ParseErrorKind.TYPE_MISMATCH,
                  f"key '{assign.key}' expects {expects}, found {_value_what(value)}")
             )
             return None
-        if counts and value.word in _TIME_UNITS:
+        if counts and assign.word in _TIME_UNITS:
             self.errors.append(
-                (value.word_span, ParseErrorKind.BAD_UNIT,
+                (assign.word_span, ParseErrorKind.BAD_UNIT,
                  f"key '{assign.key}' counts objects; time unit "
-                 f"'{value.word}' is not allowed here")
+                 f"'{assign.word}' is not allowed here")
             )
             return None
         return value
@@ -597,26 +586,26 @@ class _Block:
         value = self._number(assign, "a number", counts=True)
         if value is None:
             return None
-        if value.value.numerator <= 0:  # an int's or a Fraction's sign
+        if value.numerator <= 0:  # an int's or a Fraction's sign
             self.errors.append(
-                (value.span, ParseErrorKind.NEGATIVE_COUNT,
-                 f"key '{assign.key}' must be strictly positive, got {value.value}")
+                (assign.span, ParseErrorKind.NEGATIVE_COUNT,
+                 f"key '{assign.key}' must be strictly positive, got {value}")
             )
             return None
-        return Quantity(value.value, Unit.COUNT, value.word)
+        return Quantity(value, Unit.COUNT, assign.word)
 
     def time(self, assign: _Assign | None) -> Quantity | None:
         """A strictly positive time in minutes; a bare number is minutes."""
         value = self._number(assign, "a number", counts=False)
         if value is None:
             return None
-        magnitude = value.value
-        if value.word is not None:
-            scale = _TIME_UNITS.get(value.word)
+        magnitude = value
+        if assign.word is not None:
+            scale = _TIME_UNITS.get(assign.word)
             if scale is None:
                 self.errors.append(
-                    (value.word_span, ParseErrorKind.BAD_UNIT,
-                     f"unknown time unit '{value.word}' for key "
+                    (assign.word_span, ParseErrorKind.BAD_UNIT,
+                     f"unknown time unit '{assign.word}' for key "
                      f"'{assign.key}'; expected 'min' or 'h'")
                 )
                 return None
@@ -624,8 +613,8 @@ class _Block:
                 magnitude *= scale
         if magnitude.numerator <= 0:
             self.errors.append(
-                (value.span, ParseErrorKind.NEGATIVE_COUNT,
-                 f"key '{assign.key}' must be strictly positive, got {value.value}")
+                (assign.span, ParseErrorKind.NEGATIVE_COUNT,
+                 f"key '{assign.key}' must be strictly positive, got {value}")
             )
             return None
         return Quantity(magnitude, Unit.MINUTES)
@@ -634,44 +623,43 @@ class _Block:
         value = self._number(assign, "an integer", counts=True)
         if value is None:
             return None
-        if value.value.denominator != 1:
+        if value.denominator != 1:
             self.errors.append(
-                (value.span, ParseErrorKind.TYPE_MISMATCH,
-                 f"key '{assign.key}' expects an integer, got {value.value}")
+                (assign.span, ParseErrorKind.TYPE_MISMATCH,
+                 f"key '{assign.key}' expects an integer, got {value}")
             )
             return None
-        number = int(value.value)
-        if number < minimum:
+        if value < minimum:
             self.errors.append(
-                (value.span, ParseErrorKind.NEGATIVE_COUNT,
-                 f"key '{assign.key}' must be at least {minimum}, got {number}")
+                (assign.span, ParseErrorKind.NEGATIVE_COUNT,
+                 f"key '{assign.key}' must be at least {minimum}, got {value}")
             )
             return None
-        return number
+        return int(value)
 
     def colors(
         self, assign: _Assign | None, at_least_one: bool
     ) -> tuple[tuple[str, int], ...] | None:
         if assign is None:
             return None
-        value = assign.value
+        items = assign.value
         errors = self.errors
-        if not isinstance(value, _ColorListValue):
+        if not isinstance(items, tuple):
             errors.append(
-                (value.span, ParseErrorKind.TYPE_MISMATCH,
+                (assign.span, ParseErrorKind.TYPE_MISMATCH,
                  f"key '{assign.key}' expects a color list like "
-                 f"(blue: 2, red: 3), found {_value_what(value)}")
+                 f"(blue: 2, red: 3), found {_value_what(items)}")
             )
             return None
-        if at_least_one and not value.items:
+        if at_least_one and not items:
             errors.append(
-                (value.span, ParseErrorKind.TYPE_MISMATCH,
+                (assign.span, ParseErrorKind.TYPE_MISMATCH,
                  f"key '{assign.key}' needs at least one color")
             )
             return None
         seen: dict[str, _Span] = {}
         ok = True
-        for name, count, name_span, count_span in value.items:
+        for name, count, name_span, count_span in items:
             if name in seen:
                 errors.append(
                     (name_span, ParseErrorKind.DUPLICATE_KEY,
@@ -687,7 +675,7 @@ class _Block:
                 ok = False
         if not ok:
             return None
-        return tuple((name, count) for name, count, _, _ in value.items)
+        return tuple((name, count) for name, count, _, _ in items)
 
 
 # The canonical one-line blocks serialize_puzzle writes.  A where-clause holds
@@ -712,13 +700,13 @@ def _canonical_assign(text: str) -> _Assign:
     if text[0] == "(":
         pairs = (item.partition(": ") for item in text[1:-1].split(", ") if item)
         items = tuple((name, int(count), _NOWHERE, _NOWHERE) for name, _, count in pairs)
-        return _Assign(key, _NOWHERE, _ColorListValue(items, _NOWHERE))
+        return _Assign(key, _NOWHERE, items, _NOWHERE)
     if text[0] in _WORD_START:
-        return _Assign(key, _NOWHERE, _IdentValue(text, _NOWHERE))
+        return _Assign(key, _NOWHERE, text, _NOWHERE)
     number, _, word = text.partition(" ")
     p, slash, q = number.partition("/")
     value = Fraction(int(p), int(q)) if slash else int(p)
-    return _Assign(key, _NOWHERE, _NumberValue(value, _NOWHERE, word or None, _NOWHERE))
+    return _Assign(key, _NOWHERE, value, _NOWHERE, word or None, _NOWHERE)
 
 
 def _read_canonical(source: str) -> tuple[list[PuzzleSpec], int]:

@@ -59,8 +59,14 @@ def test_quantity_rejects_bad_values():
         lambda: RateScenario(
             Quantity(Fraction(0), Unit.COUNT), Quantity.count(1), Quantity.minutes(1)
         ),
+        lambda: PigeonholeInstance((("", 1),), 1),
+        lambda: PigeonholeInstance(((3, 1),), 1),
+        lambda: TransferInstance((("a", 1),), (), 1, "moved"),
     ],
-    ids=["negative-fraction", "negative-int", "float", "zero-fraction-rate"],
+    ids=[
+        "negative-fraction", "negative-int", "float", "zero-fraction-rate",
+        "empty-color-label", "non-string-color-label", "bare-string-query",
+    ],
 )
 def test_constructors_check_direct_callers(build):
     with pytest.raises(InvalidInstance):

@@ -326,6 +326,32 @@ def test_recovery_collects_errors_from_every_block():
             [("1:54: syntax: find target must be one of work, subjects, time; "
               "got 'speed'", 5)],
         ),
+        (
+            "puzzle pigeonhole { counts = (); required = 2 }",
+            [("1:30: type_mismatch: key 'counts' needs at least one color", 1)],
+        ),
+        (
+            "puzzle pigeonhole { counts = (a: 1/2); required = 2 }",
+            [("1:35: syntax: color counts must be integers", 1)],
+        ),
+        (
+            "puzzle rate { work = 1; subjects = 1; time = 1; "
+            "find subjects where work = 1, work = 2, time = 1 }",
+            [("1:79: duplicate_key: duplicate key 'work' in where-clause", 4)],
+        ),
+        (
+            "puzzle weighing { label = (a: 1); objects = 3 }",
+            [("1:27: type_mismatch: key 'label' expects a word, found a color list", 1)],
+        ),
+        (
+            "puzzle station { early = (a: 1); saved = x }",
+            [
+                ("1:26: type_mismatch: key 'early' expects a number, "
+                 "found a color list", 1),
+                ("1:42: type_mismatch: key 'saved' expects a number, "
+                 "found the word 'x'", 1),
+            ],
+        ),
     ],
 )
 def test_errors_within_a_block_come_in_a_fixed_order(source, expected):
