@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import itertools
 import json
 import os
 import sys
@@ -49,7 +48,6 @@ from .weighing import (
 )
 
 WEIGHING_ORACLE_LIMIT = 3 ** 12  # bounds --check and sweep; a sweep to it takes ~1.5 s
-PIGEONHOLE_SWEEP_LIMITS = {"colors": 4, "count": 6, "required": 4}
 TRANSFER_SWEEP_LIMIT = 24  # about 4 s for a sweep at the cap
 STRATEGY_RENDER_LIMIT = 27  # explain-mode trees get big fast beyond this
 STALL_SHOWN = 30  # explain-mode draws of the longest stall
@@ -412,50 +410,6 @@ def _sweep_weighing(max_objects: int) -> int:
     return 0
 
 
-def _pigeonhole_family(max_colors: int, max_count: int, max_required: int):
-    for colors in range(1, max_colors + 1):
-        labels = [f"c{i + 1}" for i in range(colors)]
-        for counts in itertools.product(range(max_count + 1), repeat=colors):
-            for required in range(1, max_required + 1):
-                yield tuple(zip(labels, counts)), required
-
-
-def _sweep_pigeonhole(max_colors: int, max_count: int, max_required: int) -> int:
-    limits = PIGEONHOLE_SWEEP_LIMITS
-    if not (1 <= max_colors <= limits["colors"]):
-        raise InvalidBounds(f"colors bound must be in [1, {limits['colors']}]")
-    if not (1 <= max_count <= limits["count"]):
-        raise InvalidBounds(f"count bound must be in [1, {limits['count']}]")
-    if not (1 <= max_required <= limits["required"]):
-        raise InvalidBounds(f"required bound must be in [1, {limits['required']}]")
-
-    instances = [
-        PigeonholeInstance(pairs, required)
-        for pairs, required in _pigeonhole_family(max_colors, max_count, max_required)
-    ]
-    applicable = [
-        (inst, guarantee_draws_formula(len(inst.color_counts), inst.required),
-         guarantee_draws_oracle(inst))
-        for inst in instances
-        if formula_applicable(inst)
-    ]
-    mismatches = [r for r in applicable if r[1] != r[2]]
-    print(
-        f"pigeonhole sweep, colors <= {max_colors}, counts <= {max_count}, "
-        f"required <= {max_required}: {len(applicable)} applicable instances, "
-        f"{len(applicable) - len(mismatches)} matched, {len(mismatches)} mismatched "
-        f"({len(instances) - len(applicable)} outside the formula's assumptions skipped)"
-    )
-    if mismatches:
-        inst, formula, oracle = mismatches[0]
-        print(
-            f"first mismatch: counts={dict(inst.color_counts)} required={inst.required} "
-            f"formula={formula} oracle={oracle}"
-        )
-        return 2
-    return 0
-
-
 def _sweep_transfer(max_n: int, max_d: int, out: str) -> int:
     if not (1 <= max_n <= TRANSFER_SWEEP_LIMIT) or not (1 <= max_d <= TRANSFER_SWEEP_LIMIT):
         raise InvalidBounds(
@@ -517,10 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help=f"largest object count (default and cap: "
                           f"{WEIGHING_ORACLE_LIMIT})")
 
-    pigeonhole = sweep_sub.add_parser("pigeonhole")
-    for bound, limit in PIGEONHOLE_SWEEP_LIMITS.items():
-        pigeonhole.add_argument(f"--max-{bound}", type=int, default=limit)
-
     transfer = sweep_sub.add_parser("transfer")
     transfer.add_argument("--max-n", type=int, default=4)
     transfer.add_argument("--max-d", type=int, default=4)
@@ -543,8 +493,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             return cmd_solve(args.paths, opts)
         if args.sweep_kind == "weighing":
             return _sweep_weighing(args.max)
-        if args.sweep_kind == "pigeonhole":
-            return _sweep_pigeonhole(args.max_colors, args.max_count, args.max_required)
         return _sweep_transfer(args.max_n, args.max_d, args.out)
     except InvalidBounds as exc:
         print(f"error: {exc}", file=sys.stderr)

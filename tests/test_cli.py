@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -461,23 +462,11 @@ def test_sweep_weighing_past_the_old_cap(capsys):
     assert "59048 compared, 59048 matched, 0 mismatched" in out
 
 
-def test_sweep_pigeonhole_small(capsys):
-    code, out, _ = run_main(
-        ["sweep", "pigeonhole", "--max-colors", "3", "--max-count", "4",
-         "--max-required", "3"],
-        capsys,
-    )
-    assert code == 0
-    assert out.endswith(
-        ": 269 applicable instances, 269 matched, 0 mismatched "
-        "(196 outside the formula's assumptions skipped)\n"
-    )
-
-
-def test_sweep_pigeonhole_rejects_out_of_bounds(capsys):
-    code, _, err = run_main(["sweep", "pigeonhole", "--max-colors", "5"], capsys)
-    assert code == 2
-    assert "colors" in err
+def test_sweep_pigeonhole_is_not_a_command(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "pigeonhole"])
+    assert info.value.code == 2
+    assert "invalid choice: 'pigeonhole'" in capsys.readouterr().err
 
 
 def test_sweep_transfer_writes_report(tmp_path, capsys):
@@ -777,10 +766,21 @@ _MUTATION_CHARS = st.one_of(
 )
 
 
+# The value of one `key = value` statement or where-clause entry.
+_VALUE_RE = re.compile(r"= *(\([^()]*\)|[^;,(){}=#\n]+?) *(?=[;,}\n])")
+
+
 @st.composite
 def _mutated_corpus(draw):
     text = draw(st.sampled_from(_CORPUS_SOURCES))
-    for _ in range(draw(st.integers(1, 6))):
+    # Swapping two values puts a well-formed value of the wrong type on a key.
+    spans = [match.span(1) for match in _VALUE_RE.finditer(text)]
+    swapped = draw(st.booleans())
+    if swapped:
+        pair = st.lists(st.sampled_from(spans), min_size=2, max_size=2, unique=True)
+        (a, b), (c, d) = sorted(draw(pair))
+        text = text[:a] + text[c:d] + text[b:c] + text[a:b] + text[d:]
+    for _ in range(draw(st.integers(0 if swapped else 1, 6))):
         at = draw(st.integers(0, len(text)))
         cut = draw(st.integers(0, 3))
         text = text[:at] + draw(st.text(_MUTATION_CHARS, max_size=4)) + text[at + cut:]
