@@ -1,19 +1,19 @@
-"""Closed-form puzzle solvers verified against independent oracles.
+"""Closed-form puzzle solvers verified against oracles.
 
 Work-rate proportionality, balance-scale weighing counts, and pigeonhole
 draw guarantees, plus two background classics (container transfer, station
 walk), a small puzzle DSL, and a CLI that cross-checks the weighing,
-pigeonhole, transfer and station formulas against an independent oracle
-(rate has no oracle).
+pigeonhole, transfer and station formulas against an oracle (rate has
+none).  The weighing, transfer and station oracles never consult the
+formula they check; the pigeonhole oracle shares the formula's adversary
+argument, so it can disagree only where the formula does not apply.
 """
 
 from .classics import (
     DrawnHasColor,
     DrawnIsMoved,
     StationInstance,
-    SurveyRow,
     TransferInstance,
-    format_survey,
     station_walk_formula,
     station_walk_simulate,
     transfer_formula_survey,
@@ -69,7 +69,6 @@ from .weighing import (
     simulate_strategy,
     strategy_depth,
     strategy_to_dict,
-    validate_strategy,
 )
 
 __version__ = "0.1.0"
@@ -96,7 +95,6 @@ __all__ = [
     "Rational",
     "SourceSpan",
     "StationInstance",
-    "SurveyRow",
     "TransferInstance",
     "Unit",
     "Weigh",
@@ -105,7 +103,6 @@ __all__ = [
     "build_strategy",
     "ceil_subjects",
     "completed_scenario",
-    "format_survey",
     "formula_applicable",
     "guarantee_draws_formula",
     "guarantee_draws_oracle",
@@ -124,5 +121,4 @@ __all__ = [
     "transfer_formula_survey",
     "transfer_probability_enumerate",
     "transfer_probability_formula",
-    "validate_strategy",
 ]

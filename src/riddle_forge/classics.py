@@ -4,8 +4,9 @@ Container transfer: move some objects at random from container A into
 container B, draw one from B, ask for a probability.  The folklore answer
 2n/(n+d) is evaluated as given; the oracle derives the exact probability
 from the containers alone (the expected number of the queried color's
-objects that move, by linearity of expectation), and a survey op records
-where the two agree.
+objects that move, by linearity of expectation).  A survey pairs each
+instance of one family with both answers; ``survey_line`` writes the
+instance, the answers and whether they agree as one TSV line.
 
 Station walk: a walker leaves the station X minutes early and walks toward
 the car coming to fetch them; the pair arrives home Y minutes early.  The
@@ -17,7 +18,7 @@ about the identity.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .core import Quantity, Rational, Value, _exact, _is_int, _normalize_counts, _set
 from .errors import InvalidInstance, NoMeeting
@@ -117,86 +118,46 @@ def transfer_probability_enumerate(inst: TransferInstance) -> Rational:
     return Fraction(b_c * total_a + moved * a_c, total_a * after)
 
 
-class SurveyRow(Value):
-    """One instance of the canonical survey family, with both answers.
+def transfer_formula_survey(
+    max_n: int, max_d: int
+) -> Iterator[tuple[TransferInstance, Rational, Rational]]:
+    """Compare 2n/(n+d) with the exact probability over the canonical family.
 
-    The family: container A holds ``source_total`` objects of one color
-    ("alpha"); container B holds ``destination_same`` alphas and the rest
-    "beta", ``destination_total`` in all; ``moved`` objects go across; the
-    query is either DrawnIsMoved or DrawnHasColor("alpha").
-    """
-
-    __slots__ = _fields = ("source_total", "destination_total", "destination_same", "moved",
-                           "query", "enumerated", "formula")
-
-    def __init__(self, source_total: int, destination_total: int, destination_same: int,
-                 moved: int, query: str, enumerated: Rational, formula: Rational) -> None:
-        _set(self, "source_total", source_total)
-        _set(self, "destination_total", destination_total)
-        _set(self, "destination_same", destination_same)
-        _set(self, "moved", moved)
-        _set(self, "query", query)  # "drawn_is_moved" | "drawn_has_color"
-        _set(self, "enumerated", enumerated)
-        _set(self, "formula", formula)
-
-    @property
-    def match(self) -> bool:
-        return self.enumerated == self.formula
-
-    def key(self) -> str:
-        return (
-            f"n={self.source_total} d={self.destination_total} "
-            f"same={self.destination_same} moved={self.moved} query={self.query}"
-        )
-
-
-def transfer_formula_survey(max_n: int, max_d: int) -> Iterator[SurveyRow]:
-    """Compare 2n/(n+d) with exact enumeration over the canonical family.
-
-    Rows are made one at a time, in a fixed nested order (n, d, color split,
-    moved, query), so the survey is deterministic for given bounds.
+    The family: container A holds n objects of one color ("alpha");
+    container B holds ``same`` alphas and the rest "beta", d in all;
+    ``moved`` objects go across; the query is either DrawnIsMoved or
+    DrawnHasColor("alpha").  Each instance is yielded with its exact
+    probability and 2n/(n+d), one at a time, in a fixed nested order (n, d,
+    same, moved, query), so the survey is deterministic for given bounds.
     Agreement is recorded, never asserted.
     """
     if not _is_int(max_n) or max_n < 1 or not _is_int(max_d) or max_d < 1:
         raise InvalidInstance("survey bounds must be positive integers")
+    queries = (DrawnIsMoved(), DrawnHasColor("alpha"))
     for n in range(1, max_n + 1):
+        container_a = (("alpha", n),)
         for d in range(1, max_d + 1):
             formula = transfer_probability_formula(n, d)
             for same in range(d + 1):
-                container_a = (("alpha", n),)
                 container_b = (("alpha", same), ("beta", d - same))
                 for moved in range(1, n + 1):
-                    for name, query in (
-                        ("drawn_is_moved", DrawnIsMoved()),
-                        ("drawn_has_color", DrawnHasColor("alpha")),
-                    ):
+                    for query in queries:
                         inst = TransferInstance(container_a, container_b, moved, query)
-                        yield SurveyRow(
-                            source_total=n,
-                            destination_total=d,
-                            destination_same=same,
-                            moved=moved,
-                            query=name,
-                            enumerated=transfer_probability_enumerate(inst),
-                            formula=formula,
-                        )
+                        yield inst, transfer_probability_enumerate(inst), formula
 
 
 SURVEY_HEADER = "n\td\tsame\tmoved\tquery\tenumerated\tformula\tmatch\n"
 
 
-def survey_line(row: SurveyRow) -> str:
-    """One line of the survey report, its newline included."""
+def survey_line(inst: TransferInstance, enumerated: Rational, formula: Rational) -> str:
+    """One line of the survey report for a survey instance, its newline included."""
+    ((_, n),) = inst.container_a
+    (_, same), (_, other) = inst.container_b
+    query = "drawn_is_moved" if isinstance(inst.query, DrawnIsMoved) else "drawn_has_color"
     return (
-        f"{row.source_total}\t{row.destination_total}\t{row.destination_same}"
-        f"\t{row.moved}\t{row.query}\t{row.enumerated}\t{row.formula}"
-        f"\t{'yes' if row.match else 'no'}\n"
+        f"{n}\t{same + other}\t{same}\t{inst.moved}\t{query}\t{enumerated}\t{formula}"
+        f"\t{'yes' if enumerated == formula else 'no'}\n"
     )
-
-
-def format_survey(rows: Iterable[SurveyRow]) -> str:
-    """Tab-separated survey report: instance key, both values, match flag."""
-    return SURVEY_HEADER + "".join(map(survey_line, rows))
 
 
 class StationInstance(Value):

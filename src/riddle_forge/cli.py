@@ -422,9 +422,10 @@ def _sweep_transfer(max_n: int, max_d: int, out: str) -> int:
     with open(out, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(SURVEY_HEADER)
         for row in transfer_formula_survey(max_n, max_d):
-            handle.write(survey_line(row))
+            handle.write(survey_line(*row))
             instances += 1
-            if row.match:
+            _, enumerated, formula = row
+            if enumerated == formula:
                 matched += 1
             elif first_mismatch is None:
                 first_mismatch = row
@@ -434,10 +435,9 @@ def _sweep_transfer(max_n: int, max_d: int, out: str) -> int:
         f"report written to {out}"
     )
     if first_mismatch is not None:
-        print(
-            f"first mismatch: {first_mismatch.key()} "
-            f"enumerated={first_mismatch.enumerated} formula={first_mismatch.formula}"
-        )
+        # Every column but the match flag, each named by its header.
+        named = zip(SURVEY_HEADER.split("\t")[:-1], survey_line(*first_mismatch).split("\t"))
+        print("first mismatch: " + " ".join(f"{name}={value}" for name, value in named))
     return 0
 
 

@@ -9,7 +9,9 @@ Two independent routes to the same number:
   used to prove it tight.
 
 On top of those, an explicit strategy tree makes the textbook "split into
-three near-equal groups" procedure executable and checkable.
+three near-equal groups" procedure executable.  A ``Weigh`` node refuses
+unequal pans or an object named twice, so every tree that exists is one
+the scale could follow.
 """
 
 from __future__ import annotations
@@ -138,6 +140,9 @@ class Weigh(Value):
 
     Each pan is the suspects of the subtree that follows it coming down
     heavy, so no pan is stored apart from the subtree it could disagree with.
+    Pans of unequal size, or an object among the node's suspects twice, raise
+    ``MalformedTree`` here; each child was checked when it was built, so a
+    tree that exists is valid.
     """
 
     # ``suspects`` (the pans, then the set-aside group) is worked out, not a field.
@@ -147,11 +152,16 @@ class Weigh(Value):
     # on_balance is None only when nothing is set aside, so the heavy object is on a pan.
     def __init__(self, on_left_heavy: Leaf | Weigh, on_right_heavy: Leaf | Weigh,
                  on_balance: Leaf | Weigh | None = None) -> None:
-        aside = () if on_balance is None else on_balance.suspects
+        left, right = on_left_heavy.suspects, on_right_heavy.suspects
+        if len(left) != len(right):
+            raise MalformedTree(f"pans differ in size: {len(left)} vs {len(right)}")
+        suspects = left + right + (() if on_balance is None else on_balance.suspects)
+        if len(set(suspects)) != len(suspects):
+            raise MalformedTree(f"suspect list {suspects!r} repeats objects")
         _set(self, "on_left_heavy", on_left_heavy)
         _set(self, "on_right_heavy", on_right_heavy)
         _set(self, "on_balance", on_balance)
-        _set(self, "suspects", on_left_heavy.suspects + on_right_heavy.suspects + aside)
+        _set(self, "suspects", suspects)
 
     @property
     def left(self) -> tuple[int, ...]:
@@ -187,26 +197,16 @@ def build_strategy(inst: WeighingInstance) -> Leaf | Weigh:
     return _build(tuple(range(inst.n_objects)))
 
 
-def _check_node(node: Weigh) -> None:
-    """The two invariants a node can break: every other one is its shape."""
-    if len(node.left) != len(node.right):
-        raise MalformedTree(f"pans differ in size: {len(node.left)} vs {len(node.right)}")
-    if len(set(node.suspects)) != len(node.suspects):
-        raise MalformedTree(f"suspect list {node.suspects!r} repeats objects")
-
-
 def simulate_strategy(tree: Leaf | Weigh, heavy_index: int) -> tuple[int, int]:
     """Walk the tree as the scale would respond if ``heavy_index`` is heavy.
 
-    Returns the identified object and the number of weighings spent.  Every
-    node on the walked path is checked against the structural invariants.
+    Returns the identified object and the number of weighings spent.
     """
     if heavy_index not in tree.suspects:
         raise InvalidInstance(f"object {heavy_index} is not among the suspects")
     node, used = tree, 0
     # heavy_index stays among node's suspects, so a balance is never None.
     while isinstance(node, Weigh):
-        _check_node(node)
         used += 1
         if heavy_index in node.left:
             node = node.on_left_heavy
@@ -215,14 +215,6 @@ def simulate_strategy(tree: Leaf | Weigh, heavy_index: int) -> tuple[int, int]:
         else:
             node = node.on_balance
     return node.identified, used
-
-
-def validate_strategy(tree: Leaf | Weigh) -> None:
-    """Check the structural invariants of every node in the tree."""
-    if isinstance(tree, Weigh):
-        _check_node(tree)
-        for _, child in tree.branches():
-            validate_strategy(child)
 
 
 def strategy_depth(tree: Leaf | Weigh) -> int:

@@ -15,7 +15,6 @@ from riddle_forge import (
     NoMeeting,
     StationInstance,
     TransferInstance,
-    format_survey,
     station_walk_formula,
     station_walk_simulate,
     transfer_formula_survey,
@@ -153,16 +152,14 @@ def test_enumeration_normalises_exactly():
 
 
 def test_survey_smallest_bounds_hand_checked():
-    rows = list(transfer_formula_survey(1, 1))
-    facts = [
-        (row.destination_same, row.query, row.enumerated, row.formula, row.match)
-        for row in rows
-    ]
-    assert facts == [
-        (0, "drawn_is_moved", Fraction(1, 2), Fraction(1), False),
-        (0, "drawn_has_color", Fraction(1, 2), Fraction(1), False),
-        (1, "drawn_is_moved", Fraction(1, 2), Fraction(1), False),
-        (1, "drawn_has_color", Fraction(1), Fraction(1), True),
+    def survey_instance(same, query):
+        return TransferInstance((("alpha", 1),), (("alpha", same), ("beta", 1 - same)), 1, query)
+
+    assert list(transfer_formula_survey(1, 1)) == [
+        (survey_instance(0, DrawnIsMoved()), Fraction(1, 2), Fraction(1)),
+        (survey_instance(0, DrawnHasColor("alpha")), Fraction(1, 2), Fraction(1)),
+        (survey_instance(1, DrawnIsMoved()), Fraction(1, 2), Fraction(1)),
+        (survey_instance(1, DrawnHasColor("alpha")), Fraction(1), Fraction(1)),
     ]
 
 
@@ -171,10 +168,10 @@ def test_survey_is_deterministic():
     second = list(transfer_formula_survey(3, 3))
     assert first == second
     assert len(first) == 108  # sum over n<=3 of 2n times sum over d<=3 of d+1
-    report = format_survey(first)
-    assert report == format_survey(second)
-    assert report.startswith("n\td\tsame\tmoved\tquery\tenumerated\tformula\tmatch\n")
-    assert report.endswith("\n")
+    for inst, exact, formula in first:
+        assert exact == transfer_probability_enumerate(inst)
+        n, d = inst.container_a[0][1], sum(count for _, count in inst.container_b)
+        assert formula == transfer_probability_formula(n, d)
 
 
 def test_survey_rejects_empty_bounds():

@@ -288,7 +288,7 @@ def test_station_check_agrees_when_saved_is_far_below_early(tmp_path, capsys):
     assert report["agreement"] is True
 
 
-def test_station_check_tolerance_is_relative(tmp_path, capsys, monkeypatch):
+def test_station_exact_check_catches_a_1e_9_scale_difference(tmp_path, capsys, monkeypatch):
     def half_walked(**params):
         walked, saved = station_walk_simulate(**params)
         return walked / 2, saved

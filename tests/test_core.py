@@ -25,7 +25,6 @@ from riddle_forge import (
     RateScenario,
     SourceSpan,
     StationInstance,
-    SurveyRow,
     TransferInstance,
     Unit,
     Weigh,
@@ -181,9 +180,6 @@ _VALUES = [
     (TransferInstance, ((("red", 3), ("blue", 1)), (("blue", 2),), 2, DrawnHasColor("red")),
      "TransferInstance(container_a=(('red', 3), ('blue', 1)), container_b=(('blue', 2),), "
      "moved=2, query=DrawnHasColor(color='red'))"),
-    (SurveyRow, (2, 3, 1, 1, "drawn_is_moved", Fraction(1, 4), Fraction(4, 5)),
-     "SurveyRow(source_total=2, destination_total=3, destination_same=1, moved=1, "
-     "query='drawn_is_moved', enumerated=Fraction(1, 4), formula=Fraction(4, 5))"),
     (StationInstance, (Fraction(20), Fraction(15)),
      "StationInstance(early_minutes=Fraction(20, 1), saved_minutes=Fraction(15, 1))"),
     (SourceSpan, (1, 2, 3), "SourceSpan(line=1, column=2, length=3)"),

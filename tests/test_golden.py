@@ -4,6 +4,8 @@ The files under ``golden/`` were written by the CLI itself.  Each case runs
 the CLI from that directory with a relative path, so the output names no
 machine path.  To re-record after an intended change of output, run the
 command of a case from ``tests/golden`` and redirect its output to the file.
+The transfer survey is recorded the same way, with ``--out
+transfer_survey.tsv`` for its report.
 """
 
 import os
@@ -34,11 +36,11 @@ def _golden(name):
     return b"" if name is None else (GOLDEN / name).read_bytes()
 
 
-def _solve(argv, cwd):
+def _run(argv, cwd):
     package_root = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "riddle_forge", "solve", *argv],
+        [sys.executable, "-m", "riddle_forge", *argv],
         cwd=cwd,
         capture_output=True,
         timeout=60,
@@ -48,7 +50,7 @@ def _solve(argv, cwd):
 
 @pytest.mark.parametrize("argv, stdout, stderr, code", CASES, ids=[c[1] or c[2] for c in CASES])
 def test_cli_output_matches_golden(argv, stdout, stderr, code):
-    done = _solve(argv, GOLDEN)
+    done = _run(["solve", *argv], GOLDEN)
     assert done.stdout == _golden(stdout)
     assert done.stderr == _golden(stderr)
     assert done.returncode == code
@@ -58,7 +60,16 @@ def test_a_leading_byte_order_mark_is_dropped(tmp_path):
     argv, stdout, stderr, code = CASES[0]
     source = (GOLDEN / argv[-1]).read_bytes()
     (tmp_path / argv[-1]).write_bytes(b"\xef\xbb\xbf" + source)
-    done = _solve(argv, tmp_path)
+    done = _run(["solve", *argv], tmp_path)
     assert done.stdout == _golden(stdout)
     assert done.stderr == _golden(stderr)
     assert done.returncode == code
+
+
+def test_transfer_survey_matches_golden(tmp_path):
+    report = "transfer_survey.tsv"
+    done = _run(["sweep", "transfer", "--max-n", "3", "--max-d", "3", "--out", report], tmp_path)
+    assert (tmp_path / report).read_bytes() == _golden(report)
+    assert done.stdout == _golden("transfer_survey.txt")  # counts, then the first mismatch
+    assert done.stderr == b""
+    assert done.returncode == 0

@@ -18,7 +18,6 @@ from riddle_forge import (
     simulate_strategy,
     strategy_depth,
     strategy_to_dict,
-    validate_strategy,
 )
 from oracles import exhaustive_worst_case
 
@@ -170,7 +169,6 @@ def test_strategy_depth_matches_oracle_up_to_120():
     for n in range(1, 121):
         inst = WeighingInstance(n)
         tree = build_strategy(inst)
-        validate_strategy(tree)
         assert strategy_depth(tree) == min_weighings_oracle(inst), n
 
 
@@ -186,17 +184,17 @@ def test_strategy_soundness_small_range():
 
 
 def test_malformed_trees_are_rejected():
-    # A pan is the subtree it leads to, so a tree can only have unequal pans
-    # or an object that appears twice among a node's suspects.
-    unequal_pans = Weigh(Leaf(0), Weigh(Leaf(1), Leaf(2)))
-    overlapping = Weigh(Weigh(Leaf(0), Leaf(1)), Weigh(Leaf(1), Leaf(2)))
-    on_a_pan_and_aside = Weigh(Leaf(0), Leaf(1), Leaf(0))
-    below_the_root = Weigh(Leaf(3), Leaf(4), unequal_pans)
-    for tree in (unequal_pans, overlapping, on_a_pan_and_aside, below_the_root):
-        with pytest.raises(MalformedTree):
-            simulate_strategy(tree, 0)
-        with pytest.raises(MalformedTree):
-            validate_strategy(tree)
+    # A pan is the subtree it leads to, so a node can only have unequal pans
+    # or an object that appears twice among its suspects, and it is refused
+    # when it is built: no malformed tree exists to be walked.
+    unequal_pans = (Leaf(0), Weigh(Leaf(1), Leaf(2)))
+    overlapping = (Weigh(Leaf(0), Leaf(1)), Weigh(Leaf(1), Leaf(2)))
+    on_a_pan_and_aside = (Leaf(0), Leaf(1), Leaf(0))
+    with pytest.raises(MalformedTree, match="pans differ in size: 1 vs 2"):
+        Weigh(*unequal_pans)
+    for subtrees in (overlapping, on_a_pan_and_aside):
+        with pytest.raises(MalformedTree, match="repeats objects"):
+            Weigh(*subtrees)
 
 
 def test_render_and_dict_forms():
