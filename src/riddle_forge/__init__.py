@@ -23,12 +23,10 @@ from .classics import (
 from .core import (
     PuzzleSpec,
     Quantity,
-    Rational,
     Unit,
 )
 from .errors import (
     Infeasible,
-    InvalidBounds,
     InvalidInstance,
     MalformedTree,
     NoMeeting,
@@ -77,7 +75,6 @@ __all__ = [
     "DrawnHasColor",
     "DrawnIsMoved",
     "Infeasible",
-    "InvalidBounds",
     "InvalidInstance",
     "Leaf",
     "MalformedTree",
@@ -92,7 +89,6 @@ __all__ = [
     "RateField",
     "RateQuery",
     "RateScenario",
-    "Rational",
     "SourceSpan",
     "StationInstance",
     "TransferInstance",

@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator
 
-from .core import Quantity, Rational, Value, _exact, _is_int, _normalize_counts, _set
+from .core import Quantity, Value, _exact, _is_int, _normalize_counts, _set
 from .errors import InvalidInstance, NoMeeting
 
 
@@ -86,7 +86,7 @@ class TransferInstance(Value):
                 ("moved", self.moved), ("query", query)]
 
 
-def transfer_probability_formula(n: int, d: int) -> Rational:
+def transfer_probability_formula(n: int, d: int) -> Fraction:
     """The folklore closed form 2n/(n+d), evaluated exactly as written.
 
     No claim is made that the result is a valid probability for all n, d.
@@ -96,7 +96,7 @@ def transfer_probability_formula(n: int, d: int) -> Rational:
     return Fraction(2 * n, n + d)
 
 
-def transfer_probability_enumerate(inst: TransferInstance) -> Rational:
+def transfer_probability_enumerate(inst: TransferInstance) -> Fraction:
     """Exact probability of the query event, by linearity of expectation.
 
     Each of A's objects moves with probability m / |A|, so the number k of
@@ -120,7 +120,7 @@ def transfer_probability_enumerate(inst: TransferInstance) -> Rational:
 
 def transfer_formula_survey(
     max_n: int, max_d: int
-) -> Iterator[tuple[TransferInstance, Rational, Rational]]:
+) -> Iterator[tuple[TransferInstance, Fraction, Fraction]]:
     """Compare 2n/(n+d) with the exact probability over the canonical family.
 
     The family: container A holds n objects of one color ("alpha");
@@ -149,7 +149,7 @@ def transfer_formula_survey(
 SURVEY_HEADER = "n\td\tsame\tmoved\tquery\tenumerated\tformula\tmatch\n"
 
 
-def survey_line(inst: TransferInstance, enumerated: Rational, formula: Rational) -> str:
+def survey_line(inst: TransferInstance, enumerated: Fraction, formula: Fraction) -> str:
     """One line of the survey report for a survey instance, its newline included."""
     ((_, n),) = inst.container_a
     (_, same), (_, other) = inst.container_b
@@ -166,7 +166,7 @@ class StationInstance(Value):
     __slots__ = _fields = ("early_minutes", "saved_minutes")
     puzzle_kind = "station"
 
-    def __init__(self, early_minutes: Rational, saved_minutes: Rational) -> None:
+    def __init__(self, early_minutes: Fraction, saved_minutes: Fraction) -> None:
         early = _exact(early_minutes, "early_minutes")
         saved = _exact(saved_minutes, "saved_minutes")
         if early.numerator <= 0 or saved.numerator <= 0:  # denominators are positive
@@ -193,17 +193,17 @@ class StationInstance(Value):
                 ("saved", Quantity.minutes(self.saved_minutes))]
 
 
-def station_walk_formula(inst: StationInstance) -> Rational:
+def station_walk_formula(inst: StationInstance) -> Fraction:
     """Minutes walked before pickup: early - saved/2, exactly."""
     return inst.early_minutes - inst.saved_minutes / 2
 
 
 def station_walk_simulate(
-    distance: Rational,
-    car_speed: Rational,
-    walk_speed: Rational,
-    early_minutes: Rational,
-) -> tuple[Rational, Rational]:
+    distance: Fraction,
+    car_speed: Fraction,
+    walk_speed: Fraction,
+    early_minutes: Fraction,
+) -> tuple[Fraction, Fraction]:
     """Exact kinematic oracle for the walk-and-pickup identity.
 
     Home sits at position 0, the station at ``distance``.  The car leaves

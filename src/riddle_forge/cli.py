@@ -28,7 +28,7 @@ from .classics import (
     transfer_probability_formula,
 )
 from .core import PuzzleSpec
-from .errors import Infeasible, InvalidBounds
+from .errors import Infeasible
 from .pigeonhole import (
     PigeonholeInstance,
     adversarial_sequence,
@@ -289,8 +289,6 @@ def _solve_station_report(
         else:
             # saved >= early needs a walker at least as fast as the car,
             # outside the oracle's preconditions.
-            report.oracle = None
-            report.agreement = None
             report.explanation.append(
                 "kinematic check skipped: it covers saved < early only "
                 "(the car must be faster than the walker)"
@@ -385,36 +383,36 @@ def cmd_solve(paths: Sequence[str], opts: SolveOptions) -> int:
 
 def _sweep_weighing(max_objects: int) -> int:
     if max_objects < 1 or max_objects > WEIGHING_ORACLE_LIMIT:
-        raise InvalidBounds(
-            f"weighing sweep bound must be in [1, {WEIGHING_ORACLE_LIMIT}], "
-            f"got {max_objects}"
-        )
+        print(f"error: weighing sweep bound must be in [1, {WEIGHING_ORACLE_LIMIT}], "
+              f"got {max_objects}", file=sys.stderr)
+        return 2
     min_weighings_oracle(WeighingInstance(max_objects))  # one build; each row below is a lookup
-    mismatches: list[tuple[int, int, int]] = []
-    compared = 0
+    mismatched = 0
+    first_mismatch = None
     for n in range(2, max_objects + 1):
         inst = WeighingInstance(n)
         formula = min_weighings_formula(inst)
         oracle = min_weighings_oracle(inst)
-        compared += 1
         if formula != oracle:
-            mismatches.append((n, formula, oracle))
+            mismatched += 1
+            if first_mismatch is None:
+                first_mismatch = f"first mismatch: N={n} formula={formula} oracle={oracle}"
+    compared = max_objects - 1
     print(
         f"weighing sweep, N in [2, {max_objects}]: {compared} compared, "
-        f"{compared - len(mismatches)} matched, {len(mismatches)} mismatched"
+        f"{compared - mismatched} matched, {mismatched} mismatched"
     )
-    if mismatches:
-        n, formula, oracle = mismatches[0]
-        print(f"first mismatch: N={n} formula={formula} oracle={oracle}")
+    if first_mismatch is not None:
+        print(first_mismatch)
         return 2
     return 0
 
 
 def _sweep_transfer(max_n: int, max_d: int, out: str) -> int:
     if not (1 <= max_n <= TRANSFER_SWEEP_LIMIT) or not (1 <= max_d <= TRANSFER_SWEEP_LIMIT):
-        raise InvalidBounds(
-            f"transfer sweep bounds must be in [1, {TRANSFER_SWEEP_LIMIT}]"
-        )
+        print(f"error: transfer sweep bounds must be in [1, {TRANSFER_SWEEP_LIMIT}]",
+              file=sys.stderr)
+        return 2
     instances = matched = 0
     first_mismatch = None
     # Opened before the survey runs, so a bad path fails at once; rows are
@@ -447,15 +445,15 @@ def _sweep_transfer(max_n: int, max_d: int, out: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="riddle-forge",
-        description="Solve puzzle files and verify the closed-form answers "
-        "against independent oracles.",
+        description="Solve puzzle files and check the closed-form answers "
+        "against oracles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="solve every puzzle in the given files")
     solve.add_argument("paths", nargs="+", metavar="FILE")
     solve.add_argument("--check", action="store_true",
-                       help="also run the independent oracle where one exists")
+                       help="also run the oracle for kinds that have one")
     solve.add_argument("--explain", action="store_true",
                        help="show the worked solution, formula instance included")
     solve.add_argument("--format", choices=("text", "json"), default="text")
@@ -494,9 +492,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.sweep_kind == "weighing":
             return _sweep_weighing(args.max)
         return _sweep_transfer(args.max_n, args.max_d, args.out)
-    except InvalidBounds as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

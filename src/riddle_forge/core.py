@@ -1,5 +1,6 @@
-"""Shared value types: exact rationals, unit-tagged quantities, and the
-puzzle spec that wraps any of the five puzzle payloads.
+"""Shared value types: exact rationals (``Fraction``, always in lowest terms
+with a positive denominator), unit-tagged quantities, and the puzzle spec
+that wraps any of the five puzzle payloads.
 
 Every puzzle value is a ``Value``: a ``__slots__`` class whose ``__init__``
 checks its arguments before it sets its fields, so values can be shared
@@ -16,10 +17,6 @@ from fractions import Fraction
 from typing import Any
 
 from .errors import InvalidInstance
-
-# All solver arithmetic is exact.  Fraction already guarantees lowest terms
-# with a positive denominator, which is exactly the invariant we need.
-Rational = Fraction
 
 
 def _exact(value: int | Fraction, what: str) -> Fraction:
@@ -103,7 +100,7 @@ class Quantity(Value):
 
     __slots__ = _fields = ("magnitude", "unit", "label")
 
-    def __init__(self, magnitude: Rational, unit: Unit, label: str | None = None) -> None:
+    def __init__(self, magnitude: Fraction, unit: Unit, label: str | None = None) -> None:
         magnitude = _exact(magnitude, "magnitude")
         # A Fraction's denominator is positive: its sign is its numerator's.
         if magnitude.numerator < 0:

@@ -19,7 +19,3 @@ class MalformedTree(PuzzleError):
 
 class NoMeeting(PuzzleError):
     """The walk-and-pickup parameters do not produce a valid meeting."""
-
-
-class InvalidBounds(PuzzleError):
-    """Sweep bounds fall outside the documented limits."""

@@ -11,8 +11,9 @@ from __future__ import annotations
 import math
 import operator
 from enum import Enum
+from fractions import Fraction
 
-from .core import Quantity, Rational, Unit, Value, _set
+from .core import Quantity, Unit, Value, _set
 from .errors import InvalidInstance
 
 
@@ -53,7 +54,7 @@ class RateScenario(Value):
         _set(self, "time", time)
 
 
-def rate_constant(scenario: RateScenario) -> Rational:
+def rate_constant(scenario: RateScenario) -> Fraction:
     """The invariant ratio work / (subjects * time), exactly."""
     return scenario.work.magnitude / (
         scenario.subjects.magnitude * scenario.time.magnitude
@@ -88,10 +89,6 @@ class RateQuery(Value):
         _set(self, "subjects", subjects)
         _set(self, "time", time)
 
-    def given(self) -> dict[RateField, Quantity]:
-        """The two given quantities, keyed by field."""
-        return {field: q for field, q in _by_field(self).items() if q is not None}
-
     @classmethod
     def from_block(cls, block) -> "RateQuery | None":
         """``work = 6; subjects = 6; time = 6 min; find subjects where ...``."""
@@ -105,11 +102,11 @@ class RateQuery(Value):
 
     def block_items(self) -> list[tuple[str, object]]:
         known = [(field.value, q) for field, q in _by_field(self.known).items()]
-        given = [(field.value, q) for field, q in self.given().items()]
+        given = [(field.value, q) for field, q in _by_field(self).items() if q is not None]
         return known + [("find", (self.target.value, given))]
 
 
-def solve_rate(query: RateQuery) -> Rational:
+def solve_rate(query: RateQuery) -> Fraction:
     """The unique unknown making the query's scenario share the known k."""
     k = rate_constant(query.known)
     if query.target is RateField.WORK:
@@ -119,7 +116,7 @@ def solve_rate(query: RateQuery) -> Rational:
     return query.work.magnitude / (k * query.subjects.magnitude)
 
 
-def completed_scenario(query: RateQuery, solution: Rational) -> RateScenario:
+def completed_scenario(query: RateQuery, solution: Fraction) -> RateScenario:
     """The query's scenario with the solved value plugged back in."""
     values = _by_field(query)
     unit = Unit.MINUTES if query.target is RateField.TIME else Unit.COUNT
@@ -127,7 +124,7 @@ def completed_scenario(query: RateQuery, solution: Rational) -> RateScenario:
     return RateScenario(**{field.value: q for field, q in values.items()})
 
 
-def ceil_subjects(value: Rational) -> int:
+def ceil_subjects(value: Fraction) -> int:
     """Smallest whole subject count covering an exact rational answer."""
     if value <= 0:
         raise InvalidInstance("subject count must be positive")

@@ -547,17 +547,25 @@ class _Block:
 
     # value readers
 
+    def _mismatch(self, assign: _Assign, expects: str) -> None:
+        """Report that the key wants ``expects``, not the value it was given."""
+        self.errors.append(
+            (assign.span, ParseErrorKind.TYPE_MISMATCH,
+             f"key '{assign.key}' expects {expects}, found {_value_what(assign.value)}")
+        )
+
+    def _not_positive(self, assign: _Assign, value: int | Fraction) -> None:
+        self.errors.append(
+            (assign.span, ParseErrorKind.NEGATIVE_COUNT,
+             f"key '{assign.key}' must be strictly positive, got {value}")
+        )
+
     def word(self, assign: _Assign | None) -> str | None:
         if assign is None:
             return None
-        value = assign.value
-        if not isinstance(value, str):
-            self.errors.append(
-                (assign.span, ParseErrorKind.TYPE_MISMATCH,
-                 f"key '{assign.key}' expects a word, found {_value_what(value)}")
-            )
-            return None
-        return value
+        if not isinstance(assign.value, str):
+            return self._mismatch(assign, "a word")
+        return assign.value
 
     def _number(
         self, assign: _Assign | None, expects: str, counts: bool
@@ -567,11 +575,7 @@ class _Block:
             return None
         value = assign.value
         if isinstance(value, (str, tuple)):
-            self.errors.append(
-                (assign.span, ParseErrorKind.TYPE_MISMATCH,
-                 f"key '{assign.key}' expects {expects}, found {_value_what(value)}")
-            )
-            return None
+            return self._mismatch(assign, expects)
         if counts and assign.word in _TIME_UNITS:
             self.errors.append(
                 (assign.word_span, ParseErrorKind.BAD_UNIT,
@@ -587,11 +591,7 @@ class _Block:
         if value is None:
             return None
         if value.numerator <= 0:  # an int's or a Fraction's sign
-            self.errors.append(
-                (assign.span, ParseErrorKind.NEGATIVE_COUNT,
-                 f"key '{assign.key}' must be strictly positive, got {value}")
-            )
-            return None
+            return self._not_positive(assign, value)
         return Quantity(value, Unit.COUNT, assign.word)
 
     def time(self, assign: _Assign | None) -> Quantity | None:
@@ -612,11 +612,7 @@ class _Block:
             if scale != 1:
                 magnitude *= scale
         if magnitude.numerator <= 0:
-            self.errors.append(
-                (assign.span, ParseErrorKind.NEGATIVE_COUNT,
-                 f"key '{assign.key}' must be strictly positive, got {value}")
-            )
-            return None
+            return self._not_positive(assign, value)
         return Quantity(magnitude, Unit.MINUTES)
 
     def integer(self, assign: _Assign | None, minimum: int) -> int | None:
@@ -645,12 +641,7 @@ class _Block:
         items = assign.value
         errors = self.errors
         if not isinstance(items, tuple):
-            errors.append(
-                (assign.span, ParseErrorKind.TYPE_MISMATCH,
-                 f"key '{assign.key}' expects a color list like "
-                 f"(blue: 2, red: 3), found {_value_what(items)}")
-            )
-            return None
+            return self._mismatch(assign, "a color list like (blue: 2, red: 3)")
         if at_least_one and not items:
             errors.append(
                 (assign.span, ParseErrorKind.TYPE_MISMATCH,

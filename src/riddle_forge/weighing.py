@@ -128,6 +128,9 @@ class Leaf(Value):
     __slots__ = _fields = ("identified",)
 
     def __init__(self, identified: int) -> None:
+        # build_strategy numbers the objects 0, 1, ...
+        if not _is_int(identified) or identified < 0:
+            raise MalformedTree(f"leaf object must be an integer >= 0, not {identified!r}")
         _set(self, "identified", identified)
 
     @property
@@ -140,9 +143,9 @@ class Weigh(Value):
 
     Each pan is the suspects of the subtree that follows it coming down
     heavy, so no pan is stored apart from the subtree it could disagree with.
-    Pans of unequal size, or an object among the node's suspects twice, raise
-    ``MalformedTree`` here; each child was checked when it was built, so a
-    tree that exists is valid.
+    A child that is not a ``Leaf`` or ``Weigh``, pans of unequal size, or an
+    object among the node's suspects twice raise ``MalformedTree`` here; each
+    child was checked when it was built, so a tree that exists is valid.
     """
 
     # ``suspects`` (the pans, then the set-aside group) is worked out, not a field.
@@ -152,6 +155,10 @@ class Weigh(Value):
     # on_balance is None only when nothing is set aside, so the heavy object is on a pan.
     def __init__(self, on_left_heavy: Leaf | Weigh, on_right_heavy: Leaf | Weigh,
                  on_balance: Leaf | Weigh | None = None) -> None:
+        node = (Leaf, Weigh)
+        if not (isinstance(on_left_heavy, node) and isinstance(on_right_heavy, node)
+                and (on_balance is None or isinstance(on_balance, node))):
+            raise MalformedTree("each subtree must be a Leaf or a Weigh")
         left, right = on_left_heavy.suspects, on_right_heavy.suspects
         if len(left) != len(right):
             raise MalformedTree(f"pans differ in size: {len(left)} vs {len(right)}")

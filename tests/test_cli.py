@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -451,9 +452,25 @@ def test_sweep_weighing_trivial_bound(capsys):
 
 def test_sweep_weighing_rejects_out_of_bounds(capsys):
     limit = cli.WEIGHING_ORACLE_LIMIT
-    code, _, err = run_main(["sweep", "weighing", "--max", str(limit + 1)], capsys)
-    assert code == 2
-    assert str(limit) in err
+    for bound in (0, limit + 1):
+        code, out, err = run_main(["sweep", "weighing", "--max", str(bound)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: weighing sweep bound must be in [1, {limit}], got {bound}\n"
+
+
+def test_sweep_weighing_reports_a_mismatch(monkeypatch, capsys):
+    # The formula off by one at a single N: the sweep counts it, names it and fails.
+    formula = cli.min_weighings_formula
+    monkeypatch.setattr(
+        cli, "min_weighings_formula",
+        lambda inst: formula(inst) + (inst.n_objects == 100),
+    )
+    code, out, err = run_main(["sweep", "weighing", "--max", "200"], capsys)
+    assert (code, err) == (2, "")
+    assert out == (
+        "weighing sweep, N in [2, 200]: 199 compared, 198 matched, 1 mismatched\n"
+        "first mismatch: N=100 formula=6 oracle=5\n"
+    )
 
 
 def test_sweep_weighing_past_the_old_cap(capsys):
@@ -490,9 +507,10 @@ def test_sweep_transfer_bounds(tmp_path, capsys):
     )
     assert code == 0
     assert len(target.read_text(encoding="utf-8").splitlines()) == 1 + 180
-    code, _, err = run_main(["sweep", "transfer", "--max-n", "25"], capsys)
-    assert code == 2
-    assert "24" in err
+    for bounds in (["--max-n", "25"], ["--max-d", "0"]):
+        code, out, err = run_main(["sweep", "transfer", *bounds], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: transfer sweep bounds must be in [1, 24]\n"
 
 
 @pytest.mark.parametrize(
@@ -761,30 +779,34 @@ def test_explain_shows_a_huge_stall_at_once(tmp_path):
 
 
 _CORPUS_SOURCES = [CORPUS.read_text(encoding="utf-8"), MIXED_SOURCE]
-_MUTATION_CHARS = st.one_of(
-    st.sampled_from("0123456789/(){};:=,-# \n\r\tabcmpquz"), st.characters()
-)
+_MUTATION_CHARS = "0123456789/(){};:=,-# \n\r\tabcmpquz"
 
 
 # The value of one `key = value` statement or where-clause entry.
 _VALUE_RE = re.compile(r"= *(\([^()]*\)|[^;,(){}=#\n]+?) *(?=[;,}\n])")
 
 
-@st.composite
-def _mutated_corpus(draw):
-    text = draw(st.sampled_from(_CORPUS_SOURCES))
+def _mutate(rng):
+    """A corpus source with two of its values swapped, characters edited, or both."""
+    text = rng.choice(_CORPUS_SOURCES)
     # Swapping two values puts a well-formed value of the wrong type on a key.
-    spans = [match.span(1) for match in _VALUE_RE.finditer(text)]
-    swapped = draw(st.booleans())
+    swapped = rng.random() < 0.5
     if swapped:
-        pair = st.lists(st.sampled_from(spans), min_size=2, max_size=2, unique=True)
-        (a, b), (c, d) = sorted(draw(pair))
+        spans = [match.span(1) for match in _VALUE_RE.finditer(text)]
+        (a, b), (c, d) = sorted(rng.sample(spans, 2))
         text = text[:a] + text[c:d] + text[b:c] + text[a:b] + text[d:]
-    for _ in range(draw(st.integers(0 if swapped else 1, 6))):
-        at = draw(st.integers(0, len(text)))
-        cut = draw(st.integers(0, 3))
-        text = text[:at] + draw(st.text(_MUTATION_CHARS, max_size=4)) + text[at + cut:]
+    for _ in range(rng.randint(0 if swapped else 1, 6)):
+        at, cut = rng.randint(0, len(text)), rng.randint(0, 3)
+        inserted = "".join(
+            rng.choice(_MUTATION_CHARS) if rng.random() < 0.5 else chr(rng.randrange(0x110000))
+            for _ in range(rng.randint(0, 4))
+        )
+        text = text[:at] + inserted + text[at + cut:]
     return text
+
+
+def _mutated_corpus():
+    return st.randoms(use_true_random=False).map(_mutate)
 
 
 _HUGE = st.integers(1, 10**12)
@@ -874,6 +896,67 @@ def test_found_text_is_the_source_text_at_the_span(source):
             found = _found_text(error.message)
             if found is not None:
                 assert _source_at(source, error.span) == found, str(error)
+
+
+# Each message a fixed batch of mutated sources reaches, with what it quotes
+# and its digits blanked.  The value swaps alone reach the type mismatches
+# that name a color list, "counts objects; time unit" and "cannot move more".
+_REACHED_TEMPLATES = [
+    "expected '', found ''",
+    "expected '', found end of line",
+    "expected a statement, found ''",
+    "expected a value, found ''",
+    "expected a value, found end of line",
+    "expected a puzzle kind, found ''",
+    "expected a puzzle kind, found end of line",
+    "expected a count, found ''",
+    "expected a color name, found ''",
+    "expected a key, found ''",
+    "expected a field to find, found ''",
+    "expected a denominator, found ''",
+    "unterminated block: expected ''",
+    "unknown puzzle kind ''; expected one of rate, weighing, pigeonhole, transfer, station",
+    "unknown time unit '' for key ''; expected '' or ''",
+    "key '' expects a word, found a number",
+    "key '' expects a word, found a color list",
+    "key '' expects a number, found the word ''",
+    "key '' expects a number, found a color list",
+    "key '' expects an integer, found the word ''",
+    "key '' expects an integer, found a color list",
+    "key '' expects a color list like (blue: 0, red: 0), found a number",
+    "key '' expects a color list like (blue: 0, red: 0), found the word ''",
+    "key '' counts objects; time unit '' is not allowed here",
+    "key '' must be strictly positive, got 0",
+    "rate puzzle is missing key ''",
+    "weighing puzzle is missing key ''",
+    "pigeonhole puzzle is missing key ''",
+    "transfer puzzle is missing key ''",
+    "station puzzle is missing key ''",
+    "unexpected key '' in a rate puzzle",
+    "unexpected key '' in a weighing puzzle",
+    "unexpected key '' in a pigeonhole puzzle",
+    "unexpected key '' in a transfer puzzle",
+    "unexpected key '' in a station puzzle",
+    "rate puzzle needs a '' clause",
+    "find target must be one of work, subjects, time; got ''",
+    "where-clause is missing key ''",
+    "unexpected key '' in where-clause; expected time and work",
+    "cannot move more objects than container_a holds",
+    "saved_minutes cannot exceed twice early_minutes; the meeting scenario would be inconsistent",
+]
+
+
+def test_mutated_sources_reach_each_listed_message():
+    # A seeded batch, the same on every run: a changed or lost message shows here.
+    rng = random.Random(1)
+    reached = set()
+    for _ in range(2000):
+        try:
+            parse_puzzles(_mutate(rng))
+        except ParseFailure as failure:
+            for error in failure.errors:
+                reached.add(re.sub(r"[0-9]+", "0", re.sub(r"'[^']*'", "''", error.message)))
+    assert [template for template in _REACHED_TEMPLATES if template not in reached] == []
 
 
 @pytest.mark.parametrize(

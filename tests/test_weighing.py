@@ -184,9 +184,16 @@ def test_strategy_soundness_small_range():
 
 
 def test_malformed_trees_are_rejected():
-    # A pan is the subtree it leads to, so a node can only have unequal pans
-    # or an object that appears twice among its suspects, and it is refused
-    # when it is built: no malformed tree exists to be walked.
+    # A pan is the subtree it leads to, so a node can only have unequal pans,
+    # an object that appears twice among its suspects, or a child that is not
+    # a node, and it is refused when it is built: no malformed tree exists to
+    # be walked.  A leaf's object is numbered from 0, as build_strategy does.
+    for identified in ("x", True, -1, 1.0, None):
+        with pytest.raises(MalformedTree, match="leaf object must be an integer >= 0"):
+            Leaf(identified)
+    for subtrees in ((Leaf(0), 5), (None, Leaf(1)), (Leaf(0), Leaf(1), 3)):
+        with pytest.raises(MalformedTree, match="each subtree must be a Leaf or a Weigh"):
+            Weigh(*subtrees)
     unequal_pans = (Leaf(0), Weigh(Leaf(1), Leaf(2)))
     overlapping = (Weigh(Leaf(0), Leaf(1)), Weigh(Leaf(1), Leaf(2)))
     on_a_pan_and_aside = (Leaf(0), Leaf(1), Leaf(0))
