@@ -797,12 +797,17 @@ def _mutate(rng):
         text = text[:a] + text[c:d] + text[b:c] + text[a:b] + text[d:]
     for _ in range(rng.randint(0 if swapped else 1, 6)):
         at, cut = rng.randint(0, len(text)), rng.randint(0, 3)
-        inserted = "".join(
-            rng.choice(_MUTATION_CHARS) if rng.random() < 0.5 else chr(rng.randrange(0x110000))
-            for _ in range(rng.randint(0, 4))
-        )
+        inserted = "".join(_mutation_char(rng) for _ in range(rng.randint(0, 4)))
         text = text[:at] + inserted + text[at + cut:]
     return text
+
+
+def _mutation_char(rng):
+    # Half the DSL's own characters; the rest as `st.characters()` draws them:
+    # mostly the first 256 code points (letters, quotes, '.', '_'), else any.
+    if rng.random() < 0.5:
+        return rng.choice(_MUTATION_CHARS)
+    return chr(rng.randrange(256) if rng.random() < 0.8 else rng.randrange(0x110000))
 
 
 def _mutated_corpus():
@@ -904,6 +909,7 @@ def test_found_text_is_the_source_text_at_the_span(source):
 _REACHED_TEMPLATES = [
     "expected '', found ''",
     "expected '', found end of line",
+    "expected '', found end of input",
     "expected a statement, found ''",
     "expected a value, found ''",
     "expected a value, found end of line",
@@ -913,6 +919,7 @@ _REACHED_TEMPLATES = [
     "expected a color name, found ''",
     "expected a key, found ''",
     "expected a field to find, found ''",
+    "expected a field to find, found end of line",
     "expected a denominator, found ''",
     "unterminated block: expected ''",
     "unknown puzzle kind ''; expected one of rate, weighing, pigeonhole, transfer, station",
@@ -927,6 +934,7 @@ _REACHED_TEMPLATES = [
     "key '' expects a color list like (blue: 0, red: 0), found the word ''",
     "key '' counts objects; time unit '' is not allowed here",
     "key '' must be strictly positive, got 0",
+    "color counts must be integers",
     "rate puzzle is missing key ''",
     "weighing puzzle is missing key ''",
     "pigeonhole puzzle is missing key ''",
