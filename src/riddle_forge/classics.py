@@ -71,7 +71,7 @@ class TransferInstance(Value):
         a, b, moved, query = block.take("container_a", "container_b", "moved", "query")
         pairs_a = block.colors(a, at_least_one=True)
         pairs_b = block.colors(b, at_least_one=False)
-        count = block.integer(moved, minimum=1)
+        count = block.integer(moved)
         word = block.word(query)
         if None in (pairs_a, pairs_b, count, word):
             return None

@@ -53,18 +53,6 @@ STRATEGY_RENDER_LIMIT = 27  # explain-mode trees get big fast beyond this
 STALL_SHOWN = 30  # explain-mode draws of the longest stall
 
 
-class SolveOptions:
-    __slots__ = ("check", "explain", "fmt", "ceil_subjects", "out")
-
-    def __init__(self, check: bool = False, explain: bool = False, fmt: str = "text",
-                 ceil_subjects: bool = False, out: str | None = None) -> None:
-        self.check = check
-        self.explain = explain
-        self.fmt = fmt
-        self.ceil_subjects = ceil_subjects
-        self.out = out
-
-
 # json.dump's own string encoder (ensure_ascii) and constants.
 _json_str = json.encoder.encode_basestring_ascii
 _JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
@@ -131,15 +119,15 @@ def _strategy(n: int) -> tuple[tuple[str, ...], str]:
     return lines, json.dumps(strategy_to_dict(tree), indent=2)
 
 
-def _solve_rate_report(label: str, query: RateQuery, opts: SolveOptions) -> SolveReport:
+def _solve_rate_report(label: str, query: RateQuery, args: argparse.Namespace) -> SolveReport:
     exact = solve_rate(query)
     shown: str = str(exact)
     rounded = None
-    if opts.ceil_subjects and query.target is RateField.SUBJECTS:
+    if args.ceil_subjects and query.target is RateField.SUBJECTS:
         rounded = ceil_subjects(exact)
         shown = str(rounded)
     report = SolveReport(label, query.puzzle_kind, shown)
-    if opts.explain:
+    if args.explain:
         known = query.known
         k = rate_constant(known)
         report.explanation.append(
@@ -162,11 +150,11 @@ def _solve_rate_report(label: str, query: RateQuery, opts: SolveOptions) -> Solv
 
 
 def _solve_weighing_report(
-    label: str, inst: WeighingInstance, opts: SolveOptions
+    label: str, inst: WeighingInstance, args: argparse.Namespace
 ) -> SolveReport:
     weighings = min_weighings_formula(inst)
     report = SolveReport(label, inst.puzzle_kind, str(weighings))
-    if opts.explain:
+    if args.explain:
         n = inst.n_objects
         if n == 1:
             report.explanation.append("a single object is already identified")
@@ -186,7 +174,7 @@ def _solve_weighing_report(
                 f"strategy tree elided ({n} objects; render up to "
                 f"{STRATEGY_RENDER_LIMIT})"
             )
-    if opts.check:
+    if args.check:
         report.checked = True
         if inst.n_objects > WEIGHING_ORACLE_LIMIT:
             report.explanation.append(
@@ -201,19 +189,19 @@ def _solve_weighing_report(
 
 
 def _solve_pigeonhole_report(
-    label: str, inst: PigeonholeInstance, opts: SolveOptions
+    label: str, inst: PigeonholeInstance, args: argparse.Namespace
 ) -> SolveReport:
     n_colors = len(inst.color_counts)
     formula = guarantee_draws_formula(n_colors, inst.required)
     report = SolveReport(label, inst.puzzle_kind, str(formula))
-    if opts.explain:
+    if args.explain:
         report.explanation.append(
             f"colors: {n_colors}, same-color run wanted: {inst.required}"
         )
         report.explanation.append(
             f"guaranteed draws: {n_colors}*({inst.required} - 1) + 1 = {formula}"
         )
-    if opts.check:
+    if args.check:
         report.checked = True
         try:
             oracle = guarantee_draws_oracle(inst)
@@ -229,7 +217,7 @@ def _solve_pigeonhole_report(
                     "note: the closed formula assumes every color has at least "
                     "required - 1 objects; this instance does not"
                 )
-            if opts.explain:
+            if args.explain:
                 stall = adversarial_sequence(inst, STALL_SHOWN)
                 shown = ", ".join(stall) + (", ..." if oracle - 1 > STALL_SHOWN else "")
                 report.explanation.append(f"longest stall ({oracle - 1} draws): {shown}")
@@ -237,7 +225,7 @@ def _solve_pigeonhole_report(
 
 
 def _solve_transfer_report(
-    label: str, inst: TransferInstance, opts: SolveOptions
+    label: str, inst: TransferInstance, args: argparse.Namespace
 ) -> SolveReport:
     n = sum(count for _, count in inst.container_a)
     d = sum(count for _, count in inst.container_b)
@@ -248,12 +236,12 @@ def _solve_transfer_report(
         formula = None
         answer = "undefined"
     report = SolveReport(label, inst.puzzle_kind, answer)
-    if opts.explain:
+    if args.explain:
         report.explanation.append(
             f"folklore formula 2n/(n+d) with n = {n} (source total), "
             f"d = {d} (destination total): {answer}"
         )
-    if opts.check:
+    if args.check:
         report.checked = True
         enumerated = transfer_probability_enumerate(inst)
         report.oracle = str(enumerated)
@@ -267,16 +255,16 @@ def _solve_transfer_report(
 
 
 def _solve_station_report(
-    label: str, inst: StationInstance, opts: SolveOptions
+    label: str, inst: StationInstance, args: argparse.Namespace
 ) -> SolveReport:
     walked = station_walk_formula(inst)
     report = SolveReport(label, inst.puzzle_kind, str(walked))
     x, y = inst.early_minutes, inst.saved_minutes
-    if opts.explain:
+    if args.explain:
         report.explanation.append(
             f"walked = early - saved/2 = {x} - {y}/2 = {walked} min"
         )
-    if opts.check:
+    if args.check:
         report.checked = True
         if y < x:
             # A parameter family realising (X, Y): car speed 1, walker speed
@@ -305,14 +293,12 @@ _REPORTS = {
 }
 
 
-def _solve_one(spec: PuzzleSpec, label: str, opts: SolveOptions) -> SolveReport:
-    return _REPORTS[type(spec.payload)](label, spec.payload, opts)
+def _solve_one(spec: PuzzleSpec, label: str, args: argparse.Namespace) -> SolveReport:
+    return _REPORTS[type(spec.payload)](label, spec.payload, args)
 
 
-def _write_reports(
-    reports: Iterable[SolveReport], opts: SolveOptions, handle: TextIO
-) -> None:
-    if opts.fmt == "json":
+def _write_reports(reports: Iterable[SolveReport], fmt: str, handle: TextIO) -> None:
+    if fmt == "json":
         # One report at a time, the bytes json.dump(..., indent=2) writes.
         separator = "[\n"
         for report in reports:
@@ -324,19 +310,19 @@ def _write_reports(
         handle.write(report.to_text() + "\n")
 
 
-def cmd_solve(paths: Sequence[str], opts: SolveOptions) -> int:
+def cmd_solve(args: argparse.Namespace) -> int:
     """Solve every puzzle in the given files, writing each report as it is made."""
     _strategy.cache_clear()  # strategies are kept for one run only
-    if opts.out is not None and os.path.isfile(opts.out):
-        for path in paths:
-            if os.path.exists(path) and os.path.samefile(path, opts.out):
+    if args.out is not None and os.path.isfile(args.out):
+        for path in args.paths:
+            if os.path.exists(path) and os.path.samefile(path, args.out):
                 print(f"error: --out names the input file {path}", file=sys.stderr)
                 return 1
     failed = disagreed = False
 
     def solved() -> Iterator[SolveReport]:
         nonlocal failed, disagreed
-        for path in paths:
+        for path in args.paths:
             try:
                 text = Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is dropped
             except (OSError, UnicodeDecodeError) as exc:
@@ -354,7 +340,7 @@ def cmd_solve(paths: Sequence[str], opts: SolveOptions) -> int:
             for index, spec in enumerate(specs, 1):
                 label = spec.label or f"{stem}#{index}"
                 try:
-                    report = _solve_one(spec, label, opts)
+                    report = _solve_one(spec, label, args)
                 except ValueError as exc:
                     # Only an exact value past int-to-str's digit limit is expected.
                     if "integer string conversion" not in str(exc):
@@ -371,10 +357,10 @@ def cmd_solve(paths: Sequence[str], opts: SolveOptions) -> int:
 
     # Opened before any input is read, so a bad path fails at once.
     with (
-        contextlib.nullcontext(sys.stdout) if opts.out is None
-        else open(opts.out, "w", encoding="utf-8", newline="\n")
+        contextlib.nullcontext(sys.stdout) if args.out is None
+        else open(args.out, "w", encoding="utf-8", newline="\n")
     ) as handle:
-        _write_reports(solved(), opts, handle)
+        _write_reports(solved(), args.format, handle)
     return 1 if failed else 2 if disagreed else 0
 
 
@@ -457,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--explain", action="store_true",
                        help="show the worked solution, formula instance included")
     solve.add_argument("--format", choices=("text", "json"), default="text")
-    solve.add_argument("--ceil-subjects", action="store_true", dest="ceil_subjects",
+    solve.add_argument("--ceil-subjects", action="store_true",
                        help="round fractional subject counts up to whole subjects")
     solve.add_argument("--out", help="write the report to a file instead of stdout")
 
@@ -481,14 +467,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "solve":
-            opts = SolveOptions(
-                check=args.check,
-                explain=args.explain,
-                fmt=args.format,
-                ceil_subjects=args.ceil_subjects,
-                out=args.out,
-            )
-            return cmd_solve(args.paths, opts)
+            return cmd_solve(args)
         if args.sweep_kind == "weighing":
             return _sweep_weighing(args.max)
         return _sweep_transfer(args.max_n, args.max_d, args.out)

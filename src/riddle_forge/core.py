@@ -22,8 +22,9 @@ from .errors import InvalidInstance
 def _exact(value: int | Fraction, what: str) -> Fraction:
     if type(value) is Fraction:
         return value
-    if isinstance(value, float):
-        raise InvalidInstance(f"{what} must be exact (int or Fraction), not float")
+    if not isinstance(value, (int, Fraction)):
+        kind = type(value).__name__
+        raise InvalidInstance(f"{what} must be exact (int or Fraction), not {kind}")
     return Fraction(value)
 
 
@@ -105,6 +106,8 @@ class Quantity(Value):
         # A Fraction's denominator is positive: its sign is its numerator's.
         if magnitude.numerator < 0:
             raise InvalidInstance(f"quantity magnitude must be >= 0, got {magnitude}")
+        if not isinstance(unit, Unit):
+            raise InvalidInstance(f"quantity unit must be a Unit, not {type(unit).__name__}")
         if unit is Unit.MINUTES and label is not None:
             raise InvalidInstance("time quantities carry a unit, not a label")
         if label is not None and not isinstance(label, str):

@@ -8,6 +8,8 @@ any instance.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .core import Value, _is_int, _normalize_counts, _set
 from .errors import Infeasible, InvalidInstance
 
@@ -32,7 +34,7 @@ class PigeonholeInstance(Value):
         """``puzzle pigeonhole { counts = (blue: 10, red: 8); required = 2 }``."""
         counts, required = block.take("counts", "required")
         pairs = block.colors(counts, at_least_one=True)
-        run = block.integer(required, minimum=1)
+        run = block.integer(required)
         return None if pairs is None or run is None else cls(pairs, run)
 
     def block_items(self) -> list[tuple[str, object]]:
@@ -74,23 +76,15 @@ def adversarial_sequence(
     """
     if limit is not None and (not _is_int(limit) or limit < 0):
         raise InvalidInstance(f"limit must be None or an integer >= 0, got {limit!r}")
-    answer = guarantee_draws_oracle(inst)  # validates feasibility
-    wanted = answer - 1 if limit is None else min(limit, answer - 1)
+    guarantee_draws_oracle(inst)  # validates feasibility
     budgets = [
         (label, min(count, inst.required - 1)) for label, count in inst.color_counts
     ]
-    sequence: list[str] = []
-    for round_no in range(inst.required - 1):
-        # Some color has a full budget, so every round draws at least once
-        # and this stops within ``wanted`` rounds.
-        if len(sequence) >= wanted:
-            break
-        for label, budget in budgets:
-            if budget > round_no:
-                sequence.append(label)
-    del sequence[wanted:]
-    assert len(sequence) == wanted
-    return sequence
+    # Some color has a full budget, so every round draws at least once and
+    # the slice stops within ``limit`` rounds.
+    draws = (label for round_no in range(inst.required - 1)
+             for label, budget in budgets if budget > round_no)
+    return list(islice(draws, limit))
 
 
 def formula_applicable(inst: PigeonholeInstance) -> bool:

@@ -13,7 +13,7 @@ import operator
 from enum import Enum
 from fractions import Fraction
 
-from .core import Quantity, Unit, Value, _set
+from .core import Quantity, Unit, Value, _exact, _set
 from .errors import InvalidInstance
 
 
@@ -34,7 +34,7 @@ def _by_field(values: "RateScenario | RateQuery") -> dict[RateField, Quantity | 
 
 
 def _check_positive(quantity: Quantity, name: str, unit: Unit) -> None:
-    if quantity.unit is not unit:
+    if not isinstance(quantity, Quantity) or quantity.unit is not unit:
         raise InvalidInstance(f"{name} must be a {unit.value} quantity")
     if quantity.magnitude.numerator <= 0:  # the denominator is positive
         raise InvalidInstance(f"{name} must be strictly positive")
@@ -64,41 +64,42 @@ def rate_constant(scenario: RateScenario) -> Fraction:
 class RateQuery(Value):
     """A known scenario plus two given quantities; solve for the third.
 
-    The field named by ``target`` must be None, the other two must be
-    present, strictly positive, and carry the right unit.
+    The unknown is the one field left as None; the other two must be
+    strictly positive and carry the right unit.
     """
 
-    __slots__ = _fields = ("known", "target", "work", "subjects", "time")
+    # ``target`` (the field left out) is worked out, not a field.
+    _fields = ("known", "work", "subjects", "time")
+    __slots__ = (*_fields, "target")
     puzzle_kind = "rate"
 
-    def __init__(self, known: RateScenario, target: RateField, work: Quantity | None = None,
+    def __init__(self, known: RateScenario, work: Quantity | None = None,
                  subjects: Quantity | None = None, time: Quantity | None = None) -> None:
+        if not isinstance(known, RateScenario):
+            raise InvalidInstance("known must be a RateScenario")
         by_field = dict(zip(_FIELDS, (work, subjects, time)))
-        if by_field[target] is not None:
-            raise InvalidInstance(f"target '{target.value}' must not also be given")
+        left_out = [field for field, quantity in by_field.items() if quantity is None]
+        if len(left_out) != 1:
+            raise InvalidInstance("exactly one of work, subjects and time must be left out")
         for field, quantity in by_field.items():
-            if field is target:
-                continue
-            if quantity is None:
-                raise InvalidInstance(f"missing given quantity '{field.value}'")
-            unit = Unit.MINUTES if field is RateField.TIME else Unit.COUNT
-            _check_positive(quantity, field.value, unit)
+            if quantity is not None:
+                unit = Unit.MINUTES if field is RateField.TIME else Unit.COUNT
+                _check_positive(quantity, field.value, unit)
         _set(self, "known", known)
-        _set(self, "target", target)
         _set(self, "work", work)
         _set(self, "subjects", subjects)
         _set(self, "time", time)
+        _set(self, "target", left_out[0])
 
     @classmethod
     def from_block(cls, block) -> "RateQuery | None":
         """``work = 6; subjects = 6; time = 6 min; find subjects where ...``."""
         readers = {"work": block.count, "subjects": block.count, "time": block.time}
         known = [read(assign) for read, assign in zip(readers.values(), block.take(*readers))]
-        found = block.find(readers)
-        if found is None or None in known:
+        given = block.find(readers)
+        if given is None or None in known:
             return None
-        target, given = found
-        return block.make(cls, RateScenario(*known), RateField(target), **given)
+        return block.make(cls, RateScenario(*known), **given)
 
     def block_items(self) -> list[tuple[str, object]]:
         known = [(field.value, q) for field, q in _by_field(self.known).items()]
@@ -126,6 +127,7 @@ def completed_scenario(query: RateQuery, solution: Fraction) -> RateScenario:
 
 def ceil_subjects(value: Fraction) -> int:
     """Smallest whole subject count covering an exact rational answer."""
+    value = _exact(value, "subject count")
     if value <= 0:
         raise InvalidInstance("subject count must be positive")
     return math.ceil(value)

@@ -489,10 +489,10 @@ class _Block:
             self.errors.append((span, ParseErrorKind.SYNTAX, str(exc)))
             return None
 
-    def find(self, readers: dict) -> tuple[str, dict] | None:
-        """The target of the block's one ``find`` clause and its given values.
+    def find(self, readers: dict) -> dict | None:
+        """The given values of the block's one ``find`` clause.
 
-        The target is a key of ``readers``; the where-clause gives every
+        Its target is a key of ``readers``; the where-clause gives every
         other key, each read by its reader, in sorted order.
         """
         finds, errors = self.finds, self.errors
@@ -543,7 +543,7 @@ class _Block:
                 )
             else:
                 given[name] = readers[name](clause)
-        return None if len(errors) > before else (find.target, given)
+        return None if len(errors) > before else given
 
     # value readers
 
@@ -615,7 +615,8 @@ class _Block:
             return self._not_positive(assign, value)
         return Quantity(magnitude, Unit.MINUTES)
 
-    def integer(self, assign: _Assign | None, minimum: int) -> int | None:
+    def integer(self, assign: _Assign | None) -> int | None:
+        """A whole number of at least 1."""
         value = self._number(assign, "an integer", counts=True)
         if value is None:
             return None
@@ -625,10 +626,10 @@ class _Block:
                  f"key '{assign.key}' expects an integer, got {value}")
             )
             return None
-        if value < minimum:
+        if value < 1:
             self.errors.append(
                 (assign.span, ParseErrorKind.NEGATIVE_COUNT,
-                 f"key '{assign.key}' must be at least {minimum}, got {value}")
+                 f"key '{assign.key}' must be at least 1, got {value}")
             )
             return None
         return int(value)

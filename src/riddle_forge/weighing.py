@@ -35,7 +35,7 @@ class WeighingInstance(Value):
     def from_block(cls, block) -> "WeighingInstance | None":
         """``puzzle weighing { objects = 13 }``; see ``speck._Block``."""
         (objects,) = block.take("objects")
-        count = block.integer(objects, minimum=1)
+        count = block.integer(objects)
         return None if count is None else cls(count)
 
     def block_items(self) -> list[tuple[str, object]]:

@@ -58,7 +58,7 @@ def random_rate(rng: random.Random) -> RateQuery:
             given[field.value] = _time_quantity(rng)
         else:
             given[field.value] = _count_quantity(rng)
-    return RateQuery(known=known, target=target, **given)
+    return RateQuery(known=known, **given)
 
 
 def random_weighing(rng: random.Random) -> WeighingInstance:

@@ -138,7 +138,7 @@ def _random_rate_query(rng):
         magnitude = Fraction(rng.randint(1, 500), rng.randint(1, 24))
         ctor = Quantity.minutes if field is RateField.TIME else Quantity.count
         given[field.value] = ctor(magnitude)
-    return RateQuery(known=known, target=target, **given)
+    return RateQuery(known=known, **given)
 
 
 def test_criterion_5_rate_consistency_and_invariance():
@@ -164,7 +164,6 @@ def test_criterion_5_rate_consistency_and_invariance():
         for invariant_known in (scaled_ws, scaled_wt):
             rescaled = RateQuery(
                 known=invariant_known,
-                target=query.target,
                 work=query.work,
                 subjects=query.subjects,
                 time=query.time,

@@ -161,7 +161,7 @@ def _report_and_dict(draw):
 @given(st.lists(_report_and_dict(), max_size=4))
 def test_json_reports_are_written_as_json_dump_writes_them(pairs):
     handle = io.StringIO()
-    cli._write_reports([report for report, _ in pairs], cli.SolveOptions(fmt="json"), handle)
+    cli._write_reports([report for report, _ in pairs], "json", handle)
     assert handle.getvalue() == json.dumps([data for _, data in pairs], indent=2) + "\n"
 
 
@@ -169,8 +169,8 @@ def test_solve_records_keep_their_defaults():
     first, second = cli.SolveReport("a", "rate", "1"), cli.SolveReport("b", "rate", "2")
     first.explanation.append("line")
     assert second.explanation == [] and first.explanation is not second.explanation
-    opts = cli.SolveOptions()
-    assert (opts.check, opts.explain, opts.fmt, opts.ceil_subjects, opts.out) == (
+    args = cli.build_parser().parse_args(["solve", "a.speck"])
+    assert (args.check, args.explain, args.format, args.ceil_subjects, args.out) == (
         False, False, "text", False, None
     )
 

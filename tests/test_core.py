@@ -5,6 +5,7 @@ import copy
 import io
 import pickle
 import tokenize
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from riddle_forge import (
     Weigh,
     WeighingInstance,
     build_strategy,
+    station_walk_simulate,
 )
 from riddle_forge.core import _exact
 
@@ -45,8 +47,9 @@ def test_quantity_rejects_bad_values():
         Quantity.count(-1)
     with pytest.raises(InvalidInstance):
         Quantity(Fraction(3), Unit.MINUTES, label="mice")
-    with pytest.raises(InvalidInstance):
-        Quantity.count(0.5)  # floats are not exact
+    float_message = r"^count must be exact \(int or Fraction\), not float$"
+    with pytest.raises(InvalidInstance, match=float_message):
+        Quantity.count(0.5)
 
 
 @pytest.mark.parametrize(
@@ -61,10 +64,18 @@ def test_quantity_rejects_bad_values():
         lambda: PigeonholeInstance((("", 1),), 1),
         lambda: PigeonholeInstance(((3, 1),), 1),
         lambda: TransferInstance((("a", 1),), (), 1, "moved"),
+        lambda: Quantity(1, "count"),
+        lambda: Quantity("abc", Unit.COUNT),
+        lambda: Quantity(None, Unit.COUNT),
+        lambda: Quantity(Decimal("1.5"), Unit.COUNT),
+        lambda: StationInstance("20", "10"),
+        lambda: station_walk_simulate("a", 1, 1, 1),
     ],
     ids=[
         "negative-fraction", "negative-int", "float", "zero-fraction-rate",
         "empty-color-label", "non-string-color-label", "bare-string-query",
+        "string-unit", "string-magnitude", "none-magnitude", "decimal-magnitude",
+        "string-station", "string-simulation",
     ],
 )
 def test_constructors_check_direct_callers(build):
@@ -121,8 +132,8 @@ def test_puzzle_spec_tag_must_match_payload():
 
 
 def test_package_source_has_no_floats():
-    """Every value is exact: no float literal, and the name ``float`` only
-    where ``core._exact`` refuses one."""
+    """Every value is exact: no float literal and no use of the name ``float``
+    (``core._exact`` refuses every number that is not an int or a Fraction)."""
     package = Path(__file__).resolve().parent.parent / "src" / "riddle_forge"
     sources = sorted(package.glob("*.py"))
     assert sources
@@ -136,7 +147,7 @@ def test_package_source_has_no_floats():
             elif tok.type == tokenize.NAME and tok.string == "float":
                 float_names.append(where)
     assert float_literals == []
-    assert float_names == [("core.py", "if isinstance(value, float):")]
+    assert float_names == []
 
 
 _KNOWN = RateScenario(Quantity.count(6), Quantity.count(6), Quantity.minutes(6))
@@ -155,8 +166,8 @@ _VALUES = [
     (PuzzleSpec, (WeighingInstance(13), "coins"),
      "PuzzleSpec(payload=WeighingInstance(n_objects=13), label='coins')"),
     (RateScenario, (_KNOWN.work, _KNOWN.subjects, _KNOWN.time), _KNOWN_REPR),
-    (RateQuery, (_KNOWN, RateField.SUBJECTS, Quantity.count(100), None, Quantity.minutes(100)),
-     f"RateQuery(known={_KNOWN_REPR}, target=<RateField.SUBJECTS: 'subjects'>, "
+    (RateQuery, (_KNOWN, Quantity.count(100), None, Quantity.minutes(100)),
+     f"RateQuery(known={_KNOWN_REPR}, "
      "work=Quantity(magnitude=Fraction(100, 1), unit=<Unit.COUNT: 'count'>, label=None), "
      "subjects=None, "
      "time=Quantity(magnitude=Fraction(100, 1), unit=<Unit.MINUTES: 'min'>, label=None))"),
@@ -206,4 +217,6 @@ def test_value_contract(cls, args, expected_repr):
         assert type(copied) is cls and copied == value
         if cls is Weigh:
             assert copied.suspects == value.suspects == tuple(range(13))
+        if cls is RateQuery:
+            assert copied.target is value.target is RateField.SUBJECTS
     assert repr(value) == expected_repr

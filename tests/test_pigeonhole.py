@@ -135,6 +135,12 @@ def test_adversarial_sequence_limit_is_a_prefix(counts, required, limit):
     assert adversarial_sequence(inst, limit) == adversarial_sequence(inst)[:limit]
 
 
+def test_a_huge_stall_costs_only_its_prefix():
+    # 10^12 - 1 rounds in all: only the first 30 draws may be made.
+    inst = PigeonholeInstance((("a", 10**12), ("b", 3)), 10**12)
+    assert adversarial_sequence(inst, 30) == ["a", "b"] * 3 + ["a"] * 24
+
+
 @pytest.mark.parametrize("limit", [-1, -30, "3", 1.0])
 def test_adversarial_sequence_refuses_a_bad_limit(limit):
     inst = PigeonholeInstance(SOCKS, 2)

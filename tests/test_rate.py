@@ -29,7 +29,6 @@ def scenario(work, subjects, time):
 def subjects_query(known, work, time):
     return RateQuery(
         known=known,
-        target=RateField.SUBJECTS,
         work=Quantity.count(work),
         time=Quantity.minutes(time),
     )
@@ -51,7 +50,6 @@ def test_solve_classic_worked_problems():
 def test_solve_returns_known_value_for_identity_query():
     query = RateQuery(
         known=scenario(5, 2, 7),
-        target=RateField.WORK,
         subjects=Quantity.count(2),
         time=Quantity.minutes(7),
     )
@@ -68,10 +66,15 @@ def test_ceil_subjects():
     assert ceil_subjects(Fraction(12)) == 12
     assert ceil_subjects(Fraction(10, 3)) == 4
     assert ceil_subjects(Fraction(80)) == 80
+    assert ceil_subjects(7) == 7
     with pytest.raises(InvalidInstance):
         ceil_subjects(Fraction(0))
     with pytest.raises(InvalidInstance):
         ceil_subjects(Fraction(-3))
+    with pytest.raises(InvalidInstance):
+        ceil_subjects(1.5)
+    with pytest.raises(InvalidInstance):
+        ceil_subjects("3")
 
 
 def test_degenerate_inputs_rejected_at_construction():
@@ -84,15 +87,27 @@ def test_degenerate_inputs_rejected_at_construction():
             Quantity.count(1), Quantity.count(1), Quantity.count(1)
         )  # wrong unit for time
     with pytest.raises(InvalidInstance):
-        RateQuery(  # target given as well
-            known=scenario(1, 1, 1),
-            target=RateField.WORK,
-            work=Quantity.count(1),
-            subjects=Quantity.count(1),
-            time=Quantity.minutes(1),
-        )
+        RateScenario(1, 1, 1)  # numbers, not quantities
     with pytest.raises(InvalidInstance):
-        RateQuery(known=scenario(1, 1, 1), target=RateField.WORK)  # nothing given
+        RateQuery(5, work=Quantity.count(1), subjects=Quantity.count(1))
+    with pytest.raises(InvalidInstance):
+        RateQuery(scenario(1, 1, 1), work=5, subjects=Quantity.count(1))
+
+
+@pytest.mark.parametrize(
+    "given_map",
+    [
+        {"work": Quantity.count(1), "subjects": Quantity.count(1), "time": Quantity.minutes(1)},
+        {"work": Quantity.count(1)},
+        {},
+    ],
+    ids=["none-left-out", "two-left-out", "all-left-out"],
+)
+def test_query_leaves_out_exactly_one_field(given_map):
+    with pytest.raises(
+        InvalidInstance, match="^exactly one of work, subjects and time must be left out$"
+    ):
+        RateQuery(scenario(1, 1, 1), **given_map)
 
 
 positive_fractions = st.fractions(min_value=Fraction(1, 100), max_value=100)
@@ -110,7 +125,8 @@ def test_consistency_substituting_back_restores_k(w, s, t, g1, g2, target):
     for field, magnitude in zip(fields, (g1, g2)):
         unit_ctor = Quantity.minutes if field is RateField.TIME else Quantity.count
         given_map[field.value] = unit_ctor(magnitude)
-    query = RateQuery(known=known, target=target, **given_map)
+    query = RateQuery(known=known, **given_map)
+    assert query.target is target
     solution = solve_rate(query)
     assert solution > 0
     completed = completed_scenario(query, solution)
@@ -149,7 +165,6 @@ def test_symmetry_resolving_time_returns_given_time():
         solved_subjects = solve_rate(subjects_query(known, work, time))
         back = RateQuery(
             known=known,
-            target=RateField.TIME,
             work=Quantity.count(work),
             subjects=Quantity.count(solved_subjects),
         )

@@ -19,7 +19,6 @@ from riddle_forge import (
     PigeonholeInstance,
     PuzzleSpec,
     Quantity,
-    RateField,
     RateQuery,
     RateScenario,
     StationInstance,
@@ -50,7 +49,6 @@ def test_parses_the_documented_rate_block():
             subjects=Quantity.count(6, "cats"),
             time=Quantity.minutes(6),
         ),
-        target=RateField.SUBJECTS,
         work=Quantity.count(100),
         time=Quantity.minutes(50),
     )
@@ -458,8 +456,7 @@ def test_serialize_rejects_unexpressible_labels():
 
 def _rate_with_work(work):
     known = RateScenario(work, Quantity.count(3), Quantity.minutes(4))
-    return PuzzleSpec(RateQuery(known, RateField.TIME, work=Quantity.count(5),
-                                subjects=Quantity.count(6)))
+    return PuzzleSpec(RateQuery(known, work=Quantity.count(5), subjects=Quantity.count(6)))
 
 
 @pytest.mark.parametrize(
