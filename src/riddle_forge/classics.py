@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator
 
-from .core import Quantity, Value, _exact, _is_int, _normalize_counts, _set
+from .core import Quantity, Value, _exact, _normalize_counts, _positive_int, _set
 from .errors import InvalidInstance, NoMeeting
 
 
@@ -52,12 +52,13 @@ class TransferInstance(Value):
 
     def __init__(self, container_a: tuple[tuple[str, int], ...],
                  container_b: tuple[tuple[str, int], ...], moved: int, query: Query) -> None:
-        a = _normalize_counts(container_a, "container_a")
-        b = _normalize_counts(container_b, "container_b")
-        if not _is_int(moved) or moved < 1:
-            raise InvalidInstance("moved must be a positive integer")
-        if moved > sum(count for _, count in a):
-            raise InvalidInstance("cannot move more objects than container_a holds")
+        a = _normalize_counts(container_a, "container_a", True)
+        b = _normalize_counts(container_b, "container_b", False)
+        total_a = sum(count for _, count in a)
+        if _positive_int(moved, "moved") > total_a:
+            raise InvalidInstance(
+                f"must not exceed the {total_a} objects in container_a, got {moved}", "moved"
+            )
         if not isinstance(query, (DrawnIsMoved, DrawnHasColor)):
             raise InvalidInstance("query must be DrawnIsMoved or DrawnHasColor")
         _set(self, "container_a", a)
@@ -69,14 +70,12 @@ class TransferInstance(Value):
     def from_block(cls, block) -> "TransferInstance | None":
         """``query = moved`` asks for a moved object, any other word for a color."""
         a, b, moved, query = block.take("container_a", "container_b", "moved", "query")
-        pairs_a = block.colors(a, at_least_one=True)
-        pairs_b = block.colors(b, at_least_one=False)
-        count = block.integer(moved)
-        word = block.word(query)
+        pairs_a, pairs_b = block.colors(a), block.colors(b)
+        count, word = block.integer(moved), block.word(query)
         if None in (pairs_a, pairs_b, count, word):
             return None
         event = DrawnIsMoved() if word == "moved" else DrawnHasColor(word)
-        return block.make(cls, pairs_a, pairs_b, count, event, at=moved)
+        return block.make(cls, pairs_a, pairs_b, count, event, at=(a, b, moved))
 
     def block_items(self) -> list[tuple[str, object]]:
         query = "moved" if isinstance(self.query, DrawnIsMoved) else self.query.color
@@ -91,9 +90,7 @@ def transfer_probability_formula(n: int, d: int) -> Fraction:
 
     No claim is made that the result is a valid probability for all n, d.
     """
-    if not _is_int(n) or n < 1 or not _is_int(d) or d < 1:
-        raise InvalidInstance("n and d must both be positive integers")
-    return Fraction(2 * n, n + d)
+    return Fraction(2 * _positive_int(n, "n"), n + _positive_int(d, "d"))
 
 
 def transfer_probability_enumerate(inst: TransferInstance) -> Fraction:
@@ -131,8 +128,8 @@ def transfer_formula_survey(
     same, moved, query), so the survey is deterministic for given bounds.
     Agreement is recorded, never asserted.
     """
-    if not _is_int(max_n) or max_n < 1 or not _is_int(max_d) or max_d < 1:
-        raise InvalidInstance("survey bounds must be positive integers")
+    _positive_int(max_n, "max_n")
+    _positive_int(max_d, "max_d")
     queries = (DrawnIsMoved(), DrawnHasColor("alpha"))
     for n in range(1, max_n + 1):
         container_a = (("alpha", n),)

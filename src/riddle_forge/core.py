@@ -33,19 +33,36 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _positive_int(value: object, argument: str) -> int:
+    """``value``, refused unless it is an int of at least 1."""
+    if not _is_int(value):
+        kind = type(value).__name__
+        raise InvalidInstance(f"must be an integer, not {kind}", argument, kind="type_mismatch")
+    if value < 1:
+        raise InvalidInstance(f"must be at least 1, got {value}", argument, kind="negative_count")
+    return value
+
+
 def _normalize_counts(
-    raw: "Mapping[str, int] | Iterable[tuple[str, int]]", what: str
+    raw: "Mapping[str, int] | Iterable[tuple[str, int]]", argument: str, nonempty: bool
 ) -> tuple[tuple[str, int], ...]:
+    """The (color, count) pairs of ``raw``: distinct nonempty names, whole
+    counts >= 0 and, if ``nonempty``, at least one color."""
     pairs = tuple(raw.items()) if isinstance(raw, Mapping) else tuple(raw)
+    if nonempty and not pairs:
+        raise InvalidInstance("needs at least one color", argument, kind="type_mismatch")
     seen = set()
-    for label, count in pairs:
+    for index, (label, count) in enumerate(pairs):
         if not isinstance(label, str) or not label:
-            raise InvalidInstance(f"{what}: color labels must be nonempty strings")
+            raise InvalidInstance(
+                "needs color names that are nonempty strings", argument, index, "type_mismatch"
+            )
         if label in seen:
-            raise InvalidInstance(f"{what}: duplicate color '{label}'")
+            raise InvalidInstance(f"names color '{label}' twice", argument, index, "duplicate_key")
         seen.add(label)
         if not _is_int(count) or count < 0:
-            raise InvalidInstance(f"{what}: count for '{label}' must be an integer >= 0")
+            raise InvalidInstance(f"needs a whole count >= 0 for color '{label}', got {count!r}",
+                                  argument, index, "negative_count")
     return pairs
 
 
@@ -92,7 +109,7 @@ class Unit(Enum):
 
 
 class Quantity(Value):
-    """A nonnegative magnitude tagged with its unit.
+    """A strictly positive magnitude tagged with its unit.
 
     Time is always stored in minutes (the parser folds hours in on the way
     through).  ``label`` keeps the bare word that followed a count in the
@@ -104,8 +121,10 @@ class Quantity(Value):
     def __init__(self, magnitude: Fraction, unit: Unit, label: str | None = None) -> None:
         magnitude = _exact(magnitude, "magnitude")
         # A Fraction's denominator is positive: its sign is its numerator's.
-        if magnitude.numerator < 0:
-            raise InvalidInstance(f"quantity magnitude must be >= 0, got {magnitude}")
+        if magnitude.numerator <= 0:
+            raise InvalidInstance(
+                f"must be strictly positive, got {magnitude}", "magnitude", kind="negative_count"
+            )
         if not isinstance(unit, Unit):
             raise InvalidInstance(f"quantity unit must be a Unit, not {type(unit).__name__}")
         if unit is Unit.MINUTES and label is not None:

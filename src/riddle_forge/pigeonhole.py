@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import islice
 
-from .core import Value, _is_int, _normalize_counts, _set
+from .core import Value, _is_int, _normalize_counts, _positive_int, _set
 from .errors import Infeasible, InvalidInstance
 
 
@@ -21,21 +21,17 @@ class PigeonholeInstance(Value):
     puzzle_kind = "pigeonhole"
 
     def __init__(self, color_counts: tuple[tuple[str, int], ...], required: int) -> None:
-        pairs = _normalize_counts(color_counts, "color_counts")
-        if not pairs:
-            raise InvalidInstance("at least one color is required")
-        if not _is_int(required) or required < 1:
-            raise InvalidInstance("required must be a positive integer")
-        _set(self, "color_counts", pairs)
-        _set(self, "required", required)
+        _set(self, "color_counts", _normalize_counts(color_counts, "color_counts", True))
+        _set(self, "required", _positive_int(required, "required"))
 
     @classmethod
     def from_block(cls, block) -> "PigeonholeInstance | None":
         """``puzzle pigeonhole { counts = (blue: 10, red: 8); required = 2 }``."""
         counts, required = block.take("counts", "required")
-        pairs = block.colors(counts, at_least_one=True)
-        run = block.integer(required)
-        return None if pairs is None or run is None else cls(pairs, run)
+        pairs, run = block.colors(counts), block.integer(required)
+        if pairs is None or run is None:
+            return None
+        return block.make(cls, pairs, run, at=(counts, required))
 
     def block_items(self) -> list[tuple[str, object]]:
         return [("counts", self.color_counts), ("required", self.required)]
@@ -43,11 +39,7 @@ class PigeonholeInstance(Value):
 
 def guarantee_draws_formula(n_colors: int, required: int) -> int:
     """Closed form: n_colors * (required - 1) + 1 draws always suffice."""
-    if not _is_int(n_colors) or n_colors < 1:
-        raise InvalidInstance("n_colors must be a positive integer")
-    if not _is_int(required) or required < 1:
-        raise InvalidInstance("required must be a positive integer")
-    return n_colors * (required - 1) + 1
+    return _positive_int(n_colors, "n_colors") * (_positive_int(required, "required") - 1) + 1
 
 
 def guarantee_draws_oracle(inst: PigeonholeInstance) -> int:

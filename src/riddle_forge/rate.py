@@ -33,11 +33,10 @@ def _by_field(values: "RateScenario | RateQuery") -> dict[RateField, Quantity | 
     return dict(zip(_FIELDS, _field_values(values)))
 
 
-def _check_positive(quantity: Quantity, name: str, unit: Unit) -> None:
+def _check_unit(quantity: Quantity, name: str, unit: Unit) -> None:
+    """A ``Quantity`` is strictly positive, so only its unit needs checking."""
     if not isinstance(quantity, Quantity) or quantity.unit is not unit:
         raise InvalidInstance(f"{name} must be a {unit.value} quantity")
-    if quantity.magnitude.numerator <= 0:  # the denominator is positive
-        raise InvalidInstance(f"{name} must be strictly positive")
 
 
 class RateScenario(Value):
@@ -46,9 +45,9 @@ class RateScenario(Value):
     __slots__ = _fields = ("work", "subjects", "time")
 
     def __init__(self, work: Quantity, subjects: Quantity, time: Quantity) -> None:
-        _check_positive(work, "work", Unit.COUNT)
-        _check_positive(subjects, "subjects", Unit.COUNT)
-        _check_positive(time, "time", Unit.MINUTES)
+        _check_unit(work, "work", Unit.COUNT)
+        _check_unit(subjects, "subjects", Unit.COUNT)
+        _check_unit(time, "time", Unit.MINUTES)
         _set(self, "work", work)
         _set(self, "subjects", subjects)
         _set(self, "time", time)
@@ -84,7 +83,7 @@ class RateQuery(Value):
         for field, quantity in by_field.items():
             if quantity is not None:
                 unit = Unit.MINUTES if field is RateField.TIME else Unit.COUNT
-                _check_positive(quantity, field.value, unit)
+                _check_unit(quantity, field.value, unit)
         _set(self, "known", known)
         _set(self, "work", work)
         _set(self, "subjects", subjects)
@@ -99,7 +98,7 @@ class RateQuery(Value):
         given = block.find(readers)
         if given is None or None in known:
             return None
-        return block.make(cls, RateScenario(*known), **given)
+        return cls(RateScenario(*known), **given)  # the readers refused every bad value
 
     def block_items(self) -> list[tuple[str, object]]:
         known = [(field.value, q) for field, q in _by_field(self.known).items()]

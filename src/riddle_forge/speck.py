@@ -31,8 +31,9 @@ Errors carry precise source spans and a kind; parsing recovers at block
 boundaries so one bad block does not hide errors in the next.
 
 Which keys a kind takes, and how its payload is written back, lives with
-the kind's payload class (``from_block``, ``block_items``); this module
-holds the grammar, the value readers and the value text.
+the kind's payload class (``from_block``, ``block_items``), and which values
+it accepts with its constructor; this module holds the grammar, the value
+readers, which check only a value's type and unit, and the value text.
 """
 
 from __future__ import annotations
@@ -423,9 +424,10 @@ class _Block:
     ``build`` makes the block's spec, or gives None with the reasons in
     ``errors``.  ``take`` claims keys from the table.  The readers ``word``,
     ``count``, ``time``, ``integer`` and ``colors`` turn a statement into a
-    value, or report an error and give None, as they do when given None (a
-    missing key, already reported).  ``find`` reads the ``find ... where ...``
-    clause, and ``make`` reports a constructor's refusal.
+    value of the type its key takes, or report an error and give None, as
+    they do when given None (a missing key, already reported).  ``find``
+    reads the ``find ... where ...`` clause.  Which values a kind accepts is
+    its constructor's rule: ``make`` calls it and places its refusal.
     """
 
     __slots__ = ("kind", "kind_span", "table", "finds", "errors")
@@ -479,14 +481,30 @@ class _Block:
             found.append(assign)
         return tuple(found)
 
-    def make(self, payload_type: type, *args, at: _Assign | None = None, **kwargs):
-        """``payload_type(*args, **kwargs)``; a refusal is an error at ``at``'s
-        value, or else at the kind keyword, and gives None."""
+    def make(self, payload_type: type, *args, at: tuple[_Assign, ...] = ()):
+        """``payload_type(*args)``, or None with its refusal reported.
+
+        ``at`` holds the statements that gave the leading arguments, in
+        ``payload_type._fields`` order.  A refusal of one of those is an
+        error at its statement's value (at a refused color's name if it is
+        repeated, else its count) that reads ``key '<key>' <problem>``; any
+        other is an error at the kind keyword, worded as raised.
+        """
         try:
-            return payload_type(*args, **kwargs)
+            return payload_type(*args)
         except InvalidInstance as exc:
-            span = self.kind_span if at is None else at.span
-            self.errors.append((span, ParseErrorKind.SYNTAX, str(exc)))
+            kind, argument = ParseErrorKind(exc.kind), exc.argument
+            fields = payload_type._fields[:len(at)]
+            if argument not in fields:
+                self.errors.append((self.kind_span, kind, str(exc)))
+                return None
+            assign = at[fields.index(argument)]
+            span = assign.span
+            if exc.index is not None:
+                _, _, name_span, count_span = assign.value[exc.index]
+                span = name_span if kind is ParseErrorKind.DUPLICATE_KEY else count_span
+            problem = str(exc)[len(argument):]  # "<argument> <problem>"
+            self.errors.append((span, kind, f"key '{assign.key}'{problem}"))
             return None
 
     def find(self, readers: dict) -> dict | None:
@@ -554,12 +572,6 @@ class _Block:
              f"key '{assign.key}' expects {expects}, found {_value_what(assign.value)}")
         )
 
-    def _not_positive(self, assign: _Assign, value: int | Fraction) -> None:
-        self.errors.append(
-            (assign.span, ParseErrorKind.NEGATIVE_COUNT,
-             f"key '{assign.key}' must be strictly positive, got {value}")
-        )
-
     def word(self, assign: _Assign | None) -> str | None:
         if assign is None:
             return None
@@ -586,20 +598,18 @@ class _Block:
         return value
 
     def count(self, assign: _Assign | None) -> Quantity | None:
-        """A strictly positive count, with its label word if it has one."""
+        """A count, with its label word if it has one."""
         value = self._number(assign, "a number", counts=True)
         if value is None:
             return None
-        if value.numerator <= 0:  # an int's or a Fraction's sign
-            return self._not_positive(assign, value)
-        return Quantity(value, Unit.COUNT, assign.word)
+        return self.make(Quantity, value, Unit.COUNT, assign.word, at=(assign,))
 
     def time(self, assign: _Assign | None) -> Quantity | None:
-        """A strictly positive time in minutes; a bare number is minutes."""
+        """A time in minutes; a bare number is minutes."""
         value = self._number(assign, "a number", counts=False)
         if value is None:
             return None
-        magnitude = value
+        scale = 1
         if assign.word is not None:
             scale = _TIME_UNITS.get(assign.word)
             if scale is None:
@@ -609,14 +619,14 @@ class _Block:
                      f"'{assign.key}'; expected 'min' or 'h'")
                 )
                 return None
-            if scale != 1:
-                magnitude *= scale
-        if magnitude.numerator <= 0:
-            return self._not_positive(assign, value)
-        return Quantity(magnitude, Unit.MINUTES)
+        # Built before it is scaled, so that a refusal quotes the value as written.
+        quantity = self.make(Quantity, value, Unit.MINUTES, at=(assign,))
+        if quantity is not None and scale != 1:
+            quantity = Quantity(quantity.magnitude * scale, Unit.MINUTES)
+        return quantity
 
     def integer(self, assign: _Assign | None) -> int | None:
-        """A whole number of at least 1."""
+        """A whole number."""
         value = self._number(assign, "an integer", counts=True)
         if value is None:
             return None
@@ -626,48 +636,14 @@ class _Block:
                  f"key '{assign.key}' expects an integer, got {value}")
             )
             return None
-        if value < 1:
-            self.errors.append(
-                (assign.span, ParseErrorKind.NEGATIVE_COUNT,
-                 f"key '{assign.key}' must be at least 1, got {value}")
-            )
-            return None
         return int(value)
 
-    def colors(
-        self, assign: _Assign | None, at_least_one: bool
-    ) -> tuple[tuple[str, int], ...] | None:
+    def colors(self, assign: _Assign | None) -> tuple[tuple[str, int], ...] | None:
         if assign is None:
             return None
-        items = assign.value
-        errors = self.errors
-        if not isinstance(items, tuple):
+        if not isinstance(assign.value, tuple):
             return self._mismatch(assign, "a color list like (blue: 2, red: 3)")
-        if at_least_one and not items:
-            errors.append(
-                (assign.span, ParseErrorKind.TYPE_MISMATCH,
-                 f"key '{assign.key}' needs at least one color")
-            )
-            return None
-        seen: dict[str, _Span] = {}
-        ok = True
-        for name, count, name_span, count_span in items:
-            if name in seen:
-                errors.append(
-                    (name_span, ParseErrorKind.DUPLICATE_KEY,
-                     f"duplicate color '{name}'")
-                )
-                ok = False
-            seen[name] = name_span
-            if count < 0:
-                errors.append(
-                    (count_span, ParseErrorKind.NEGATIVE_COUNT,
-                     f"count for color '{name}' must be >= 0, got {count}")
-                )
-                ok = False
-        if not ok:
-            return None
-        return tuple((name, count) for name, count, _, _ in items)
+        return tuple([(name, count) for name, count, _, _ in assign.value])
 
 
 # The canonical one-line blocks serialize_puzzle writes.  A where-clause holds

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import threading
 
-from .core import Value, _is_int, _set
+from .core import Value, _is_int, _positive_int, _set
 from .errors import InvalidInstance, MalformedTree
 
 
@@ -27,16 +27,14 @@ class WeighingInstance(Value):
     puzzle_kind = "weighing"
 
     def __init__(self, n_objects: int) -> None:
-        if not _is_int(n_objects) or n_objects < 1:
-            raise InvalidInstance("n_objects must be a positive integer")
-        _set(self, "n_objects", n_objects)
+        _set(self, "n_objects", _positive_int(n_objects, "n_objects"))
 
     @classmethod
     def from_block(cls, block) -> "WeighingInstance | None":
         """``puzzle weighing { objects = 13 }``; see ``speck._Block``."""
         (objects,) = block.take("objects")
         count = block.integer(objects)
-        return None if count is None else cls(count)
+        return None if count is None else block.make(cls, count, at=(objects,))
 
     def block_items(self) -> list[tuple[str, object]]:
         return [("objects", self.n_objects)]
@@ -63,9 +61,9 @@ _growing = threading.Lock()
 def _crossing(table: list[int], m: int) -> int:
     """Smallest ``a`` in [1, m // 2] with f(a) >= f(m - 2a), by bisection.
 
-    Returns m // 2 + 1 if there is none.
+    There is one: at a = m // 2, f(m - 2a) is f(0) or f(1), which is 0.
     """
-    low, high = 1, m // 2 + 1
+    low, high = 1, m // 2
     while low < high:
         mid = (low + high) // 2
         if table[mid] >= table[m - 2 * mid]:
@@ -102,13 +100,12 @@ def _worst_case_table(limit: int) -> list[int]:
     with _growing:  # rows are appended in place, one grower at a time
         low = _crossing(table, len(table))
         for m in range(len(table), limit + 1):
-            half = m // 2
-            while low <= half and table[low] < table[m - 2 * low]:
+            while table[low] < table[m - 2 * low]:  # stops by a = m // 2 (see _crossing)
                 low += 1
             # Just left of the crossing the set-aside class is the worse outcome,
             # at the crossing the pans are.
             best = table[m - 2 * low + 2] if low > 1 else m
-            if low <= half and table[low] < best:
+            if table[low] < best:
                 best = table[low]
             if 1 + best < table[m - 1]:
                 raise RuntimeError(

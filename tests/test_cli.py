@@ -905,7 +905,7 @@ def test_found_text_is_the_source_text_at_the_span(source):
 
 # Each message a fixed batch of mutated sources reaches, with what it quotes
 # and its digits blanked.  The value swaps alone reach the type mismatches
-# that name a color list, "counts objects; time unit" and "cannot move more".
+# that name a color list, "counts objects; time unit" and "must not exceed".
 _REACHED_TEMPLATES = [
     "expected '', found ''",
     "expected '', found end of line",
@@ -949,7 +949,7 @@ _REACHED_TEMPLATES = [
     "find target must be one of work, subjects, time; got ''",
     "where-clause is missing key ''",
     "unexpected key '' in where-clause; expected time and work",
-    "cannot move more objects than container_a holds",
+    "key '' must not exceed the 0 objects in container_a, got 0",
     "saved_minutes cannot exceed twice early_minutes; the meeting scenario would be inconsistent",
 ]
 

@@ -31,7 +31,10 @@ from riddle_forge import (
     Weigh,
     WeighingInstance,
     build_strategy,
+    guarantee_draws_formula,
     station_walk_simulate,
+    transfer_formula_survey,
+    transfer_probability_formula,
 )
 from riddle_forge.core import _exact
 
@@ -115,6 +118,47 @@ def test_integer_counts_refuse_bools(build, flag):
     # True is an int to isinstance, but it would serialize as the word True.
     with pytest.raises(InvalidInstance):
         build(flag)
+
+
+# Each value rule, stated once in a constructor or core helper: the refused
+# argument, the refused color's index, and the message.  The DSL reader
+# reports the same rule as "key '<key>'" and the rest of the message.
+@pytest.mark.parametrize(
+    "build, argument, index, message",
+    [
+        (lambda: Quantity.count(0), "magnitude", None,
+         "magnitude must be strictly positive, got 0"),
+        (lambda: Quantity.minutes(Fraction(-1, 2)), "magnitude", None,
+         "magnitude must be strictly positive, got -1/2"),
+        (lambda: WeighingInstance(0), "n_objects", None, "n_objects must be at least 1, got 0"),
+        (lambda: PigeonholeInstance((("a", 1),), -2), "required", None,
+         "required must be at least 1, got -2"),
+        (lambda: TransferInstance((("a", 1),), (), 0, DrawnIsMoved()), "moved", None,
+         "moved must be at least 1, got 0"),
+        (lambda: guarantee_draws_formula(0, 2), "n_colors", None,
+         "n_colors must be at least 1, got 0"),
+        (lambda: transfer_probability_formula(1, 0), "d", None, "d must be at least 1, got 0"),
+        (lambda: list(transfer_formula_survey(0, 1)), "max_n", None,
+         "max_n must be at least 1, got 0"),
+        (lambda: PigeonholeInstance((("a", 1), ("b", 1), ("a", 2)), 2), "color_counts", 2,
+         "color_counts names color 'a' twice"),
+        (lambda: TransferInstance((("a", 1),), (("b", 2), ("c", -1)), 1, DrawnIsMoved()),
+         "container_b", 1, "container_b needs a whole count >= 0 for color 'c', got -1"),
+        (lambda: PigeonholeInstance((), 2), "color_counts", None,
+         "color_counts needs at least one color"),
+        (lambda: TransferInstance((), (("a", 1),), 1, DrawnIsMoved()), "container_a", None,
+         "container_a needs at least one color"),
+        (lambda: TransferInstance((("a", 2),), (), 3, DrawnIsMoved()), "moved", None,
+         "moved must not exceed the 2 objects in container_a, got 3"),
+    ],
+    ids=["zero-count", "negative-time", "zero-objects", "negative-required", "zero-moved",
+         "zero-colors", "zero-d", "zero-survey-bound", "repeated-color", "negative-color-count",
+         "no-colors", "empty-container-a", "moved-past-container"],
+)
+def test_each_rule_names_the_refused_argument(build, argument, index, message):
+    with pytest.raises(InvalidInstance) as info:
+        build()
+    assert (info.value.argument, info.value.index, str(info.value)) == (argument, index, message)
 
 
 def test_exact_keeps_a_fraction():

@@ -67,6 +67,8 @@ def test_ceil_subjects():
     assert ceil_subjects(Fraction(10, 3)) == 4
     assert ceil_subjects(Fraction(80)) == 80
     assert ceil_subjects(7) == 7
+    assert ceil_subjects(Fraction(1, 2)) == 1
+    assert ceil_subjects(1) == 1
     with pytest.raises(InvalidInstance):
         ceil_subjects(Fraction(0))
     with pytest.raises(InvalidInstance):
