@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator
 
-from .core import Quantity, Value, _exact, _normalize_counts, _positive_int, _set
+from .core import Quantity, Value, _exact, _normalize_counts, _positive, _positive_int, _set
 from .errors import InvalidInstance, NoMeeting
 
 
@@ -164,26 +164,22 @@ class StationInstance(Value):
     puzzle_kind = "station"
 
     def __init__(self, early_minutes: Fraction, saved_minutes: Fraction) -> None:
-        early = _exact(early_minutes, "early_minutes")
-        saved = _exact(saved_minutes, "saved_minutes")
-        if early.numerator <= 0 or saved.numerator <= 0:  # denominators are positive
-            raise InvalidInstance("early and saved minutes must be positive")
+        early = _positive(early_minutes, "early_minutes")
+        saved = _positive(saved_minutes, "saved_minutes")
         if saved > 2 * early:
-            raise InvalidInstance(
-                "saved_minutes cannot exceed twice early_minutes; "
-                "the meeting scenario would be inconsistent"
-            )
+            raise InvalidInstance("cannot exceed twice early_minutes; the meeting scenario "
+                                  "would be inconsistent", "saved_minutes")
         _set(self, "early_minutes", early)
         _set(self, "saved_minutes", saved)
 
     @classmethod
     def from_block(cls, block) -> "StationInstance | None":
         """``puzzle station { early = 20 min; saved = 1/4 h }``."""
-        early, saved = block.take("early", "saved")
-        early, saved = block.time(early), block.time(saved)
+        early_at, saved_at = block.take("early", "saved")
+        early, saved = block.time(early_at), block.time(saved_at)
         if early is None or saved is None:
             return None
-        return block.make(cls, early.magnitude, saved.magnitude)
+        return block.make(cls, early.magnitude, saved.magnitude, at=(early_at, saved_at))
 
     def block_items(self) -> list[tuple[str, object]]:
         return [("early", Quantity.minutes(self.early_minutes)),

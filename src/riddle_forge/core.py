@@ -43,6 +43,16 @@ def _positive_int(value: object, argument: str) -> int:
     return value
 
 
+def _positive(value: int | Fraction, argument: str) -> Fraction:
+    """``value`` as a Fraction, refused unless it is exact and above 0."""
+    value = _exact(value, argument)
+    # A Fraction's denominator is positive: its sign is its numerator's.
+    if value.numerator <= 0:
+        raise InvalidInstance(f"must be strictly positive, got {value}", argument,
+                              kind="negative_count")
+    return value
+
+
 def _normalize_counts(
     raw: "Mapping[str, int] | Iterable[tuple[str, int]]", argument: str, nonempty: bool
 ) -> tuple[tuple[str, int], ...]:
@@ -119,12 +129,7 @@ class Quantity(Value):
     __slots__ = _fields = ("magnitude", "unit", "label")
 
     def __init__(self, magnitude: Fraction, unit: Unit, label: str | None = None) -> None:
-        magnitude = _exact(magnitude, "magnitude")
-        # A Fraction's denominator is positive: its sign is its numerator's.
-        if magnitude.numerator <= 0:
-            raise InvalidInstance(
-                f"must be strictly positive, got {magnitude}", "magnitude", kind="negative_count"
-            )
+        magnitude = _positive(magnitude, "magnitude")
         if not isinstance(unit, Unit):
             raise InvalidInstance(f"quantity unit must be a Unit, not {type(unit).__name__}")
         if unit is Unit.MINUTES and label is not None:

@@ -9,23 +9,21 @@ followed by a unit or label word, parenthesised color lists
 ``(blue: 10, red: 8)``, or bare identifiers (used by ``query`` and
 ``label`` keys).  Identifiers are ASCII: ``[A-Za-z_][A-Za-z0-9_]*``.
 
-Two readers feed the same block builder.  The fast reader takes the leading
-lines in the canonical one-line form ``serialize_puzzle`` writes, one
-regular-expression match a line, and steps over blank and comment-only lines
-among them, up to the first that is not canonical or does not build; the
-token parser reads on from there, and every error comes from it.  Its lexer
-turns the source into a list of strings, each token its own source text,
-from one compiled regular expression; comments are dropped and the end of
-input is the empty string.  The parser tells a token's type from its first
-character and reads a number's value only where it expects one.  It carries
-``(first, last)`` token-index pairs; only when there are errors is the
-source scanned again for their offsets, lines and columns.
+The lexer turns the source into a list of strings, each token its own
+source text, from one compiled regular expression; comments are dropped and
+the end of input is the empty string.  The parser holds the source and lexes
+it one window of whole lines at a time, about ``_CHUNK`` characters.  No
+token spans a newline, so the windows' tokens are a whole-file lex's.  The
+parser tells a token's type from its first character and reads a number's
+value only where it expects one.  It carries ``(first, last)`` token-index
+pairs; only when there are errors is the source scanned again for their
+offsets, lines and columns.
 
-Both readers make each ``key = value`` statement one ``_Assign`` record that
-holds its parsed value: an ``int`` or ``Fraction`` for a number (its trailing
-word, if any, in ``word``), a ``str`` for a word, or a tuple of ``(name,
-count, name_span, count_span)`` items for a color list.  The block's value
-readers tell the three apart by the value's Python type.
+Each ``key = value`` statement is one ``_Assign`` record that holds its
+parsed value: an ``int`` or ``Fraction`` for a number (its trailing word, if
+any, in ``word``), a ``str`` for a word, or a tuple of ``(name, count,
+name_span, count_span)`` items for a color list.  The block's value readers
+tell the three apart by the value's Python type.
 
 Errors carry precise source spans and a kind; parsing recovers at block
 boundaries so one bad block does not hide errors in the next.
@@ -114,9 +112,13 @@ _Span = tuple[int, int]
 _Error = tuple[_Span, ParseErrorKind, str]
 
 
-def _lex(source: str, start: int) -> list[str]:
-    tokens = _TOKEN_RE.findall(source, start)
-    if "#" in source:
+# The characters lexed at a time; a window is carried on to the end of its line.
+_CHUNK = 1 << 16
+
+
+def _lex(source: str, start: int, end: int) -> list[str]:
+    tokens = _TOKEN_RE.findall(source, start, end)
+    if source.find("#", start, end) >= 0:
         tokens = [tok for tok in tokens if tok[0] != "#"]  # drop the comments, if any
     tokens.append(_EOF)
     return tokens
@@ -127,28 +129,34 @@ def _is_number(tok: str) -> bool:
     return tok[:1] in _NUMBER_START and tok != "-"
 
 
+def _int(tok: str) -> int | None:
+    """An integer literal's value; None for any other token, or one too long to read."""
+    if _is_number(tok):
+        try:
+            return int(tok)
+        except ValueError:  # past the interpreter's int-max-str-digits limit
+            pass
+    return None
+
+
 def _describe(tok: str) -> str:
     if tok == _EOF:
         return "end of input"
     if tok == "\n":
         return "end of line"
-    if _is_number(tok):
-        try:
-            int(tok)
-        except ValueError:  # past the interpreter's int-max-str-digits limit
-            return f"an integer literal too long to read ({len(tok)} characters)"
+    if _is_number(tok) and _int(tok) is None:
+        return f"an integer literal too long to read ({len(tok)} characters)"
     return f"'{tok}'"
 
 
-def _locate(source: str, start: int, errors: list[_Error]) -> list[ParseError]:
-    """Give each error in the tokens from ``start`` on its range, line and column.
+def _locate(source: str, errors: list[_Error]) -> list[ParseError]:
+    """Give each error its range, line and column.
 
     The tokens are found again, with their offsets, by the lexer's own
     pattern; line and column come from one table of line starts.
     """
     bounds = [
-        match.span() for match in _TOKEN_RE.finditer(source, start)
-        if source[match.start()] != "#"
+        match.span() for match in _TOKEN_RE.finditer(source) if source[match.start()] != "#"
     ]
     bounds.append((len(source), len(source)))  # the end of input
     starts = [0]
@@ -191,7 +199,7 @@ class _Find(NamedTuple):
 
 
 class _BlockError(Exception):
-    """Internal: a syntax error that aborts the current block."""
+    """Internal: a syntax error that aborts the current block (or reports a stray token)."""
 
     def __init__(self, span: _Span, message: str):
         self.error = (span, ParseErrorKind.SYNTAX, message)
@@ -212,12 +220,44 @@ _TIME_UNITS = {"min": 1, "h": 60}
 # Parser
 
 class _Parser:
-    """Reads the token list; a token is its own source text (see _lex)."""
+    """Reads the source one window of tokens at a time (see _lex).
 
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
-        self.pos = 0
+    A window is the tokens of the whole lines from ``start`` to ``end`` in
+    the source, then _EOF; ``base`` is the file-wide index of its first token.
+    The parser never looks past its current token, so a top-level item (a
+    block, or the skip after a stray token) that ends before the window's
+    _EOF reads as it would in a whole-file lex.  One that ends on it while
+    source remains is read again in a window from its own line, twice as
+    long as the part it had.  A finished item's error spans are shifted by
+    ``base``, so every error carries file-wide token indices.
+    """
+
+    def __init__(self, source: str):
+        self.source = source
         self.errors: list[_Error] = []
+        self.base = 0
+        self._read(0, _CHUNK)
+
+    def _read(self, start: int, size: int) -> None:
+        """Lex the window of ``size`` characters from ``start``, carried on to its line's end."""
+        source = self.source
+        self.start = start
+        self.end = source.find("\n", start + size - 1) + 1 or len(source)
+        self.tokens = _lex(source, start, self.end)
+        self.pos = 0
+
+    def _reread(self, first: int) -> None:
+        """Read the item at token ``first`` again, in a window twice its part from its line on."""
+        tokens, start = self.tokens, self.end - 1  # the window's closing newline
+        line_at = first  # the first token on the item's line
+        while line_at and tokens[line_at - 1] != "\n":
+            line_at -= 1
+        for _ in range(tokens[line_at:].count("\n")):  # back to the newline before that line
+            start = self.source.rfind("\n", self.start, start)
+        start = max(start + 1, self.start)
+        self.base += line_at
+        self._read(start, 2 * (self.end - start))
+        self.pos = first - line_at
 
     def _skip_newlines(self) -> None:
         while self.tokens[self.pos] == "\n":
@@ -248,43 +288,45 @@ class _Parser:
     def _expect_int(self, what: str) -> tuple[int, int]:
         """Read an integer literal; its value and index."""
         pos = self.pos
-        tok = self.tokens[pos]
-        if _is_number(tok):
-            try:
-                value = int(tok)
-            except ValueError:  # too long: _describe says so
-                pass
-            else:
-                self.pos = pos + 1
-                return value, pos
-        raise self._unexpected(what)
+        value = _int(self.tokens[pos])
+        if value is None:
+            raise self._unexpected(what)
+        self.pos = pos + 1
+        return value, pos
 
     # -- file / block structure ----------------------------------------
 
     def parse_file(self) -> list[PuzzleSpec]:
         specs: list[PuzzleSpec] = []
+        errors = self.errors
         while True:
             self._skip_separators()
-            tok = self.tokens[self.pos]
+            first, before = self.pos, len(errors)
+            tok = self.tokens[first]
             if tok == _EOF:
-                return specs
-            if tok == "puzzle":
-                try:
-                    spec = self._parse_block()
-                except _BlockError as abort:
-                    self.errors.append(abort.error)
-                    self._recover()
-                else:
-                    if spec is not None:
-                        specs.append(spec)
-            else:
-                pos = self.pos
-                self.pos += 1
-                self.errors.append(
-                    ((pos, pos), ParseErrorKind.SYNTAX,
-                     f"expected 'puzzle', found {_describe(tok)}")
-                )
+                if self.end == len(self.source):
+                    return specs
+                self.base += first  # the window is read: lex the next one
+                self._read(self.end, _CHUNK)
+                continue
+            try:
+                if tok != "puzzle":
+                    self.pos = first + 1
+                    raise _BlockError((first, first), f"expected 'puzzle', found {_describe(tok)}")
+                spec = self._parse_block()
+            except _BlockError as abort:
+                errors.append(abort.error)
                 self._recover()
+                spec = None
+            if self.tokens[self.pos] == _EOF and self.end < len(self.source):
+                del errors[before:]  # the item may go on past the window
+                self._reread(first)
+                continue
+            if spec is not None:
+                specs.append(spec)
+            if len(errors) > before:
+                base = self.base
+                errors[before:] = [((a + base, b + base), *e) for (a, b), *e in errors[before:]]
 
     def _recover(self) -> None:
         """Skip forward to the next block boundary."""
@@ -331,9 +373,44 @@ class _Parser:
         return spec
 
     def _parse_assign(self, what: str) -> _Assign:
-        key_at = self._expect_word(what)
-        self._expect("=", "'='")
-        return self._parse_value(self.tokens[key_at], (key_at, key_at))
+        """Read a ``key = value`` statement; ``what`` names the key in an error."""
+        tokens, pos = self.tokens, self.pos
+        key = tokens[pos]
+        if key[:1] not in _WORD_START:
+            raise self._unexpected(what)
+        key_span = (pos, pos)
+        self.pos = pos = pos + 1
+        if tokens[pos] != "=":
+            raise self._unexpected("'='")
+        self.pos = pos = pos + 1
+        tok = tokens[pos]
+        if tok[:1] in _WORD_START:
+            self.pos = pos + 1
+            return _Assign(key, key_span, tok, (pos, pos))
+        if tok == "(":
+            return self._parse_colorlist(key, key_span)
+        value: int | Fraction | None = _int(tok)
+        if value is None:
+            raise self._unexpected("a value")
+        span = (pos, pos)
+        pos += 1
+        if tokens[pos] == "/":
+            self.pos = pos + 1
+            den, den_at = self._expect_int("a denominator")
+            if den == 0:
+                raise _BlockError((den_at, den_at), "denominator must not be zero")
+            if den < 0:
+                raise _BlockError((den_at, den_at), "denominator must be positive")
+            value = Fraction(value, den)
+            # p, '/' and q sit on one line: a newline between them is a token.
+            span = (span[0], den_at)
+            pos = den_at + 1
+        word = tokens[pos]
+        if word[:1] in _WORD_START:
+            self.pos = pos + 1
+            return _Assign(key, key_span, value, span, word, (pos, pos))
+        self.pos = pos
+        return _Assign(key, key_span, value, span)
 
     def _parse_find(self) -> _Find:
         find_at = self.pos
@@ -342,64 +419,23 @@ class _Parser:
         if self.tokens[self.pos] != "where":
             raise self._unexpected("'where'")
         self.pos += 1
-        clauses: list[_Assign] = []
-        while True:
+        clauses = [self._parse_assign("a key")]
+        while self.tokens[self.pos] == ",":
+            self.pos += 1
             clauses.append(self._parse_assign("a key"))
-            if self.tokens[self.pos] == ",":
-                self.pos += 1
-                continue
-            break
         return _Find(
             self.tokens[target_at], (target_at, target_at), tuple(clauses),
             (find_at, find_at),
         )
 
-    # -- values ----------------------------------------------------------
-
-    def _parse_value(self, key: str, key_span: _Span) -> _Assign:
-        pos = self.pos
-        tok = self.tokens[pos]
-        if tok[:1] in _WORD_START:
-            self.pos = pos + 1
-            return _Assign(key, key_span, tok, (pos, pos))
-        if tok == "(":
-            return self._parse_colorlist(key, key_span)
-        if _is_number(tok):
-            return self._parse_number_value(key, key_span)
-        raise self._unexpected("a value")
-
-    def _parse_number_value(self, key: str, key_span: _Span) -> _Assign:
-        value: int | Fraction
-        value, num_at = self._expect_int("a value")
-        span = (num_at, num_at)
-        if self.tokens[self.pos] == "/":
-            self.pos += 1
-            den, den_at = self._expect_int("a denominator")
-            if den == 0:
-                raise _BlockError((den_at, den_at), "denominator must not be zero")
-            if den < 0:
-                raise _BlockError((den_at, den_at), "denominator must be positive")
-            value = Fraction(value, den)
-            # p, '/' and q sit on one line: a newline between them is a token.
-            span = (num_at, den_at)
-        pos = self.pos
-        word = self.tokens[pos]
-        if word[:1] in _WORD_START:
-            self.pos = pos + 1
-            return _Assign(key, key_span, value, span, word, (pos, pos))
-        return _Assign(key, key_span, value, span)
-
     def _parse_colorlist(self, key: str, key_span: _Span) -> _Assign:
-        open_at = self.pos
+        span = (self.pos, self.pos)
         self.pos += 1  # the '('
-        span = (open_at, open_at)
-        self._skip_newlines()
         items: list[tuple[str, int, _Span, _Span]] = []
-        if self.tokens[self.pos] == ")":
-            self.pos += 1
-            return _Assign(key, key_span, (), span)
         while True:
             self._skip_newlines()
+            if not items and self.tokens[self.pos] == ")":
+                break  # the empty list
             name_at = self._expect_word("a color name")
             self._expect(":", "':'")
             self._skip_newlines()
@@ -410,10 +446,9 @@ class _Parser:
                 (self.tokens[name_at], count, (name_at, name_at), (count_at, count_at))
             )
             self._skip_newlines()
-            if self.tokens[self.pos] == ",":
-                self.pos += 1
-                continue
-            break
+            if self.tokens[self.pos] != ",":
+                break
+            self.pos += 1
         self._expect(")", "')'")
         return _Assign(key, key_span, tuple(items), span)
 
@@ -646,71 +681,6 @@ class _Block:
         return tuple([(name, count) for name, count, _, _ in assign.value])
 
 
-# The canonical one-line blocks serialize_puzzle writes.  A where-clause holds
-# no color list, so it splits at ', '.  No statement starts with the key 'find',
-# which opens a find clause, and each is followed by '; ' and another or by ' }'.
-_CLAUSE = rf"{_IDENT_PATTERN} = (?:-?[0-9]+(?:/[0-9]+)?(?: {_IDENT_PATTERN})?|{_IDENT_PATTERN})"
-_COLOR = rf"{_IDENT_PATTERN}: -?[0-9]+"
-_STATEMENT = (
-    rf"(?:(?:find {_IDENT_PATTERN} where {_CLAUSE}(?:, {_CLAUSE})*|(?!find )(?:{_CLAUSE}"
-    rf"|{_IDENT_PATTERN} = \((?:{_COLOR}(?:, {_COLOR})*)?\)))(?:; (?=[A-Za-z_])|(?= \}})))"
-)
-# A whole line and its newline, if any (fullmatch), of a known kind.
-_CANONICAL_RE = re.compile(rf"puzzle ({'|'.join(_PAYLOAD_TYPES)}) \{{ ({_STATEMENT}+) \}}\n?")
-_LINE_END_RE = re.compile(r"\n|\Z")
-_NOTHING_RE = re.compile(r"[ \t\r]*(?:\#[^\n]*)?\n?")  # a blank or comment-only line
-_NOWHERE = (0, 0)  # every span the fast reader makes: it reports no errors
-
-
-def _canonical_assign(text: str) -> _Assign:
-    """A ``key = value`` of a line _CANONICAL_RE matched, as the parser reads it."""
-    key, _, text = text.partition(" = ")
-    if text[0] == "(":
-        pairs = (item.partition(": ") for item in text[1:-1].split(", ") if item)
-        items = tuple((name, int(count), _NOWHERE, _NOWHERE) for name, _, count in pairs)
-        return _Assign(key, _NOWHERE, items, _NOWHERE)
-    if text[0] in _WORD_START:
-        return _Assign(key, _NOWHERE, text, _NOWHERE)
-    number, _, word = text.partition(" ")
-    p, slash, q = number.partition("/")
-    value = Fraction(int(p), int(q)) if slash else int(p)
-    return _Assign(key, _NOWHERE, value, _NOWHERE, word or None, _NOWHERE)
-
-
-def _read_canonical(source: str) -> tuple[list[PuzzleSpec], int]:
-    """The specs of the leading canonical lines, and the offset after them.
-
-    Blank and comment-only lines among them hold no tokens, so they are
-    stepped over.
-    """
-    specs, start = [], 0
-    for line_end in _LINE_END_RE.finditer(source):
-        end = line_end.end()
-        match = _CANONICAL_RE.fullmatch(source, start, end)
-        if match is None:
-            if _NOTHING_RE.fullmatch(source, start, end) is None:
-                break  # the token parser reads on from this line
-            start = end
-            continue
-        assigns, finds = [], []
-        try:
-            for statement in match[2].split("; "):
-                if statement.startswith("find "):
-                    target, _, where = statement[5:].partition(" where ")
-                    clauses = tuple(map(_canonical_assign, where.split(", ")))
-                    finds.append(_Find(target, _NOWHERE, clauses, _NOWHERE))
-                else:
-                    assigns.append(_canonical_assign(statement))
-        except (ValueError, ZeroDivisionError):  # past int()'s digit limit, or p/0
-            break
-        spec = _Block(match[1], _NOWHERE, assigns, finds).build(_PAYLOAD_TYPES[match[1]])
-        if spec is None:
-            break
-        specs.append(spec)
-        start = end
-    return specs, start
-
-
 def parse_puzzles(source: str) -> list[PuzzleSpec]:
     """Parse a .speck source into puzzle specs.
 
@@ -718,11 +688,10 @@ def parse_puzzles(source: str) -> list[PuzzleSpec]:
     ParseFailure carrying every ParseError found (parsing resumes at the
     next block after an error).  An empty source yields an empty list.
     """
-    specs, start = _read_canonical(source)
-    parser = _Parser(_lex(source, start))
-    specs += parser.parse_file()
+    parser = _Parser(source)
+    specs = parser.parse_file()
     if parser.errors:
-        raise ParseFailure(_locate(source, start, parser.errors))
+        raise ParseFailure(_locate(source, parser.errors))
     return specs
 
 

@@ -784,10 +784,12 @@ _MUTATION_CHARS = "0123456789/(){};:=,-# \n\r\tabcmpquz"
 
 # The value of one `key = value` statement or where-clause entry.
 _VALUE_RE = re.compile(r"= *(\([^()]*\)|[^;,(){}=#\n]+?) *(?=[;,}\n])")
+_COLOR_LIST_RE = re.compile(r"\(([^()]*)\)")  # a color list's items
 
 
 def _mutate(rng):
-    """A corpus source with two of its values swapped, characters edited, or both."""
+    """A corpus source with two of its values swapped, a color list edited,
+    characters edited, or more than one of these."""
     text = rng.choice(_CORPUS_SOURCES)
     # Swapping two values puts a well-formed value of the wrong type on a key.
     swapped = rng.random() < 0.5
@@ -795,7 +797,21 @@ def _mutate(rng):
         spans = [match.span(1) for match in _VALUE_RE.finditer(text)]
         (a, b), (c, d) = sorted(rng.sample(spans, 2))
         text = text[:a] + text[c:d] + text[b:c] + text[a:b] + text[d:]
-    for _ in range(rng.randint(0 if swapped else 1, 6)):
+    # Emptying a color list, repeating one of its items or negating one of its
+    # counts breaks a rule the constructors own, in well-formed text.
+    edited = rng.random() < 0.2
+    if edited:
+        a, b = rng.choice([match.span(1) for match in _COLOR_LIST_RE.finditer(text)])
+        items = text[a:b].split(",")
+        at, edit = rng.randrange(len(items)), rng.randrange(3)
+        if edit == 0:
+            items = []
+        elif edit == 1:
+            items.append(items[at])
+        else:
+            items[at] = items[at].replace(": ", ": -", 1)
+        text = text[:a] + ",".join(items) + text[b:]
+    for _ in range(rng.randint(0 if swapped or edited else 1, 6)):
         at, cut = rng.randint(0, len(text)), rng.randint(0, 3)
         inserted = "".join(_mutation_char(rng) for _ in range(rng.randint(0, 4)))
         text = text[:at] + inserted + text[at + cut:]
@@ -905,7 +921,8 @@ def test_found_text_is_the_source_text_at_the_span(source):
 
 # Each message a fixed batch of mutated sources reaches, with what it quotes
 # and its digits blanked.  The value swaps alone reach the type mismatches
-# that name a color list, "counts objects; time unit" and "must not exceed".
+# that name a color list, "counts objects; time unit" and "must not exceed";
+# the color-list edits reach the three color rules.
 _REACHED_TEMPLATES = [
     "expected '', found ''",
     "expected '', found end of line",
@@ -950,7 +967,10 @@ _REACHED_TEMPLATES = [
     "where-clause is missing key ''",
     "unexpected key '' in where-clause; expected time and work",
     "key '' must not exceed the 0 objects in container_a, got 0",
-    "saved_minutes cannot exceed twice early_minutes; the meeting scenario would be inconsistent",
+    "key '' needs at least one color",
+    "key '' names color '' twice",
+    "key '' needs a whole count >= 0 for color '', got -0",
+    "key '' cannot exceed twice early_minutes; the meeting scenario would be inconsistent",
 ]
 
 

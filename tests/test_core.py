@@ -150,10 +150,16 @@ def test_integer_counts_refuse_bools(build, flag):
          "container_a needs at least one color"),
         (lambda: TransferInstance((("a", 2),), (), 3, DrawnIsMoved()), "moved", None,
          "moved must not exceed the 2 objects in container_a, got 3"),
+        (lambda: StationInstance(5, Fraction(-1, 2)), "saved_minutes", None,
+         "saved_minutes must be strictly positive, got -1/2"),
+        (lambda: StationInstance(5, 11), "saved_minutes", None,
+         "saved_minutes cannot exceed twice early_minutes; "
+         "the meeting scenario would be inconsistent"),
     ],
     ids=["zero-count", "negative-time", "zero-objects", "negative-required", "zero-moved",
          "zero-colors", "zero-d", "zero-survey-bound", "repeated-color", "negative-color-count",
-         "no-colors", "empty-container-a", "moved-past-container"],
+         "no-colors", "empty-container-a", "moved-past-container", "negative-saved",
+         "saved-past-twice-early"],
 )
 def test_each_rule_names_the_refused_argument(build, argument, index, message):
     with pytest.raises(InvalidInstance) as info:

@@ -263,11 +263,11 @@ def test_recovery_collects_errors_from_every_block():
                 ("1:18: syntax: unexpected key 'x' in a station puzzle", 1),
             ],
         ),
-        (  # the refusal is at the kind keyword
+        (
             "puzzle station { early = 1; saved = 3; x = 1 }",
             [
-                ("1:8: syntax: saved_minutes cannot exceed twice early_minutes; "
-                 "the meeting scenario would be inconsistent", 7),
+                ("1:37: syntax: key 'saved' cannot exceed twice early_minutes; "
+                 "the meeting scenario would be inconsistent", 1),
                 ("1:40: syntax: unexpected key 'x' in a station puzzle", 1),
             ],
         ),
@@ -504,16 +504,13 @@ def test_parse_accepts_every_kind_round_tripped_together():
 
 
 # ----------------------------------------------------------------------
-# The two readers: canonical lines are read without the token parser, which
-# reads on from the first line that is not canonical or does not build.  Blank
-# and comment-only lines hold no tokens, so the fast reader steps over them.
+# One reader, lexing a window of whole lines at a time.  No token spans a
+# newline and the parser never looks past its current token, so the outcome
+# (the specs, or the errors with their spans) is the same at every window
+# size, down to one line a window, where every block written on more than one
+# line runs into a window's end and is read again in a larger window.
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def read_by_fast_reader(source):
-    """How many characters of ``source`` the fast reader takes."""
-    return speck._read_canonical(source)[1]
 
 
 def outcome(source):
@@ -523,37 +520,23 @@ def outcome(source):
         return [(str(error), error.span) for error in failure.errors]
 
 
-def both_readers(source, monkeypatch):
-    """parse_puzzles' outcome, and the token parser's alone."""
+def outcome_at_any_chunk_size(source, monkeypatch):
+    """parse_puzzles' outcome, after checking it is the same with one line a window."""
+    expected = outcome(source)
     with monkeypatch.context() as patch:
-        patch.setattr(speck, "_read_canonical", lambda text: ([], 0))
-        alone = outcome(source)
-    return outcome(source), alone
+        patch.setattr(speck, "_CHUNK", 1)
+        assert outcome(source) == expected
+    return expected
+
+
+def one_statement_a_line(source):
+    return source.replace("; ", "\n")
 
 
 @functools.lru_cache(maxsize=None)
 def canonical_lines(count, seed):
     rng = random.Random(seed)
     return "".join(serialize_puzzle(random_spec(rng)) + "\n" for _ in range(count))
-
-
-def test_fast_reader_reads_every_serialized_line(monkeypatch):
-    source = canonical_lines(2000, 14)
-    assert read_by_fast_reader(source) == len(source)
-    both, alone = both_readers(source, monkeypatch)
-    assert both == alone
-    assert len(both) == 2000
-
-
-@pytest.mark.parametrize("name", ["bulk", "hard"])
-def test_fast_reader_reads_the_benchmark_inputs(monkeypatch, name):
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    import gen
-
-    rng = random.Random(1)
-    source = gen.bulk_file(rng, 500) if name == "bulk" else gen.hard_file(rng)
-    assert read_by_fast_reader(source.text) == len(source.text)
-    assert len(parse_puzzles(source.text)) == len(source.blocks)
 
 
 @pytest.mark.parametrize(
@@ -575,8 +558,7 @@ def test_fast_reader_reads_the_benchmark_inputs(monkeypatch, name):
         "find subjects where work = (red: 1), time = 5 min }",
         "puzzle transfer { container_a = (red: 1); container_b = (blue: 1); "
         "moved = 1; query = moved label = x }",
-        # One line per value rule a constructor owns; the fast reader matches
-        # each, its block does not build, and the token parser reports it.
+        # One line per value rule a constructor owns.
         "puzzle rate { work = 0; subjects = 1; time = 1 min; "
         "find work where subjects = 1, time = 1 min }",
         "puzzle station { early = 0 min; saved = 1 min }",
@@ -593,12 +575,11 @@ def test_fast_reader_reads_the_benchmark_inputs(monkeypatch, name):
         "moved-past-container",
     ],
 )
-def test_hand_over_gives_the_token_parsers_result(monkeypatch, line):
-    canonical = canonical_lines(1000, 15)
+def test_edge_lines_read_alike_at_any_chunk_size(monkeypatch, line):
+    canonical = canonical_lines(200, 15)
     for source in (canonical + line + "\n" + canonical_lines(5, 16), canonical + line):
-        assert read_by_fast_reader(source) == len(canonical)
-        both, alone = both_readers(source, monkeypatch)
-        assert both == alone
+        for layout in (source, one_statement_a_line(source)):
+            outcome_at_any_chunk_size(layout, monkeypatch)
 
 
 @pytest.mark.parametrize(
@@ -614,12 +595,51 @@ def test_hand_over_gives_the_token_parsers_result(monkeypatch, line):
     ids=["leading-comment", "blank-line", "cr-only-line", "comment-between",
          "comment-at-end", "blanks-between"],
 )
-def test_fast_reader_steps_over_blank_and_comment_lines(monkeypatch, lines):
+def test_blank_and_comment_layouts_read_alike_at_any_chunk_size(monkeypatch, lines):
     parts = {"A": canonical_lines(300, 17), "B": canonical_lines(300, 18)}
     for newline in ("", "\n"):
         source = "".join(parts.get(line, line) for line in lines)
         source = source.removesuffix("\n") + newline
-        assert read_by_fast_reader(source) == len(source)
-        both, alone = both_readers(source, monkeypatch)
-        assert both == alone
-        assert len(both) == 600
+        for layout in (source, one_statement_a_line(source)):
+            assert len(outcome_at_any_chunk_size(layout, monkeypatch)) == 600
+
+
+@pytest.mark.parametrize("name", ["bulk", "hard"])
+def test_benchmark_inputs_read_alike_in_any_layout(monkeypatch, name):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import gen
+
+    rng = random.Random(1)
+    source = gen.bulk_file(rng, 500) if name == "bulk" else gen.hard_file(rng)
+    specs = outcome_at_any_chunk_size(source.text, monkeypatch)
+    assert len(specs) == len(source.blocks)
+    assert outcome_at_any_chunk_size(one_statement_a_line(source.text), monkeypatch) == specs
+
+
+def test_mutated_sources_read_alike_at_any_chunk_size(monkeypatch):
+    from test_cli import _mutate
+
+    rng = random.Random(3)
+    for _ in range(2000):
+        outcome_at_any_chunk_size(_mutate(rng), monkeypatch)
+
+
+def test_tokens_held_stay_bounded_on_a_long_file(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import gen
+
+    source = one_statement_a_line(gen.bulk_file(random.Random(7), 20_000).text)
+    held, lex = [], speck._lex
+
+    def recording(*args):
+        tokens = lex(*args)
+        held.append(len(tokens))
+        return tokens
+
+    monkeypatch.setattr(speck, "_lex", recording)
+    assert len(parse_puzzles(source)) == 20_000
+    # A window is about a chunk of whole lines, and one read again is twice
+    # its block's share of the last: the tokens held at once stay far below
+    # the file's.
+    assert max(held) <= 2 * speck._CHUNK
+    assert sum(held) > 20 * max(held)
