@@ -9,15 +9,16 @@ followed by a unit or label word, parenthesised color lists
 ``(blue: 10, red: 8)``, or bare identifiers (used by ``query`` and
 ``label`` keys).  Identifiers are ASCII: ``[A-Za-z_][A-Za-z0-9_]*``.
 
-The lexer turns the source into a list of strings, each token its own
-source text, from one compiled regular expression; comments are dropped and
-the end of input is the empty string.  The parser holds the source and lexes
-it one window of whole lines at a time, about ``_CHUNK`` characters.  No
-token spans a newline, so the windows' tokens are a whole-file lex's.  The
-parser tells a token's type from its first character and reads a number's
-value only where it expects one.  It carries ``(first, last)`` token-index
-pairs; only when there are errors is the source scanned again for their
-offsets, lines and columns.
+The lexer turns the source into strings, each token its own source text,
+from one compiled regular expression; comments are dropped.  The parser
+reads one stream of tokens: the source is lexed one chunk of whole lines at
+a time, about ``_CHUNK`` characters, each character once, and the end of
+input is the empty string.  No token spans a newline, so the chunks' tokens
+are a whole-file lex's, and as the parser never looks past its current
+token it holds one chunk's tokens at most.  It tells a token's type from its
+first character and reads a number's value only where it expects one.  It
+carries ``(first, last)`` token-index pairs; only when there are errors is
+the source scanned again for their offsets, lines and columns.
 
 Each ``key = value`` statement is one ``_Assign`` record that holds its
 parsed value: an ``int`` or ``Fraction`` for a number (its trailing word, if
@@ -37,9 +38,10 @@ readers, which check only a value's type and unit, and the value text.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
+from collections.abc import Iterator
 from enum import Enum
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from .classics import StationInstance, TransferInstance
@@ -112,7 +114,7 @@ _Span = tuple[int, int]
 _Error = tuple[_Span, ParseErrorKind, str]
 
 
-# The characters lexed at a time; a window is carried on to the end of its line.
+# The characters lexed at a time; a chunk is carried on to the end of its line.
 _CHUNK = 1 << 16
 
 
@@ -120,8 +122,17 @@ def _lex(source: str, start: int, end: int) -> list[str]:
     tokens = _TOKEN_RE.findall(source, start, end)
     if source.find("#", start, end) >= 0:
         tokens = [tok for tok in tokens if tok[0] != "#"]  # drop the comments, if any
-    tokens.append(_EOF)
     return tokens
+
+
+def _chunks(source: str) -> Iterator[list[str] | Iterator[str]]:
+    """The tokens of each chunk of whole lines in turn, then _EOF without end."""
+    start = 0
+    while start < len(source):
+        end = source.find("\n", start + _CHUNK - 1) + 1 or len(source)
+        yield _lex(source, start, end)
+        start = end
+    yield repeat(_EOF)
 
 
 def _is_number(tok: str) -> bool:
@@ -152,21 +163,29 @@ def _describe(tok: str) -> str:
 def _locate(source: str, errors: list[_Error]) -> list[ParseError]:
     """Give each error its range, line and column.
 
-    The tokens are found again, with their offsets, by the lexer's own
-    pattern; line and column come from one table of line starts.
+    One pass of the lexer's own pattern finds the tokens again, counting
+    lines as it goes, and keeps the offsets of only those the errors name;
+    the index past the last token is the end of input.
     """
-    bounds = [
-        match.span() for match in _TOKEN_RE.finditer(source) if source[match.start()] != "#"
-    ]
-    bounds.append((len(source), len(source)))  # the end of input
-    starts = [0]
-    starts.extend(match.end() for match in re.finditer("\n", source))
+    named = {index for span, _, _ in errors for index in span}
+    found = {}  # token index -> (start, end, line, column)
+    index, line, line_start = 0, 1, 0
+    for match in _TOKEN_RE.finditer(source):
+        start = match.start()
+        first_char = source[start]
+        if first_char == "#":
+            continue
+        if index in named:
+            found[index] = (start, match.end(), line, start - line_start + 1)
+        index += 1
+        if first_char == "\n":
+            line, line_start = line + 1, start + 1
+    end = len(source)
+    eof = (end, end, line, end - line_start + 1)
     located = []
     for (first, last), kind, message in errors:
-        offset = bounds[first][0]
-        line = bisect_right(starts, offset)
-        column = offset - starts[line - 1] + 1
-        span = SourceSpan(line, column, bounds[last][1] - offset)
+        start, _, line, column = found.get(first, eof)
+        span = SourceSpan(line, column, found.get(last, eof)[1] - start)
         located.append(ParseError(span, kind, message))
     return located
 
@@ -220,145 +239,106 @@ _TIME_UNITS = {"min": 1, "h": 60}
 # Parser
 
 class _Parser:
-    """Reads the source one window of tokens at a time (see _lex).
+    """Reads the token stream of _chunks, one token at a time.
 
-    A window is the tokens of the whole lines from ``start`` to ``end`` in
-    the source, then _EOF; ``base`` is the file-wide index of its first token.
-    The parser never looks past its current token, so a top-level item (a
-    block, or the skip after a stray token) that ends before the window's
-    _EOF reads as it would in a whole-file lex.  One that ends on it while
-    source remains is read again in a window from its own line, twice as
-    long as the part it had.  A finished item's error spans are shifted by
-    ``base``, so every error carries file-wide token indices.
+    ``tok`` is the current token and ``at`` its file-wide index; each step
+    takes the next pair from ``_stream``.  Never looking past ``tok``, the
+    parser holds one chunk's tokens at most and reads each token once.
     """
 
+    __slots__ = ("errors", "_stream", "at", "tok")
+
     def __init__(self, source: str):
-        self.source = source
         self.errors: list[_Error] = []
-        self.base = 0
-        self._read(0, _CHUNK)
-
-    def _read(self, start: int, size: int) -> None:
-        """Lex the window of ``size`` characters from ``start``, carried on to its line's end."""
-        source = self.source
-        self.start = start
-        self.end = source.find("\n", start + size - 1) + 1 or len(source)
-        self.tokens = _lex(source, start, self.end)
-        self.pos = 0
-
-    def _reread(self, first: int) -> None:
-        """Read the item at token ``first`` again, in a window twice its part from its line on."""
-        tokens, start = self.tokens, self.end - 1  # the window's closing newline
-        line_at = first  # the first token on the item's line
-        while line_at and tokens[line_at - 1] != "\n":
-            line_at -= 1
-        for _ in range(tokens[line_at:].count("\n")):  # back to the newline before that line
-            start = self.source.rfind("\n", self.start, start)
-        start = max(start + 1, self.start)
-        self.base += line_at
-        self._read(start, 2 * (self.end - start))
-        self.pos = first - line_at
+        self._stream = enumerate(chain.from_iterable(_chunks(source)))
+        self.at, self.tok = next(self._stream)
 
     def _skip_newlines(self) -> None:
-        while self.tokens[self.pos] == "\n":
-            self.pos += 1
+        while self.tok == "\n":
+            self.at, self.tok = next(self._stream)
 
     def _skip_separators(self) -> None:
-        while self.tokens[self.pos] in ("\n", ";"):
-            self.pos += 1
+        while self.tok in ("\n", ";"):
+            self.at, self.tok = next(self._stream)
 
     def _unexpected(self, what: str) -> _BlockError:
         """The error for finding the current token where ``what`` should be."""
-        pos = self.pos
-        return _BlockError((pos, pos), f"expected {what}, found {_describe(self.tokens[pos])}")
+        at = self.at
+        return _BlockError((at, at), f"expected {what}, found {_describe(self.tok)}")
 
     def _expect(self, text: str, what: str) -> None:
         """Step past the punctuation ``text``."""
-        if self.tokens[self.pos] != text:
+        if self.tok != text:
             raise self._unexpected(what)
-        self.pos += 1
+        self.at, self.tok = next(self._stream)
 
-    def _expect_word(self, what: str) -> int:
-        pos = self.pos
-        if self.tokens[pos][:1] not in _WORD_START:
+    def _expect_word(self, what: str) -> tuple[str, _Span]:
+        """Read a word; its text and span."""
+        at, word = self.at, self.tok
+        if word[:1] not in _WORD_START:
             raise self._unexpected(what)
-        self.pos = pos + 1
-        return pos
+        self.at, self.tok = next(self._stream)
+        return word, (at, at)
 
     def _expect_int(self, what: str) -> tuple[int, int]:
         """Read an integer literal; its value and index."""
-        pos = self.pos
-        value = _int(self.tokens[pos])
+        at = self.at
+        value = _int(self.tok)
         if value is None:
             raise self._unexpected(what)
-        self.pos = pos + 1
-        return value, pos
+        self.at, self.tok = next(self._stream)
+        return value, at
 
     # -- file / block structure ----------------------------------------
 
     def parse_file(self) -> list[PuzzleSpec]:
         specs: list[PuzzleSpec] = []
-        errors = self.errors
         while True:
             self._skip_separators()
-            first, before = self.pos, len(errors)
-            tok = self.tokens[first]
+            at, tok = self.at, self.tok
             if tok == _EOF:
-                if self.end == len(self.source):
-                    return specs
-                self.base += first  # the window is read: lex the next one
-                self._read(self.end, _CHUNK)
-                continue
+                return specs
             try:
                 if tok != "puzzle":
-                    self.pos = first + 1
-                    raise _BlockError((first, first), f"expected 'puzzle', found {_describe(tok)}")
+                    self.at, self.tok = next(self._stream)
+                    raise _BlockError((at, at), f"expected 'puzzle', found {_describe(tok)}")
                 spec = self._parse_block()
             except _BlockError as abort:
-                errors.append(abort.error)
+                self.errors.append(abort.error)
                 self._recover()
-                spec = None
-            if self.tokens[self.pos] == _EOF and self.end < len(self.source):
-                del errors[before:]  # the item may go on past the window
-                self._reread(first)
                 continue
             if spec is not None:
                 specs.append(spec)
-            if len(errors) > before:
-                base = self.base
-                errors[before:] = [((a + base, b + base), *e) for (a, b), *e in errors[before:]]
 
     def _recover(self) -> None:
         """Skip forward to the next block boundary."""
         while True:
-            tok = self.tokens[self.pos]
+            tok = self.tok
             if tok == _EOF or tok == "puzzle":
                 return
-            self.pos += 1
+            self.at, self.tok = next(self._stream)
             if tok == "}":
                 return
 
     def _parse_block(self) -> PuzzleSpec | None:
-        self.pos += 1  # the 'puzzle' keyword
-        kind_at = self._expect_word("a puzzle kind")
+        self.at, self.tok = next(self._stream)  # the 'puzzle' keyword
+        kind_name, kind_span = self._expect_word("a puzzle kind")
         self._skip_newlines()
         self._expect("{", "'{'")
         assigns: list[_Assign] = []
         finds: list[_Find] = []
         while True:
             self._skip_separators()
-            tok = self.tokens[self.pos]
+            tok = self.tok
             if tok == "}":
-                self.pos += 1
+                self.at, self.tok = next(self._stream)
                 break
             if tok == _EOF:
-                raise _BlockError((self.pos, self.pos), "unterminated block: expected '}'")
+                raise _BlockError((self.at, self.at), "unterminated block: expected '}'")
             if tok == "find":
                 finds.append(self._parse_find())
             else:
                 assigns.append(self._parse_assign("a statement"))
-        kind_name = self.tokens[kind_at]
-        kind_span = (kind_at, kind_at)
         payload_type = _PAYLOAD_TYPES.get(kind_name)
         if payload_type is None:
             self.errors.append(
@@ -374,28 +354,23 @@ class _Parser:
 
     def _parse_assign(self, what: str) -> _Assign:
         """Read a ``key = value`` statement; ``what`` names the key in an error."""
-        tokens, pos = self.tokens, self.pos
-        key = tokens[pos]
-        if key[:1] not in _WORD_START:
-            raise self._unexpected(what)
-        key_span = (pos, pos)
-        self.pos = pos = pos + 1
-        if tokens[pos] != "=":
+        stream = self._stream
+        key, key_span = self._expect_word(what)
+        if self.tok != "=":
             raise self._unexpected("'='")
-        self.pos = pos = pos + 1
-        tok = tokens[pos]
+        self.at, self.tok = at, tok = next(stream)
         if tok[:1] in _WORD_START:
-            self.pos = pos + 1
-            return _Assign(key, key_span, tok, (pos, pos))
+            self.at, self.tok = next(stream)
+            return _Assign(key, key_span, tok, (at, at))
         if tok == "(":
             return self._parse_colorlist(key, key_span)
         value: int | Fraction | None = _int(tok)
         if value is None:
             raise self._unexpected("a value")
-        span = (pos, pos)
-        pos += 1
-        if tokens[pos] == "/":
-            self.pos = pos + 1
+        span = (at, at)
+        self.at, self.tok = at, tok = next(stream)
+        if tok == "/":
+            self.at, self.tok = next(stream)
             den, den_at = self._expect_int("a denominator")
             if den == 0:
                 raise _BlockError((den_at, den_at), "denominator must not be zero")
@@ -404,51 +379,44 @@ class _Parser:
             value = Fraction(value, den)
             # p, '/' and q sit on one line: a newline between them is a token.
             span = (span[0], den_at)
-            pos = den_at + 1
-        word = tokens[pos]
-        if word[:1] in _WORD_START:
-            self.pos = pos + 1
-            return _Assign(key, key_span, value, span, word, (pos, pos))
-        self.pos = pos
+            at, tok = self.at, self.tok
+        if tok[:1] in _WORD_START:
+            self.at, self.tok = next(stream)
+            return _Assign(key, key_span, value, span, tok, (at, at))
         return _Assign(key, key_span, value, span)
 
     def _parse_find(self) -> _Find:
-        find_at = self.pos
-        self.pos += 1  # the 'find' keyword
-        target_at = self._expect_word("a field to find")
-        if self.tokens[self.pos] != "where":
+        find_at = self.at
+        self.at, self.tok = next(self._stream)  # the 'find' keyword
+        target, target_span = self._expect_word("a field to find")
+        if self.tok != "where":
             raise self._unexpected("'where'")
-        self.pos += 1
+        self.at, self.tok = next(self._stream)
         clauses = [self._parse_assign("a key")]
-        while self.tokens[self.pos] == ",":
-            self.pos += 1
+        while self.tok == ",":
+            self.at, self.tok = next(self._stream)
             clauses.append(self._parse_assign("a key"))
-        return _Find(
-            self.tokens[target_at], (target_at, target_at), tuple(clauses),
-            (find_at, find_at),
-        )
+        return _Find(target, target_span, tuple(clauses), (find_at, find_at))
 
     def _parse_colorlist(self, key: str, key_span: _Span) -> _Assign:
-        span = (self.pos, self.pos)
-        self.pos += 1  # the '('
+        span = (self.at, self.at)
+        self.at, self.tok = next(self._stream)  # the '('
         items: list[tuple[str, int, _Span, _Span]] = []
         while True:
             self._skip_newlines()
-            if not items and self.tokens[self.pos] == ")":
+            if not items and self.tok == ")":
                 break  # the empty list
-            name_at = self._expect_word("a color name")
+            name, name_span = self._expect_word("a color name")
             self._expect(":", "':'")
             self._skip_newlines()
             count, count_at = self._expect_int("a count")
-            if self.tokens[self.pos] == "/":
-                raise _BlockError((self.pos, self.pos), "color counts must be integers")
-            items.append(
-                (self.tokens[name_at], count, (name_at, name_at), (count_at, count_at))
-            )
+            if self.tok == "/":
+                raise _BlockError((self.at, self.at), "color counts must be integers")
+            items.append((name, count, name_span, (count_at, count_at)))
             self._skip_newlines()
-            if self.tokens[self.pos] != ",":
+            if self.tok != ",":
                 break
-            self.pos += 1
+            self.at, self.tok = next(self._stream)
         self._expect(")", "')'")
         return _Assign(key, key_span, tuple(items), span)
 

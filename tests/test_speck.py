@@ -2,6 +2,7 @@
 
 import functools
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -504,11 +505,11 @@ def test_parse_accepts_every_kind_round_tripped_together():
 
 
 # ----------------------------------------------------------------------
-# One reader, lexing a window of whole lines at a time.  No token spans a
+# One token stream, lexed a chunk of whole lines at a time.  No token spans a
 # newline and the parser never looks past its current token, so the outcome
-# (the specs, or the errors with their spans) is the same at every window
-# size, down to one line a window, where every block written on more than one
-# line runs into a window's end and is read again in a larger window.
+# (the specs, or the errors with their spans) is the same at every chunk
+# size, down to one line a chunk, where every block written on more than one
+# line is read across chunks.
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -521,7 +522,7 @@ def outcome(source):
 
 
 def outcome_at_any_chunk_size(source, monkeypatch):
-    """parse_puzzles' outcome, after checking it is the same with one line a window."""
+    """parse_puzzles' outcome, after checking it is the same with one line a chunk."""
     expected = outcome(source)
     with monkeypatch.context() as patch:
         patch.setattr(speck, "_CHUNK", 1)
@@ -628,18 +629,51 @@ def test_tokens_held_stay_bounded_on_a_long_file(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import gen
 
-    source = one_statement_a_line(gen.bulk_file(random.Random(7), 20_000).text)
-    held, lex = [], speck._lex
+    colors = ",\n".join(f"c{i}: 1" for i in range(50_000))
+    sources = {
+        "bulk one statement a line": (
+            one_statement_a_line(gen.bulk_file(random.Random(7), 20_000).text), 20_000
+        ),
+        "50,000 colors one a line": (
+            f"puzzle pigeonhole {{\ncounts = (\n{colors}\n)\nrequired = 2\n}}\n", 1
+        ),
+        "20,000 stray lines": ("x = 1\n" * 20_000, None),
+    }
+    ranges, held, lex = [], [], speck._lex
 
-    def recording(*args):
-        tokens = lex(*args)
+    def recording(source, start, end):
+        tokens = lex(source, start, end)
+        ranges.append((start, end))
         held.append(len(tokens))
         return tokens
 
     monkeypatch.setattr(speck, "_lex", recording)
-    assert len(parse_puzzles(source)) == 20_000
-    # A window is about a chunk of whole lines, and one read again is twice
-    # its block's share of the last: the tokens held at once stay far below
-    # the file's.
-    assert max(held) <= 2 * speck._CHUNK
-    assert sum(held) > 20 * max(held)
+    for name, (source, blocks) in sources.items():
+        ranges.clear()
+        held.clear()
+        if blocks is None:
+            with pytest.raises(ParseFailure):
+                parse_puzzles(source)
+        else:
+            assert len(parse_puzzles(source)) == blocks, name
+        # The lexed ranges tile the source: each character is lexed once.
+        starts, ends = [start for start, _ in ranges], [end for _, end in ranges]
+        assert starts == [0] + ends[:-1] and ends[-1] == len(source), name
+        # A chunk is about _CHUNK characters of whole lines, so the tokens
+        # held at once stay far below the file's.
+        assert len(ranges) > 1 and max(held) <= 2 * speck._CHUNK, name
+
+
+def test_locating_an_error_holds_only_the_tokens_it_names():
+    source = "x = 1\n" * 20_000  # one stray token, then one skip to the end
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseFailure) as info:
+            parse_puzzles(source)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [str(error) for error in info.value.errors] == [
+        "1:1: syntax: expected 'puzzle', found 'x'"
+    ]
+    assert peak < 2 << 20
