@@ -10,8 +10,6 @@ argument, so it can disagree only where the formula does not apply.
 """
 
 from .classics import (
-    DrawnHasColor,
-    DrawnIsMoved,
     StationInstance,
     TransferInstance,
     station_walk_formula,
@@ -28,8 +26,6 @@ from .core import (
 from .errors import (
     Infeasible,
     InvalidInstance,
-    MalformedTree,
-    NoMeeting,
     PuzzleError,
 )
 from .pigeonhole import (
@@ -40,7 +36,6 @@ from .pigeonhole import (
     guarantee_draws_oracle,
 )
 from .rate import (
-    RateField,
     RateQuery,
     RateScenario,
     ceil_subjects,
@@ -72,13 +67,9 @@ from .weighing import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DrawnHasColor",
-    "DrawnIsMoved",
     "Infeasible",
     "InvalidInstance",
     "Leaf",
-    "MalformedTree",
-    "NoMeeting",
     "ParseError",
     "ParseErrorKind",
     "ParseFailure",
@@ -86,7 +77,6 @@ __all__ = [
     "PuzzleError",
     "PuzzleSpec",
     "Quantity",
-    "RateField",
     "RateQuery",
     "RateScenario",
     "SourceSpan",

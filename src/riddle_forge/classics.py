@@ -21,37 +21,22 @@ from fractions import Fraction
 from typing import Iterator
 
 from .core import Quantity, Value, _exact, _normalize_counts, _positive, _positive_int, _set
-from .errors import InvalidInstance, NoMeeting
-
-
-class DrawnIsMoved(Value):
-    """Event: the object drawn from B is one of the transferred ones."""
-
-    __slots__ = ()
-
-
-class DrawnHasColor(Value):
-    """Event: the object drawn from B has the given color."""
-
-    __slots__ = _fields = ("color",)
-
-    def __init__(self, color: str) -> None:
-        if not isinstance(color, str):
-            raise InvalidInstance(f"query color must be a string, not {type(color).__name__}")
-        _set(self, "color", color)
-
-
-Query = DrawnIsMoved | DrawnHasColor
+from .errors import InvalidInstance
 
 
 class TransferInstance(Value):
-    """Two containers, a uniform random transfer from A to B, one draw from B."""
+    """Two containers, a uniform random transfer from A to B, one draw from B.
+
+    ``query`` is the DSL's word: "moved" asks whether the drawn object is one
+    of the transferred ones, any other string whether it has that color.  A
+    container may hold a color named "moved", but no query can ask for it.
+    """
 
     __slots__ = _fields = ("container_a", "container_b", "moved", "query")
     puzzle_kind = "transfer"
 
     def __init__(self, container_a: tuple[tuple[str, int], ...],
-                 container_b: tuple[tuple[str, int], ...], moved: int, query: Query) -> None:
+                 container_b: tuple[tuple[str, int], ...], moved: int, query: str) -> None:
         a = _normalize_counts(container_a, "container_a", True)
         b = _normalize_counts(container_b, "container_b", False)
         total_a = sum(count for _, count in a)
@@ -59,8 +44,8 @@ class TransferInstance(Value):
             raise InvalidInstance(
                 f"must not exceed the {total_a} objects in container_a, got {moved}", "moved"
             )
-        if not isinstance(query, (DrawnIsMoved, DrawnHasColor)):
-            raise InvalidInstance("query must be DrawnIsMoved or DrawnHasColor")
+        if not isinstance(query, str):
+            raise InvalidInstance(f"must be a string, not {type(query).__name__}", "query")
         _set(self, "container_a", a)
         _set(self, "container_b", b)
         _set(self, "moved", moved)
@@ -74,15 +59,11 @@ class TransferInstance(Value):
         count, word = block.integer(moved), block.word(query)
         if None in (pairs_a, pairs_b, count, word):
             return None
-        event = DrawnIsMoved() if word == "moved" else DrawnHasColor(word)
-        return block.make(cls, pairs_a, pairs_b, count, event, at=(a, b, moved))
+        return block.make(cls, pairs_a, pairs_b, count, word, at=(a, b, moved))
 
     def block_items(self) -> list[tuple[str, object]]:
-        query = "moved" if isinstance(self.query, DrawnIsMoved) else self.query.color
-        if self.query == DrawnHasColor("moved"):
-            raise InvalidInstance("query color 'moved' collides with 'query = moved'")
         return [("container_a", self.container_a), ("container_b", self.container_b),
-                ("moved", self.moved), ("query", query)]
+                ("moved", self.moved), ("query", self.query)]
 
 
 def transfer_probability_formula(n: int, d: int) -> Fraction:
@@ -100,15 +81,15 @@ def transfer_probability_enumerate(inst: TransferInstance) -> Fraction:
     the queried color's a_c objects that move has E[k] = m a_c / |A|.  B
     holds |B| + m objects after every move, so the draw hits the color with
     probability E[b_c + k] / (|B| + m) = (b_c |A| + m a_c) / (|A| (|B| + m)),
-    and DrawnIsMoved has m / (|B| + m).
+    and the query "moved" has m / (|B| + m).
     Nothing here uses 2n/(n+d).  The name is kept from the sum over every
     split this replaced: the CLI and the survey's ``enumerated`` column use it.
     """
     moved = inst.moved
     after = sum(count for _, count in inst.container_b) + moved
-    if isinstance(inst.query, DrawnIsMoved):
+    if inst.query == "moved":
         return Fraction(moved, after)
-    color = inst.query.color
+    color = inst.query
     a_c = dict(inst.container_a).get(color, 0)
     b_c = dict(inst.container_b).get(color, 0)
     total_a = sum(count for _, count in inst.container_a)
@@ -122,15 +103,14 @@ def transfer_formula_survey(
 
     The family: container A holds n objects of one color ("alpha");
     container B holds ``same`` alphas and the rest "beta", d in all;
-    ``moved`` objects go across; the query is either DrawnIsMoved or
-    DrawnHasColor("alpha").  Each instance is yielded with its exact
-    probability and 2n/(n+d), one at a time, in a fixed nested order (n, d,
-    same, moved, query), so the survey is deterministic for given bounds.
+    ``moved`` objects go across; the query is either "moved" or the color
+    "alpha".  Each instance is yielded with its exact probability and
+    2n/(n+d), one at a time, in a fixed nested order (n, d, same, moved,
+    query), so the survey is deterministic for given bounds.
     Agreement is recorded, never asserted.
     """
     _positive_int(max_n, "max_n")
     _positive_int(max_d, "max_d")
-    queries = (DrawnIsMoved(), DrawnHasColor("alpha"))
     for n in range(1, max_n + 1):
         container_a = (("alpha", n),)
         for d in range(1, max_d + 1):
@@ -138,7 +118,7 @@ def transfer_formula_survey(
             for same in range(d + 1):
                 container_b = (("alpha", same), ("beta", d - same))
                 for moved in range(1, n + 1):
-                    for query in queries:
+                    for query in ("moved", "alpha"):
                         inst = TransferInstance(container_a, container_b, moved, query)
                         yield inst, transfer_probability_enumerate(inst), formula
 
@@ -150,7 +130,7 @@ def survey_line(inst: TransferInstance, enumerated: Fraction, formula: Fraction)
     """One line of the survey report for a survey instance, its newline included."""
     ((_, n),) = inst.container_a
     (_, same), (_, other) = inst.container_b
-    query = "drawn_is_moved" if isinstance(inst.query, DrawnIsMoved) else "drawn_has_color"
+    query = "drawn_is_moved" if inst.query == "moved" else "drawn_has_color"
     return (
         f"{n}\t{same + other}\t{same}\t{inst.moved}\t{query}\t{enumerated}\t{formula}"
         f"\t{'yes' if enumerated == formula else 'no'}\n"
@@ -217,13 +197,13 @@ def station_walk_simulate(
     if min(distance, car_speed, walk_speed, early_minutes) <= 0:
         raise InvalidInstance("all simulation parameters must be positive")
     if walk_speed >= car_speed:
-        raise NoMeeting("the car must be faster than the walker")
+        raise InvalidInstance("the car must be faster than the walker")
 
     departure = -distance / car_speed  # car leaves home here to land at t = 0
     # car: distance + car_speed * t; walker: distance - walk_speed * (t + early)
     meeting_time = -walk_speed * early_minutes / (car_speed + walk_speed)
     if meeting_time <= departure:
-        raise NoMeeting("the walker reaches home before the car sets out")
+        raise InvalidInstance("the walker reaches home before the car sets out")
     meeting_point = distance + car_speed * meeting_time
 
     walked_minutes = meeting_time + early_minutes

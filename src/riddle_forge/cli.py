@@ -36,7 +36,7 @@ from .pigeonhole import (
     guarantee_draws_formula,
     guarantee_draws_oracle,
 )
-from .rate import RateField, RateQuery, ceil_subjects, rate_constant, solve_rate
+from .rate import RateQuery, ceil_subjects, rate_constant, solve_rate
 from .speck import ParseFailure, parse_puzzles
 from .weighing import (
     WeighingInstance,
@@ -123,7 +123,7 @@ def _solve_rate_report(label: str, query: RateQuery, args: argparse.Namespace) -
     exact = solve_rate(query)
     shown: str = str(exact)
     rounded = None
-    if args.ceil_subjects and query.target is RateField.SUBJECTS:
+    if args.ceil_subjects and query.target == "subjects":
         rounded = ceil_subjects(exact)
         shown = str(rounded)
     report = SolveReport(label, query.puzzle_kind, shown)
@@ -138,7 +138,7 @@ def _solve_rate_report(label: str, query: RateQuery, args: argparse.Namespace) -
             "x" if q is None else q.magnitude for q in (query.work, query.subjects, query.time)
         )
         report.explanation.append(f"solve {w}/({s}*{t}) = {k}")
-        word = getattr(known, query.target.value).label  # a time carries no label
+        word = getattr(known, query.target).label  # a time carries no label
         suffix = f" {word}" if word else ""
         if rounded is not None and rounded != exact:
             report.explanation.append(

@@ -23,11 +23,3 @@ class InvalidInstance(PuzzleError):
 
 class Infeasible(PuzzleError):
     """The requested goal cannot be reached with the given counts."""
-
-
-class MalformedTree(PuzzleError):
-    """A weighing strategy tree violates its structural invariants."""
-
-
-class NoMeeting(PuzzleError):
-    """The walk-and-pickup parameters do not produce a valid meeting."""

@@ -9,28 +9,18 @@ reading k off the known scenario and isolating the one unknown.
 from __future__ import annotations
 
 import math
-import operator
-from enum import Enum
 from fractions import Fraction
 
 from .core import Quantity, Unit, Value, _exact, _set
 from .errors import InvalidInstance
 
 
-class RateField(Enum):
-    """A field's value is also its attribute's name in RateScenario and RateQuery."""
-
-    WORK = "work"
-    SUBJECTS = "subjects"
-    TIME = "time"
+# The attribute names of a RateScenario's and a RateQuery's three quantities.
+_FIELDS = ("work", "subjects", "time")
 
 
-_FIELDS = tuple(RateField)
-_field_values = operator.attrgetter(*(field.value for field in _FIELDS))
-
-
-def _by_field(values: "RateScenario | RateQuery") -> dict[RateField, Quantity | None]:
-    return dict(zip(_FIELDS, _field_values(values)))
+def _by_field(values: "RateScenario | RateQuery") -> dict[str, Quantity | None]:
+    return {field: getattr(values, field) for field in _FIELDS}
 
 
 def _check_unit(quantity: Quantity, name: str, unit: Unit) -> None:
@@ -64,10 +54,11 @@ class RateQuery(Value):
     """A known scenario plus two given quantities; solve for the third.
 
     The unknown is the one field left as None; the other two must be
-    strictly positive and carry the right unit.
+    strictly positive and carry the right unit.  ``target`` is the name of
+    the field left out: "work", "subjects" or "time".
     """
 
-    # ``target`` (the field left out) is worked out, not a field.
+    # ``target`` is worked out, not a field.
     _fields = ("known", "work", "subjects", "time")
     __slots__ = (*_fields, "target")
     puzzle_kind = "rate"
@@ -82,8 +73,7 @@ class RateQuery(Value):
             raise InvalidInstance("exactly one of work, subjects and time must be left out")
         for field, quantity in by_field.items():
             if quantity is not None:
-                unit = Unit.MINUTES if field is RateField.TIME else Unit.COUNT
-                _check_unit(quantity, field.value, unit)
+                _check_unit(quantity, field, Unit.MINUTES if field == "time" else Unit.COUNT)
         _set(self, "known", known)
         _set(self, "work", work)
         _set(self, "subjects", subjects)
@@ -101,17 +91,16 @@ class RateQuery(Value):
         return cls(RateScenario(*known), **given)  # the readers refused every bad value
 
     def block_items(self) -> list[tuple[str, object]]:
-        known = [(field.value, q) for field, q in _by_field(self.known).items()]
-        given = [(field.value, q) for field, q in _by_field(self).items() if q is not None]
-        return known + [("find", (self.target.value, given))]
+        given = [(field, q) for field, q in _by_field(self).items() if q is not None]
+        return [*_by_field(self.known).items(), ("find", (self.target, given))]
 
 
 def solve_rate(query: RateQuery) -> Fraction:
     """The unique unknown making the query's scenario share the known k."""
     k = rate_constant(query.known)
-    if query.target is RateField.WORK:
+    if query.target == "work":
         return k * query.subjects.magnitude * query.time.magnitude
-    if query.target is RateField.SUBJECTS:
+    if query.target == "subjects":
         return query.work.magnitude / (k * query.time.magnitude)
     return query.work.magnitude / (k * query.subjects.magnitude)
 
@@ -119,9 +108,9 @@ def solve_rate(query: RateQuery) -> Fraction:
 def completed_scenario(query: RateQuery, solution: Fraction) -> RateScenario:
     """The query's scenario with the solved value plugged back in."""
     values = _by_field(query)
-    unit = Unit.MINUTES if query.target is RateField.TIME else Unit.COUNT
+    unit = Unit.MINUTES if query.target == "time" else Unit.COUNT
     values[query.target] = Quantity(solution, unit)
-    return RateScenario(**{field.value: q for field, q in values.items()})
+    return RateScenario(**values)
 
 
 def ceil_subjects(value: Fraction) -> int:

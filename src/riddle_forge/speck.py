@@ -165,9 +165,11 @@ def _locate(source: str, errors: list[_Error]) -> list[ParseError]:
 
     One pass of the lexer's own pattern finds the tokens again, counting
     lines as it goes, and keeps the offsets of only those the errors name;
-    the index past the last token is the end of input.
+    it stops at the last of them.  The index past the last token is the end
+    of input, which is never matched, so an error there runs the pass out.
     """
     named = {index for span, _, _ in errors for index in span}
+    stop = max(named)
     found = {}  # token index -> (start, end, line, column)
     index, line, line_start = 0, 1, 0
     for match in _TOKEN_RE.finditer(source):
@@ -177,6 +179,8 @@ def _locate(source: str, errors: list[_Error]) -> list[ParseError]:
             continue
         if index in named:
             found[index] = (start, match.end(), line, start - line_start + 1)
+            if index == stop:
+                break
         index += 1
         if first_char == "\n":
             line, line_start = line + 1, start + 1

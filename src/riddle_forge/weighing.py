@@ -19,7 +19,7 @@ from __future__ import annotations
 import threading
 
 from .core import Value, _is_int, _positive_int, _set
-from .errors import InvalidInstance, MalformedTree
+from .errors import InvalidInstance
 
 
 class WeighingInstance(Value):
@@ -127,7 +127,7 @@ class Leaf(Value):
     def __init__(self, identified: int) -> None:
         # build_strategy numbers the objects 0, 1, ...
         if not _is_int(identified) or identified < 0:
-            raise MalformedTree(f"leaf object must be an integer >= 0, not {identified!r}")
+            raise InvalidInstance(f"leaf object must be an integer >= 0, not {identified!r}")
         _set(self, "identified", identified)
 
     @property
@@ -141,7 +141,7 @@ class Weigh(Value):
     Each pan is the suspects of the subtree that follows it coming down
     heavy, so no pan is stored apart from the subtree it could disagree with.
     A child that is not a ``Leaf`` or ``Weigh``, pans of unequal size, or an
-    object among the node's suspects twice raise ``MalformedTree`` here; each
+    object among the node's suspects twice raise ``InvalidInstance`` here; each
     child was checked when it was built, so a tree that exists is valid.
     """
 
@@ -155,13 +155,13 @@ class Weigh(Value):
         node = (Leaf, Weigh)
         if not (isinstance(on_left_heavy, node) and isinstance(on_right_heavy, node)
                 and (on_balance is None or isinstance(on_balance, node))):
-            raise MalformedTree("each subtree must be a Leaf or a Weigh")
+            raise InvalidInstance("each subtree must be a Leaf or a Weigh")
         left, right = on_left_heavy.suspects, on_right_heavy.suspects
         if len(left) != len(right):
-            raise MalformedTree(f"pans differ in size: {len(left)} vs {len(right)}")
+            raise InvalidInstance(f"pans differ in size: {len(left)} vs {len(right)}")
         suspects = left + right + (() if on_balance is None else on_balance.suspects)
         if len(set(suspects)) != len(suspects):
-            raise MalformedTree(f"suspect list {suspects!r} repeats objects")
+            raise InvalidInstance(f"suspect list {suspects!r} repeats objects")
         _set(self, "on_left_heavy", on_left_heavy)
         _set(self, "on_right_heavy", on_right_heavy)
         _set(self, "on_balance", on_balance)

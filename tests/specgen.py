@@ -4,12 +4,9 @@ import random
 from fractions import Fraction
 
 from riddle_forge import (
-    DrawnHasColor,
-    DrawnIsMoved,
     PigeonholeInstance,
     PuzzleSpec,
     Quantity,
-    RateField,
     RateQuery,
     RateScenario,
     StationInstance,
@@ -49,15 +46,15 @@ def random_rate(rng: random.Random) -> RateQuery:
         subjects=_count_quantity(rng),
         time=_time_quantity(rng),
     )
-    target = rng.choice(list(RateField))
+    target = rng.choice(["work", "subjects", "time"])
     given = {}
-    for field in RateField:
-        if field is target:
+    for field in ("work", "subjects", "time"):
+        if field == target:
             continue
-        if field is RateField.TIME:
-            given[field.value] = _time_quantity(rng)
+        if field == "time":
+            given[field] = _time_quantity(rng)
         else:
-            given[field.value] = _count_quantity(rng)
+            given[field] = _count_quantity(rng)
     return RateQuery(known=known, **given)
 
 
@@ -82,10 +79,10 @@ def random_transfer(rng: random.Random) -> TransferInstance:
     pairs_b = tuple((color, rng.randint(0, 5)) for color in b_labels)
     moved = rng.randint(1, sum(a_counts))
     if rng.random() < 0.4:
-        query = DrawnIsMoved()
+        query = "moved"
     else:
         pool = a_labels + b_labels + [_word(rng)]
-        query = DrawnHasColor(rng.choice(pool))
+        query = rng.choice(pool)
     return TransferInstance(pairs_a, pairs_b, moved, query)
 
 

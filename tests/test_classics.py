@@ -9,10 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from riddle_forge import (
-    DrawnHasColor,
-    DrawnIsMoved,
     InvalidInstance,
-    NoMeeting,
     StationInstance,
     TransferInstance,
     station_walk_formula,
@@ -35,34 +32,38 @@ def test_formula_known_values():
 
 
 def test_enumerate_known_values():
-    only_object = TransferInstance((("red", 1),), (("red", 0),), 1, DrawnIsMoved())
+    only_object = TransferInstance((("red", 1),), (("red", 0),), 1, "moved")
     assert transfer_probability_enumerate(only_object) == 1
 
     red_after_move = TransferInstance(
-        (("red", 2), ("blue", 2)), (("blue", 2),), 1, DrawnHasColor("red")
+        (("red", 2), ("blue", 2)), (("blue", 2),), 1, "red"
     )
     assert transfer_probability_enumerate(red_after_move) == Fraction(1, 6)
 
     one_of_three = TransferInstance(
-        (("red", 1), ("blue", 1)), (("red", 1), ("blue", 1)), 1, DrawnIsMoved()
+        (("red", 1), ("blue", 1)), (("red", 1), ("blue", 1)), 1, "moved"
     )
     assert transfer_probability_enumerate(one_of_three) == Fraction(1, 3)
 
+    # The word "moved" is the moved-object event, even where a color has that name.
+    moved_color = TransferInstance((("moved", 2),), (("moved", 1),), 1, "moved")
+    assert transfer_probability_enumerate(moved_color) == Fraction(1, 2)
+
 
 def test_enumerate_absent_color_has_zero_probability():
-    inst = TransferInstance((("red", 2),), (("blue", 1),), 1, DrawnHasColor("green"))
+    inst = TransferInstance((("red", 2),), (("blue", 1),), 1, "green")
     assert transfer_probability_enumerate(inst) == 0
 
 
 def test_instance_validation():
     with pytest.raises(InvalidInstance):
-        TransferInstance((("red", 1),), (), 2, DrawnIsMoved())  # moved > |A|
+        TransferInstance((("red", 1),), (), 2, "moved")  # moved > |A|
     with pytest.raises(InvalidInstance):
-        TransferInstance((("red", 1),), (), 0, DrawnIsMoved())
+        TransferInstance((("red", 1),), (), 0, "moved")
     with pytest.raises(InvalidInstance):
-        TransferInstance((("red", 1), ("red", 2)), (), 1, DrawnIsMoved())
+        TransferInstance((("red", 1), ("red", 2)), (), 1, "moved")
     with pytest.raises(InvalidInstance):
-        TransferInstance((("red", -1),), (), 1, DrawnIsMoved())
+        TransferInstance((("red", -1),), (), 1, "moved")
 
 
 def _color_instances(colors, max_total):
@@ -88,12 +89,12 @@ def test_enumeration_matches_elementary_events_up_to_six_objects():
             )
             assert p_moved + p_not_moved == 1
             moved_inst = TransferInstance(
-                container_a, container_b, moved, DrawnIsMoved()
+                container_a, container_b, moved, "moved"
             )
             assert transfer_probability_enumerate(moved_inst) == p_moved
             for color in (*colors, "absent"):
                 color_inst = TransferInstance(
-                    container_a, container_b, moved, DrawnHasColor(color)
+                    container_a, container_b, moved, color
                 )
                 assert transfer_probability_enumerate(color_inst) == p_colors.get(
                     color, 0
@@ -106,8 +107,8 @@ FIVE_COLORS = ("red", "blue", "green", "amber", "teal")
 def test_enumeration_matches_the_hypergeometric_sum_past_elementary_sizes():
     # Up to 400 objects in A: too many subsets for elementary events, so the
     # sum over every split is the reference.  Queries include colors absent
-    # from one container or both, and DrawnIsMoved, which becomes a color
-    # event once A's objects are all recolored 'src' and B's 'dst'.
+    # from one container or both, and "moved", which becomes a color event
+    # once A's objects are all recolored 'src' and B's 'dst'.
     rng = random.Random(20)
     for _ in range(2000):
         a_colors = rng.sample(FIVE_COLORS, rng.randint(1, 5))
@@ -121,11 +122,11 @@ def test_enumeration_matches_the_hypergeometric_sum_past_elementary_sizes():
         total_b = sum(count for _, count in container_b)
         moved = rng.randint(1, total_a)
         color = rng.choice((*FIVE_COLORS, "gray"))
-        inst = TransferInstance(container_a, container_b, moved, DrawnHasColor(color))
+        inst = TransferInstance(container_a, container_b, moved, color)
         assert transfer_probability_enumerate(inst) == hypergeometric_transfer(
             container_a, container_b, moved, color
         )
-        moved_inst = TransferInstance(container_a, container_b, moved, DrawnIsMoved())
+        moved_inst = TransferInstance(container_a, container_b, moved, "moved")
         assert transfer_probability_enumerate(moved_inst) == hypergeometric_transfer(
             (("src", total_a),), (("dst", total_b),), moved, "src"
         )
@@ -138,16 +139,16 @@ def test_enumeration_normalises_exactly():
         total_a = sum(count for _, count in container_a)
         total_b = sum(count for _, count in container_b)
         recolored = TransferInstance(
-            (("src", total_a),), (("dst", total_b),), moved, DrawnHasColor("src")
+            (("src", total_a),), (("dst", total_b),), moved, "src"
         )
         p_src = transfer_probability_enumerate(recolored)
         p_dst = transfer_probability_enumerate(
             TransferInstance(
-                (("src", total_a),), (("dst", total_b),), moved, DrawnHasColor("dst")
+                (("src", total_a),), (("dst", total_b),), moved, "dst"
             )
         )
         assert p_src + p_dst == 1
-        original = TransferInstance(container_a, container_b, moved, DrawnIsMoved())
+        original = TransferInstance(container_a, container_b, moved, "moved")
         assert transfer_probability_enumerate(original) == p_src
 
 
@@ -156,10 +157,10 @@ def test_survey_smallest_bounds_hand_checked():
         return TransferInstance((("alpha", 1),), (("alpha", same), ("beta", 1 - same)), 1, query)
 
     assert list(transfer_formula_survey(1, 1)) == [
-        (survey_instance(0, DrawnIsMoved()), Fraction(1, 2), Fraction(1)),
-        (survey_instance(0, DrawnHasColor("alpha")), Fraction(1, 2), Fraction(1)),
-        (survey_instance(1, DrawnIsMoved()), Fraction(1, 2), Fraction(1)),
-        (survey_instance(1, DrawnHasColor("alpha")), Fraction(1), Fraction(1)),
+        (survey_instance(0, "moved"), Fraction(1, 2), Fraction(1)),
+        (survey_instance(0, "alpha"), Fraction(1, 2), Fraction(1)),
+        (survey_instance(1, "moved"), Fraction(1, 2), Fraction(1)),
+        (survey_instance(1, "alpha"), Fraction(1), Fraction(1)),
     ]
 
 
@@ -226,12 +227,13 @@ def test_simulation_rejects_bad_parameters():
         params[at] = float(params[at])
         with pytest.raises(InvalidInstance):
             station_walk_simulate(*params)
-    with pytest.raises(NoMeeting):
+    with pytest.raises(InvalidInstance, match="the car must be faster than the walker"):
         station_walk_simulate(10, 1, 1, 10)  # walker as fast as the car
-    with pytest.raises(NoMeeting):
+    home_first = "the walker reaches home before the car sets out"
+    with pytest.raises(InvalidInstance, match=home_first):
         # walker reaches home long before the car would set out
         station_walk_simulate(1, 1, Fraction(9, 10), 100)
-    with pytest.raises(NoMeeting):
+    with pytest.raises(InvalidInstance, match=home_first):
         # they would meet at home at the very instant the car sets out
         station_walk_simulate(5, 1, Fraction(1, 2), 15)
 
@@ -246,7 +248,7 @@ def test_simulation_identity_holds_for_random_parameters():
         early = Fraction(rng.randint(10, 24000), 100)
         try:
             walked, saved = station_walk_simulate(distance, car_speed, walk_speed, early)
-        except NoMeeting:
+        except InvalidInstance:
             continue
         assert walked == early - saved / 2
         assert 0 < walked < early

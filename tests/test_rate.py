@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from riddle_forge import (
     InvalidInstance,
     Quantity,
-    RateField,
     RateQuery,
     RateScenario,
     ceil_subjects,
@@ -118,17 +117,17 @@ positive_fractions = st.fractions(min_value=Fraction(1, 100), max_value=100)
 @given(
     positive_fractions, positive_fractions, positive_fractions,
     positive_fractions, positive_fractions,
-    st.sampled_from(list(RateField)),
+    st.sampled_from(["work", "subjects", "time"]),
 )
 def test_consistency_substituting_back_restores_k(w, s, t, g1, g2, target):
     known = RateScenario(Quantity.count(w), Quantity.count(s), Quantity.minutes(t))
-    fields = [f for f in RateField if f is not target]
+    fields = [f for f in ("work", "subjects", "time") if f != target]
     given_map = {}
     for field, magnitude in zip(fields, (g1, g2)):
-        unit_ctor = Quantity.minutes if field is RateField.TIME else Quantity.count
-        given_map[field.value] = unit_ctor(magnitude)
+        unit_ctor = Quantity.minutes if field == "time" else Quantity.count
+        given_map[field] = unit_ctor(magnitude)
     query = RateQuery(known=known, **given_map)
-    assert query.target is target
+    assert query.target == target
     solution = solve_rate(query)
     assert solution > 0
     completed = completed_scenario(query, solution)

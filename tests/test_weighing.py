@@ -8,7 +8,6 @@ import riddle_forge.weighing as weighing
 from riddle_forge import (
     InvalidInstance,
     Leaf,
-    MalformedTree,
     Weigh,
     WeighingInstance,
     build_strategy,
@@ -189,18 +188,18 @@ def test_malformed_trees_are_rejected():
     # a node, and it is refused when it is built: no malformed tree exists to
     # be walked.  A leaf's object is numbered from 0, as build_strategy does.
     for identified in ("x", True, -1, 1.0, None):
-        with pytest.raises(MalformedTree, match="leaf object must be an integer >= 0"):
+        with pytest.raises(InvalidInstance, match="leaf object must be an integer >= 0"):
             Leaf(identified)
     for subtrees in ((Leaf(0), 5), (None, Leaf(1)), (Leaf(0), Leaf(1), 3)):
-        with pytest.raises(MalformedTree, match="each subtree must be a Leaf or a Weigh"):
+        with pytest.raises(InvalidInstance, match="each subtree must be a Leaf or a Weigh"):
             Weigh(*subtrees)
     unequal_pans = (Leaf(0), Weigh(Leaf(1), Leaf(2)))
     overlapping = (Weigh(Leaf(0), Leaf(1)), Weigh(Leaf(1), Leaf(2)))
     on_a_pan_and_aside = (Leaf(0), Leaf(1), Leaf(0))
-    with pytest.raises(MalformedTree, match="pans differ in size: 1 vs 2"):
+    with pytest.raises(InvalidInstance, match="pans differ in size: 1 vs 2"):
         Weigh(*unequal_pans)
     for subtrees in (overlapping, on_a_pan_and_aside):
-        with pytest.raises(MalformedTree, match="repeats objects"):
+        with pytest.raises(InvalidInstance, match="repeats objects"):
             Weigh(*subtrees)
 
 
