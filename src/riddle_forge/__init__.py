@@ -21,7 +21,6 @@ from .classics import (
 from .core import (
     PuzzleSpec,
     Quantity,
-    Unit,
 )
 from .errors import (
     Infeasible,
@@ -82,7 +81,6 @@ __all__ = [
     "SourceSpan",
     "StationInstance",
     "TransferInstance",
-    "Unit",
     "Weigh",
     "WeighingInstance",
     "adversarial_sequence",

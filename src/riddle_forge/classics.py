@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator
 
-from .core import Quantity, Value, _exact, _normalize_counts, _positive, _positive_int, _set
+from .core import Value, _exact, _normalize_counts, _positive, _positive_int, _set
 from .errors import InvalidInstance
 
 
@@ -159,11 +159,10 @@ class StationInstance(Value):
         early, saved = block.time(early_at), block.time(saved_at)
         if early is None or saved is None:
             return None
-        return block.make(cls, early.magnitude, saved.magnitude, at=(early_at, saved_at))
+        return block.make(cls, early, saved, at=(early_at, saved_at))
 
     def block_items(self) -> list[tuple[str, object]]:
-        return [("early", Quantity.minutes(self.early_minutes)),
-                ("saved", Quantity.minutes(self.saved_minutes))]
+        return [("early", self.early_minutes), ("saved", self.saved_minutes)]
 
 
 def station_walk_formula(inst: StationInstance) -> Fraction:

@@ -132,13 +132,13 @@ def _solve_rate_report(label: str, query: RateQuery, args: argparse.Namespace) -
         k = rate_constant(known)
         report.explanation.append(
             f"rate constant: k = {known.work.magnitude}"
-            f"/({known.subjects.magnitude}*{known.time.magnitude}) = {k}"
+            f"/({known.subjects.magnitude}*{known.time}) = {k}"
         )
-        w, s, t = (
-            "x" if q is None else q.magnitude for q in (query.work, query.subjects, query.time)
-        )
+        w, s = ("x" if q is None else q.magnitude for q in (query.work, query.subjects))
+        t = "x" if query.time is None else query.time
         report.explanation.append(f"solve {w}/({s}*{t}) = {k}")
-        word = getattr(known, query.target).label  # a time carries no label
+        # A time is a Fraction of minutes, with no label word.
+        word = None if query.target == "time" else getattr(known, query.target).label
         suffix = f" {word}" if word else ""
         if rounded is not None and rounded != exact:
             report.explanation.append(
@@ -310,12 +310,20 @@ def _write_reports(reports: Iterable[SolveReport], fmt: str, handle: TextIO) -> 
         handle.write(report.to_text() + "\n")
 
 
+def _names_same_file(path: str, out: str) -> bool:
+    """Whether writing ``out`` would overwrite the input ``path``: the same
+    file, or, while ``out`` does not exist yet, the same resolved path."""
+    if not os.path.exists(out):
+        return os.path.realpath(path) == os.path.realpath(out)
+    return os.path.isfile(out) and os.path.exists(path) and os.path.samefile(path, out)
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     """Solve every puzzle in the given files, writing each report as it is made."""
     _strategy.cache_clear()  # strategies are kept for one run only
-    if args.out is not None and os.path.isfile(args.out):
+    if args.out is not None:
         for path in args.paths:
-            if os.path.exists(path) and os.path.samefile(path, args.out):
+            if _names_same_file(path, args.out):
                 print(f"error: --out names the input file {path}", file=sys.stderr)
                 return 1
     failed = disagreed = False

@@ -1,6 +1,6 @@
 """Shared value types: exact rationals (``Fraction``, always in lowest terms
-with a positive denominator), unit-tagged quantities, and the puzzle spec
-that wraps any of the five puzzle payloads.
+with a positive denominator), labelled counts, and the puzzle spec that wraps
+any of the five puzzle payloads.  A time is a ``Fraction`` of minutes.
 
 Every puzzle value is a ``Value``: a ``__slots__`` class whose ``__init__``
 checks its arguments before it sets its fields, so values can be shared
@@ -12,7 +12,6 @@ every CLI run pays; see README, "Everything is an immutable value".
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from enum import Enum
 from fractions import Fraction
 from typing import Any
 
@@ -24,7 +23,8 @@ def _exact(value: int | Fraction, what: str) -> Fraction:
         return value
     if not isinstance(value, (int, Fraction)):
         kind = type(value).__name__
-        raise InvalidInstance(f"{what} must be exact (int or Fraction), not {kind}")
+        raise InvalidInstance(f"must be exact (int or Fraction), not {kind}", what,
+                              kind="type_mismatch")
     return Fraction(value)
 
 
@@ -113,44 +113,20 @@ class Value:
         return type(self), self._values()
 
 
-class Unit(Enum):
-    COUNT = "count"
-    MINUTES = "min"
-
-
 class Quantity(Value):
-    """A strictly positive magnitude tagged with its unit.
-
-    Time is always stored in minutes (the parser folds hours in on the way
-    through).  ``label`` keeps the bare word that followed a count in the
-    source text ("cats", "mice", ...); it carries no semantic weight.
+    """A strictly positive count, and the bare word that followed it in the
+    source text ("cats", "mice", ...), if any; the word carries no semantic
+    weight.
     """
 
-    __slots__ = _fields = ("magnitude", "unit", "label")
+    __slots__ = _fields = ("magnitude", "label")
 
-    def __init__(self, magnitude: Fraction, unit: Unit, label: str | None = None) -> None:
+    def __init__(self, magnitude: int | Fraction, label: str | None = None) -> None:
         magnitude = _positive(magnitude, "magnitude")
-        if not isinstance(unit, Unit):
-            raise InvalidInstance(f"quantity unit must be a Unit, not {type(unit).__name__}")
-        if unit is Unit.MINUTES and label is not None:
-            raise InvalidInstance("time quantities carry a unit, not a label")
         if label is not None and not isinstance(label, str):
             raise InvalidInstance(f"quantity label must be a string, not {type(label).__name__}")
         _set(self, "magnitude", magnitude)
-        _set(self, "unit", unit)
         _set(self, "label", label)
-
-    @classmethod
-    def count(cls, magnitude: int | Fraction, label: str | None = None) -> "Quantity":
-        return cls(_exact(magnitude, "count"), Unit.COUNT, label)
-
-    @classmethod
-    def minutes(cls, magnitude: int | Fraction) -> "Quantity":
-        return cls(_exact(magnitude, "minutes"), Unit.MINUTES)
-
-    @classmethod
-    def hours(cls, magnitude: int | Fraction) -> "Quantity":
-        return cls(_exact(magnitude, "hours") * 60, Unit.MINUTES)
 
 
 class PuzzleSpec(Value):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .core import Quantity, Unit, Value, _exact, _set
+from .core import Quantity, Value, _exact, _positive, _set
 from .errors import InvalidInstance
 
 
@@ -19,43 +19,44 @@ from .errors import InvalidInstance
 _FIELDS = ("work", "subjects", "time")
 
 
-def _by_field(values: "RateScenario | RateQuery") -> dict[str, Quantity | None]:
+def _by_field(values: "RateScenario | RateQuery") -> dict[str, Quantity | Fraction | None]:
     return {field: getattr(values, field) for field in _FIELDS}
 
 
-def _check_unit(quantity: Quantity, name: str, unit: Unit) -> None:
-    """A ``Quantity`` is strictly positive, so only its unit needs checking."""
-    if not isinstance(quantity, Quantity) or quantity.unit is not unit:
-        raise InvalidInstance(f"{name} must be a {unit.value} quantity")
+def _checked(field: str, value: object) -> Quantity | Fraction:
+    """A count field's ``Quantity`` (strictly positive already), or the time
+    as a strictly positive ``Fraction`` of minutes."""
+    if field == "time":
+        return _positive(value, "time")
+    if not isinstance(value, Quantity):
+        raise InvalidInstance("must be a Quantity", field, kind="type_mismatch")
+    return value
 
 
 class RateScenario(Value):
-    """A complete (work, subjects, time) triple, all strictly positive."""
+    """A complete (work, subjects, time) triple, all strictly positive; the
+    time is in minutes."""
 
     __slots__ = _fields = ("work", "subjects", "time")
 
-    def __init__(self, work: Quantity, subjects: Quantity, time: Quantity) -> None:
-        _check_unit(work, "work", Unit.COUNT)
-        _check_unit(subjects, "subjects", Unit.COUNT)
-        _check_unit(time, "time", Unit.MINUTES)
-        _set(self, "work", work)
-        _set(self, "subjects", subjects)
-        _set(self, "time", time)
+    def __init__(self, work: Quantity, subjects: Quantity, time: int | Fraction) -> None:
+        checked = list(map(_checked, _FIELDS, (work, subjects, time)))
+        for field, value in zip(_FIELDS, checked):
+            _set(self, field, value)
 
 
 def rate_constant(scenario: RateScenario) -> Fraction:
     """The invariant ratio work / (subjects * time), exactly."""
-    return scenario.work.magnitude / (
-        scenario.subjects.magnitude * scenario.time.magnitude
-    )
+    return scenario.work.magnitude / (scenario.subjects.magnitude * scenario.time)
 
 
 class RateQuery(Value):
     """A known scenario plus two given quantities; solve for the third.
 
     The unknown is the one field left as None; the other two must be
-    strictly positive and carry the right unit.  ``target`` is the name of
-    the field left out: "work", "subjects" or "time".
+    strictly positive: a count is a ``Quantity``, a time an ``int`` or
+    ``Fraction`` of minutes.  ``target`` is the name of the field left
+    out: "work", "subjects" or "time".
     """
 
     # ``target`` is worked out, not a field.
@@ -64,20 +65,18 @@ class RateQuery(Value):
     puzzle_kind = "rate"
 
     def __init__(self, known: RateScenario, work: Quantity | None = None,
-                 subjects: Quantity | None = None, time: Quantity | None = None) -> None:
+                 subjects: Quantity | None = None, time: int | Fraction | None = None) -> None:
         if not isinstance(known, RateScenario):
             raise InvalidInstance("known must be a RateScenario")
-        by_field = dict(zip(_FIELDS, (work, subjects, time)))
-        left_out = [field for field, quantity in by_field.items() if quantity is None]
+        given = dict(zip(_FIELDS, (work, subjects, time)))
+        left_out = [field for field, value in given.items() if value is None]
         if len(left_out) != 1:
             raise InvalidInstance("exactly one of work, subjects and time must be left out")
-        for field, quantity in by_field.items():
-            if quantity is not None:
-                _check_unit(quantity, field, Unit.MINUTES if field == "time" else Unit.COUNT)
+        checked = {field: _checked(field, value)
+                   for field, value in given.items() if value is not None}
         _set(self, "known", known)
-        _set(self, "work", work)
-        _set(self, "subjects", subjects)
-        _set(self, "time", time)
+        for field in _FIELDS:
+            _set(self, field, checked.get(field))
         _set(self, "target", left_out[0])
 
     @classmethod
@@ -99,17 +98,16 @@ def solve_rate(query: RateQuery) -> Fraction:
     """The unique unknown making the query's scenario share the known k."""
     k = rate_constant(query.known)
     if query.target == "work":
-        return k * query.subjects.magnitude * query.time.magnitude
+        return k * query.subjects.magnitude * query.time
     if query.target == "subjects":
-        return query.work.magnitude / (k * query.time.magnitude)
+        return query.work.magnitude / (k * query.time)
     return query.work.magnitude / (k * query.subjects.magnitude)
 
 
 def completed_scenario(query: RateQuery, solution: Fraction) -> RateScenario:
     """The query's scenario with the solved value plugged back in."""
     values = _by_field(query)
-    unit = Unit.MINUTES if query.target == "time" else Unit.COUNT
-    values[query.target] = Quantity(solution, unit)
+    values[query.target] = solution if query.target == "time" else Quantity(solution)
     return RateScenario(**values)
 
 

@@ -38,6 +38,7 @@ readers, which check only a value's type and unit, and the value text.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from collections.abc import Iterator
 from enum import Enum
 from fractions import Fraction
@@ -45,7 +46,7 @@ from itertools import chain, repeat
 from typing import NamedTuple
 
 from .classics import StationInstance, TransferInstance
-from .core import PuzzleSpec, Quantity, Unit, Value, _set
+from .core import PuzzleSpec, Quantity, Value, _set
 from .errors import InvalidInstance
 from .pigeonhole import PigeonholeInstance
 from .rate import RateQuery
@@ -125,12 +126,21 @@ def _lex(source: str, start: int, end: int) -> list[str]:
     return tokens
 
 
-def _chunks(source: str) -> Iterator[list[str] | Iterator[str]]:
-    """The tokens of each chunk of whole lines in turn, then _EOF without end."""
-    start = 0
+def _chunks(
+    source: str, starts: list[tuple[int, int]]
+) -> Iterator[list[str] | Iterator[str]]:
+    """The tokens of each chunk of whole lines in turn, then _EOF without end.
+
+    Each chunk's (first token index, offset) is appended to ``starts`` as
+    the chunk is lexed.
+    """
+    start = index = 0
     while start < len(source):
         end = source.find("\n", start + _CHUNK - 1) + 1 or len(source)
-        yield _lex(source, start, end)
+        tokens = _lex(source, start, end)
+        starts.append((index, start))
+        index += len(tokens)
+        yield tokens
         start = end
     yield repeat(_EOF)
 
@@ -160,19 +170,23 @@ def _describe(tok: str) -> str:
     return f"'{tok}'"
 
 
-def _locate(source: str, errors: list[_Error]) -> list[ParseError]:
+def _locate(
+    source: str, errors: list[_Error], starts: list[tuple[int, int]]
+) -> list[ParseError]:
     """Give each error its range, line and column.
 
     One pass of the lexer's own pattern finds the tokens again, counting
-    lines as it goes, and keeps the offsets of only those the errors name;
-    it stops at the last of them.  The index past the last token is the end
+    lines as it goes, and keeps the offsets of only those the errors name.
+    It starts at the chunk (see ``_chunks``' ``starts``) that holds the first
+    of them and stops at the last.  The index past the last token is the end
     of input, which is never matched, so an error there runs the pass out.
     """
     named = {index for span, _, _ in errors for index in span}
     stop = max(named)
+    index, line_start = starts[bisect_right(starts, (min(named), len(source))) - 1]
+    line = source.count("\n", 0, line_start) + 1  # a chunk starts a line
     found = {}  # token index -> (start, end, line, column)
-    index, line, line_start = 0, 1, 0
-    for match in _TOKEN_RE.finditer(source):
+    for match in _TOKEN_RE.finditer(source, line_start):
         start = match.start()
         first_char = source[start]
         if first_char == "#":
@@ -250,11 +264,12 @@ class _Parser:
     parser holds one chunk's tokens at most and reads each token once.
     """
 
-    __slots__ = ("errors", "_stream", "at", "tok")
+    __slots__ = ("errors", "starts", "_stream", "at", "tok")
 
     def __init__(self, source: str):
         self.errors: list[_Error] = []
-        self._stream = enumerate(chain.from_iterable(_chunks(source)))
+        self.starts: list[tuple[int, int]] = []  # see _chunks
+        self._stream = enumerate(chain.from_iterable(_chunks(source, self.starts)))
         self.at, self.tok = next(self._stream)
 
     def _skip_newlines(self) -> None:
@@ -609,9 +624,9 @@ class _Block:
         value = self._number(assign, "a number", counts=True)
         if value is None:
             return None
-        return self.make(Quantity, value, Unit.COUNT, assign.word, at=(assign,))
+        return self.make(Quantity, value, assign.word, at=(assign,))
 
-    def time(self, assign: _Assign | None) -> Quantity | None:
+    def time(self, assign: _Assign | None) -> Fraction | None:
         """A time in minutes; a bare number is minutes."""
         value = self._number(assign, "a number", counts=False)
         if value is None:
@@ -626,11 +641,9 @@ class _Block:
                      f"'{assign.key}'; expected 'min' or 'h'")
                 )
                 return None
-        # Built before it is scaled, so that a refusal quotes the value as written.
-        quantity = self.make(Quantity, value, Unit.MINUTES, at=(assign,))
-        if quantity is not None and scale != 1:
-            quantity = Quantity(quantity.magnitude * scale, Unit.MINUTES)
-        return quantity
+        # Checked before it is scaled, so that a refusal quotes the value as written.
+        checked = self.make(Quantity, value, at=(assign,))
+        return None if checked is None else checked.magnitude * scale
 
     def integer(self, assign: _Assign | None) -> int | None:
         """A whole number."""
@@ -663,7 +676,7 @@ def parse_puzzles(source: str) -> list[PuzzleSpec]:
     parser = _Parser(source)
     specs = parser.parse_file()
     if parser.errors:
-        raise ParseFailure(_locate(source, parser.errors))
+        raise ParseFailure(_locate(source, parser.errors, parser.starts))
     return specs
 
 
@@ -679,10 +692,10 @@ def _ident_or_raise(word: str, what: str) -> str:
     return word
 
 
-def _value_text(value: Quantity | tuple | str | int) -> str:
+def _value_text(value: Quantity | Fraction | tuple | str | int) -> str:
+    if isinstance(value, Fraction):  # a time
+        return f"{value} min"
     if isinstance(value, Quantity):
-        if value.unit is Unit.MINUTES:
-            return f"{value.magnitude} min"
         if value.label is None:
             return str(value.magnitude)
         word = _ident_or_raise(value.label, "label")

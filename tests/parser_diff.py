@@ -7,14 +7,17 @@ Print the outcomes of one checkout, with its own ``src`` first on the path:
 The sources are the seeded batch the fuzz tests draw from (``_mutate`` in
 ``test_cli.py``, seed 1, 20,000 sources), then one source for each input
 rule the payload constructors own.  Each outcome is ``["ok", blocks,
-digest]``, the digest a hash of the specs' reprs, or ``["error", [line,
-column, length, kind, message], ...]``.  Compare two such files with
+digest, text digest]``, the digests hashes of the specs' reprs and of
+their ``serialize_puzzle`` text, or ``["error", [line, column, length,
+kind, message], ...]``.  Compare two such files with
 
     PYTHONPATH=src python tests/parser_diff.py --compare before.json after.json
 
 which counts the sources that move between ok and error, that parse to
-other specs, whose first error changes span or kind, that report a (span,
-kind) pair the first file does not, and whose errors change at all.
+specs with other reprs, or to other values (other text: serialization
+round-trips, so a change to reprs alone moves only the first count), whose
+first error changes span or kind, that report a (span, kind) pair the
+first file does not, and whose errors change at all.
 Pytest does not collect this file.
 """
 
@@ -30,7 +33,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from test_cli import _mutate  # noqa: E402  (after the path is set)
 
-from riddle_forge import ParseFailure, parse_puzzles  # noqa: E402
+from riddle_forge import ParseFailure, parse_puzzles, serialize_puzzle  # noqa: E402
 
 SEED, COUNT = 1, 20_000
 
@@ -67,20 +70,25 @@ def outcome(source: str) -> list:
             [e.span.line, e.span.column, e.span.length, e.kind.value, e.message]
             for e in failure.errors
         ]
-    digest = hashlib.sha256(repr(specs).encode("utf-8", "surrogatepass")).hexdigest()
-    return ["ok", len(specs), digest[:16]]
+    text = "\n".join(serialize_puzzle(spec) for spec in specs)
+    return ["ok", len(specs), _digest(repr(specs)), _digest(text)]
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8", "surrogatepass")).hexdigest()[:16]
 
 
 def compare(before: list, after: list) -> dict[str, int]:
     counts = dict.fromkeys(
-        ("sources", "status_moved", "specs_differ", "first_error_moved",
+        ("sources", "status_moved", "specs_differ", "values_differ", "first_error_moved",
          "new_span_kind", "reports_changed"), 0)
     counts["sources"] = len(after)
     for old, new in zip(before, after, strict=True):
         if old[0] != new[0]:
             counts["status_moved"] += 1
         elif old[0] == "ok":
-            counts["specs_differ"] += old != new
+            counts["specs_differ"] += old[:3] != new[:3]
+            counts["values_differ"] += old[3] != new[3]
         else:
             old_pairs = {tuple(e[:4]) for e in old[1:]}
             counts["first_error_moved"] += old[1][:4] != new[1][:4]

@@ -33,28 +33,21 @@ def _positive_fraction(rng: random.Random) -> Fraction:
 
 def _count_quantity(rng: random.Random) -> Quantity:
     label = _word(rng) if rng.random() < 0.6 else None
-    return Quantity.count(_positive_fraction(rng), label)
-
-
-def _time_quantity(rng: random.Random) -> Quantity:
-    return Quantity.minutes(_positive_fraction(rng))
+    return Quantity(_positive_fraction(rng), label)
 
 
 def random_rate(rng: random.Random) -> RateQuery:
     known = RateScenario(
         work=_count_quantity(rng),
         subjects=_count_quantity(rng),
-        time=_time_quantity(rng),
+        time=_positive_fraction(rng),
     )
     target = rng.choice(["work", "subjects", "time"])
     given = {}
     for field in ("work", "subjects", "time"):
         if field == target:
             continue
-        if field == "time":
-            given[field] = _time_quantity(rng)
-        else:
-            given[field] = _count_quantity(rng)
+        given[field] = _positive_fraction(rng) if field == "time" else _count_quantity(rng)
     return RateQuery(known=known, **given)
 
 

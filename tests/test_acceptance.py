@@ -123,9 +123,9 @@ def test_criterion_4_pigeonhole_tightness_and_formula_match():
 
 def _random_rate_query(rng):
     known = RateScenario(
-        Quantity.count(Fraction(rng.randint(1, 500), rng.randint(1, 24))),
-        Quantity.count(Fraction(rng.randint(1, 500), rng.randint(1, 24))),
-        Quantity.minutes(Fraction(rng.randint(1, 500), rng.randint(1, 24))),
+        Quantity(Fraction(rng.randint(1, 500), rng.randint(1, 24))),
+        Quantity(Fraction(rng.randint(1, 500), rng.randint(1, 24))),
+        Fraction(rng.randint(1, 500), rng.randint(1, 24)),
     )
     target = rng.choice(["work", "subjects", "time"])
     given = {}
@@ -133,8 +133,7 @@ def _random_rate_query(rng):
         if field == target:
             continue
         magnitude = Fraction(rng.randint(1, 500), rng.randint(1, 24))
-        ctor = Quantity.minutes if field == "time" else Quantity.count
-        given[field] = ctor(magnitude)
+        given[field] = magnitude if field == "time" else Quantity(magnitude)
     return RateQuery(known=known, **given)
 
 
@@ -149,14 +148,14 @@ def test_criterion_5_rate_consistency_and_invariance():
         scale = Fraction(rng.randint(1, 40), rng.randint(1, 40))
         known = query.known
         scaled_ws = RateScenario(
-            Quantity.count(known.work.magnitude * scale),
-            Quantity.count(known.subjects.magnitude * scale),
+            Quantity(known.work.magnitude * scale),
+            Quantity(known.subjects.magnitude * scale),
             known.time,
         )
         scaled_wt = RateScenario(
-            Quantity.count(known.work.magnitude * scale),
+            Quantity(known.work.magnitude * scale),
             known.subjects,
-            Quantity.minutes(known.time.magnitude * scale),
+            known.time * scale,
         )
         for invariant_known in (scaled_ws, scaled_wt):
             rescaled = RateQuery(

@@ -549,19 +549,27 @@ def _symlink_to(path):
     return link
 
 
-@pytest.mark.parametrize("spell", [lambda path: path, _second_spelling, _symlink_to],
-                         ids=["same-path", "second-spelling", "symlink"])
+def _input_not_yet_made(path):
+    return _second_spelling(path.parent / "nope.speck")
+
+
+@pytest.mark.parametrize(
+    "spell", [lambda path: path, _second_spelling, _symlink_to, _input_not_yet_made],
+    ids=["same-path", "second-spelling", "symlink", "input-not-yet-made"],
+)
 def test_out_naming_an_input_is_refused(spell, tmp_path, corpus_path, capsys):
     before = corpus_path.read_bytes()
     out_path = spell(corpus_path)
+    absent = tmp_path / "nope.speck"
+    named = corpus_path if out_path.exists() else absent
     code, out, err = run_main(
-        ["solve", str(tmp_path / "nope.speck"), str(corpus_path), "--out", str(out_path)],
-        capsys,
+        ["solve", str(absent), str(corpus_path), "--out", str(out_path)], capsys
     )
     assert code == 1
     assert out == ""
-    assert err == f"error: --out names the input file {corpus_path}\n"
+    assert err == f"error: --out names the input file {named}\n"
     assert corpus_path.read_bytes() == before
+    assert not absent.exists()  # refused before --out is opened
 
 
 def test_unwritable_survey_out_fails_before_the_survey_runs(tmp_path):

@@ -24,11 +24,12 @@ from riddle_forge import (
     SourceSpan,
     StationInstance,
     TransferInstance,
-    Unit,
     Weigh,
     WeighingInstance,
     build_strategy,
     guarantee_draws_formula,
+    parse_puzzles,
+    serialize_puzzle,
     station_walk_simulate,
     transfer_formula_survey,
     transfer_probability_formula,
@@ -37,44 +38,57 @@ from riddle_forge.core import _exact
 
 
 def test_quantity_units():
-    assert Quantity.hours(2).magnitude == 120
-    assert Quantity.hours(Fraction(1, 2)) == Quantity.minutes(30)
-    assert Quantity.count(6, "mice").label == "mice"
+    # A count keeps its word; a time is a Fraction of minutes, hours folded in as read.
+    assert Quantity(6, "mice").label == "mice"
+    assert type(Quantity(6).magnitude) is Fraction
+    source = ("puzzle rate { work = 1; subjects = 1; time = 1/4 h; "
+              "find work where subjects = 2, time = 1 }")
+    (spec,) = parse_puzzles(source)
+    assert spec.payload.known.time == 15 and spec.payload.time == 1
+    text = serialize_puzzle(spec)
+    assert text == source.replace("1/4 h", "15 min").replace("time = 1 }", "time = 1 min }")
+    assert parse_puzzles(text) == [spec]
 
 
 def test_quantity_rejects_bad_values():
     with pytest.raises(InvalidInstance):
-        Quantity.count(-1)
-    with pytest.raises(InvalidInstance):
-        Quantity(Fraction(3), Unit.MINUTES, label="mice")
-    float_message = r"^count must be exact \(int or Fraction\), not float$"
+        Quantity(-1)
+    float_message = r"^magnitude must be exact \(int or Fraction\), not float$"
     with pytest.raises(InvalidInstance, match=float_message):
-        Quantity.count(0.5)
+        Quantity(0.5)
+
+
+_KNOWN = RateScenario(Quantity(6, "mice"), Quantity(6), 6)
+_KNOWN_REPR = (
+    "RateScenario(work=Quantity(magnitude=Fraction(6, 1), label='mice'), "
+    "subjects=Quantity(magnitude=Fraction(6, 1), label=None), time=Fraction(6, 1))"
+)
 
 
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: Quantity(Fraction(-1, 3), Unit.COUNT),
-        lambda: Quantity(-1, Unit.COUNT),
-        lambda: Quantity(0.5, Unit.COUNT),
-        lambda: RateScenario(
-            Quantity(Fraction(0), Unit.COUNT), Quantity.count(1), Quantity.minutes(1)
-        ),
+        lambda: Quantity(Fraction(-1, 3)),
+        lambda: Quantity(-1),
+        lambda: Quantity(0.5),
+        lambda: RateScenario(Quantity(Fraction(0)), Quantity(1), 1),
         lambda: PigeonholeInstance((("", 1),), 1),
         lambda: PigeonholeInstance(((3, 1),), 1),
-        lambda: Quantity(1, "count"),
-        lambda: Quantity("abc", Unit.COUNT),
-        lambda: Quantity(None, Unit.COUNT),
-        lambda: Quantity(Decimal("1.5"), Unit.COUNT),
+        lambda: RateScenario(Quantity(1), Quantity(1), "1 min"),
+        lambda: Quantity("abc"),
+        lambda: Quantity(None),
+        lambda: Quantity(Decimal("1.5")),
         lambda: StationInstance("20", "10"),
         lambda: station_walk_simulate("a", 1, 1, 1),
+        lambda: RateScenario(Quantity(1), Quantity(1), 0.5),
+        lambda: RateScenario(Quantity(1), Quantity(1), Quantity(1)),
+        lambda: RateQuery(_KNOWN, Quantity(1), None, 0),
     ],
     ids=[
         "negative-fraction", "negative-int", "float", "zero-fraction-rate",
         "empty-color-label", "non-string-color-label",
         "string-unit", "string-magnitude", "none-magnitude", "decimal-magnitude",
-        "string-station", "string-simulation",
+        "string-station", "string-simulation", "float-time", "quantity-time", "zero-time-query",
     ],
 )
 def test_constructors_check_direct_callers(build):
@@ -88,7 +102,7 @@ def test_constructors_check_direct_callers(build):
         lambda: TransferInstance((("red", 1),), (), 1, None),
         lambda: TransferInstance((("red", 1),), (), 1, 5),
         lambda: PuzzleSpec(WeighingInstance(3), label=5),
-        lambda: Quantity(3, Unit.COUNT, 7),
+        lambda: Quantity(3, 7),
         lambda: PuzzleSpec(WeighingInstance(3), label=b"stamps"),
     ],
     ids=["color-none", "color-int", "spec-label-int", "quantity-label-int", "spec-label-bytes"],
@@ -122,10 +136,18 @@ def test_integer_counts_refuse_bools(build, flag):
 @pytest.mark.parametrize(
     "build, argument, index, message",
     [
-        (lambda: Quantity.count(0), "magnitude", None,
+        (lambda: Quantity(0), "magnitude", None,
          "magnitude must be strictly positive, got 0"),
-        (lambda: Quantity.minutes(Fraction(-1, 2)), "magnitude", None,
-         "magnitude must be strictly positive, got -1/2"),
+        (lambda: RateScenario(Quantity(1), Quantity(1), Fraction(-1, 2)), "time", None,
+         "time must be strictly positive, got -1/2"),
+        (lambda: RateQuery(_KNOWN, Quantity(1), None, 0), "time", None,
+         "time must be strictly positive, got 0"),
+        (lambda: RateScenario(Quantity(1), Quantity(1), 0.5), "time", None,
+         "time must be exact (int or Fraction), not float"),
+        (lambda: RateQuery(_KNOWN, Quantity(1), None, Quantity(5)), "time", None,
+         "time must be exact (int or Fraction), not Quantity"),
+        (lambda: RateScenario(Quantity(1), 2, 1), "subjects", None,
+         "subjects must be a Quantity"),
         (lambda: WeighingInstance(0), "n_objects", None, "n_objects must be at least 1, got 0"),
         (lambda: PigeonholeInstance((("a", 1),), -2), "required", None,
          "required must be at least 1, got -2"),
@@ -152,7 +174,8 @@ def test_integer_counts_refuse_bools(build, flag):
          "saved_minutes cannot exceed twice early_minutes; "
          "the meeting scenario would be inconsistent"),
     ],
-    ids=["zero-count", "negative-time", "zero-objects", "negative-required", "zero-moved",
+    ids=["zero-count", "negative-time", "zero-time-query", "float-time", "quantity-time",
+         "int-subjects", "zero-objects", "negative-required", "zero-moved",
          "zero-colors", "zero-d", "zero-survey-bound", "repeated-color", "negative-color-count",
          "no-colors", "empty-container-a", "moved-past-container", "negative-saved",
          "saved-past-twice-early"],
@@ -196,27 +219,18 @@ def test_package_source_has_no_floats():
     assert float_names == []
 
 
-_KNOWN = RateScenario(Quantity.count(6), Quantity.count(6), Quantity.minutes(6))
-_KNOWN_REPR = (
-    "RateScenario(work=Quantity(magnitude=Fraction(6, 1), unit=<Unit.COUNT: 'count'>, "
-    "label=None), subjects=Quantity(magnitude=Fraction(6, 1), unit=<Unit.COUNT: 'count'>, "
-    "label=None), time=Quantity(magnitude=Fraction(6, 1), unit=<Unit.MINUTES: 'min'>, label=None))"
-)
 _TREE = build_strategy(WeighingInstance(13))
 
 
 # (class, constructor arguments, the repr the former dataclass code gave).
 _VALUES = [
-    (Quantity, (Fraction(3, 2), Unit.COUNT, "cats"),
-     "Quantity(magnitude=Fraction(3, 2), unit=<Unit.COUNT: 'count'>, label='cats')"),
+    (Quantity, (Fraction(3, 2), "cats"), "Quantity(magnitude=Fraction(3, 2), label='cats')"),
     (PuzzleSpec, (WeighingInstance(13), "coins"),
      "PuzzleSpec(payload=WeighingInstance(n_objects=13), label='coins')"),
     (RateScenario, (_KNOWN.work, _KNOWN.subjects, _KNOWN.time), _KNOWN_REPR),
-    (RateQuery, (_KNOWN, Quantity.count(100), None, Quantity.minutes(100)),
-     f"RateQuery(known={_KNOWN_REPR}, "
-     "work=Quantity(magnitude=Fraction(100, 1), unit=<Unit.COUNT: 'count'>, label=None), "
-     "subjects=None, "
-     "time=Quantity(magnitude=Fraction(100, 1), unit=<Unit.MINUTES: 'min'>, label=None))"),
+    (RateQuery, (_KNOWN, Quantity(100), None, 100),
+     f"RateQuery(known={_KNOWN_REPR}, work=Quantity(magnitude=Fraction(100, 1), label=None), "
+     "subjects=None, time=Fraction(100, 1))"),
     (WeighingInstance, (13,), "WeighingInstance(n_objects=13)"),
     (Leaf, (3,), "Leaf(identified=3)"),
     (Weigh, (_TREE.on_left_heavy, _TREE.on_right_heavy, _TREE.on_balance),

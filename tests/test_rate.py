@@ -20,16 +20,14 @@ from riddle_forge import (
 
 
 def scenario(work, subjects, time):
-    return RateScenario(
-        Quantity.count(work), Quantity.count(subjects), Quantity.minutes(time)
-    )
+    return RateScenario(Quantity(work), Quantity(subjects), time)
 
 
 def subjects_query(known, work, time):
     return RateQuery(
         known=known,
-        work=Quantity.count(work),
-        time=Quantity.minutes(time),
+        work=Quantity(work),
+        time=time,
     )
 
 
@@ -49,8 +47,8 @@ def test_solve_classic_worked_problems():
 def test_solve_returns_known_value_for_identity_query():
     query = RateQuery(
         known=scenario(5, 2, 7),
-        subjects=Quantity.count(2),
-        time=Quantity.minutes(7),
+        subjects=Quantity(2),
+        time=7,
     )
     assert solve_rate(query) == 5
 
@@ -83,23 +81,26 @@ def test_degenerate_inputs_rejected_at_construction():
         scenario(0, 6, 6)
     with pytest.raises(InvalidInstance):
         scenario(6, -1, 6)
-    with pytest.raises(InvalidInstance):
-        RateScenario(
-            Quantity.count(1), Quantity.count(1), Quantity.count(1)
-        )  # wrong unit for time
-    with pytest.raises(InvalidInstance):
+    with pytest.raises(InvalidInstance, match="^work must be a Quantity$"):
         RateScenario(1, 1, 1)  # numbers, not quantities
     with pytest.raises(InvalidInstance):
-        RateQuery(5, work=Quantity.count(1), subjects=Quantity.count(1))
-    with pytest.raises(InvalidInstance):
-        RateQuery(scenario(1, 1, 1), work=5, subjects=Quantity.count(1))
+        RateQuery(5, work=Quantity(1), subjects=Quantity(1))
+    with pytest.raises(InvalidInstance, match="^work must be a Quantity$"):
+        RateQuery(scenario(1, 1, 1), work=5, subjects=Quantity(1))
+    # A time is an int or Fraction of minutes above 0, as given or asked for.
+    for time in (0, Fraction(-1, 2), 0.5, Quantity(1)):
+        for build in (lambda: scenario(1, 1, time),
+                      lambda: RateQuery(scenario(1, 1, 1), work=Quantity(1), time=time)):
+            with pytest.raises(InvalidInstance) as info:
+                build()
+            assert info.value.argument == "time"
 
 
 @pytest.mark.parametrize(
     "given_map",
     [
-        {"work": Quantity.count(1), "subjects": Quantity.count(1), "time": Quantity.minutes(1)},
-        {"work": Quantity.count(1)},
+        {"work": Quantity(1), "subjects": Quantity(1), "time": 1},
+        {"work": Quantity(1)},
         {},
     ],
     ids=["none-left-out", "two-left-out", "all-left-out"],
@@ -120,12 +121,11 @@ positive_fractions = st.fractions(min_value=Fraction(1, 100), max_value=100)
     st.sampled_from(["work", "subjects", "time"]),
 )
 def test_consistency_substituting_back_restores_k(w, s, t, g1, g2, target):
-    known = RateScenario(Quantity.count(w), Quantity.count(s), Quantity.minutes(t))
+    known = RateScenario(Quantity(w), Quantity(s), t)
     fields = [f for f in ("work", "subjects", "time") if f != target]
     given_map = {}
     for field, magnitude in zip(fields, (g1, g2)):
-        unit_ctor = Quantity.minutes if field == "time" else Quantity.count
-        given_map[field] = unit_ctor(magnitude)
+        given_map[field] = magnitude if field == "time" else Quantity(magnitude)
     query = RateQuery(known=known, **given_map)
     assert query.target == target
     solution = solve_rate(query)
@@ -141,16 +141,16 @@ def test_k_invariance_under_joint_scaling(scale, work_given):
     baseline = solve_rate(query)
 
     scaled_ws = RateScenario(  # scale work and subjects together
-        Quantity.count(known.work.magnitude * scale),
-        Quantity.count(known.subjects.magnitude * scale),
+        Quantity(known.work.magnitude * scale),
+        Quantity(known.subjects.magnitude * scale),
         known.time,
     )
     assert solve_rate(subjects_query(scaled_ws, work_given, 50)) == baseline
 
     scaled_wt = RateScenario(  # scale work and time together
-        Quantity.count(known.work.magnitude * scale),
+        Quantity(known.work.magnitude * scale),
         known.subjects,
-        Quantity.minutes(known.time.magnitude * scale),
+        known.time * scale,
     )
     assert solve_rate(subjects_query(scaled_wt, work_given, 50)) == baseline
 
@@ -166,7 +166,7 @@ def test_symmetry_resolving_time_returns_given_time():
         solved_subjects = solve_rate(subjects_query(known, work, time))
         back = RateQuery(
             known=known,
-            work=Quantity.count(work),
-            subjects=Quantity.count(solved_subjects),
+            work=Quantity(work),
+            subjects=Quantity(solved_subjects),
         )
         assert solve_rate(back) == time

@@ -44,12 +44,12 @@ def test_parses_the_documented_rate_block():
     specs = parse_puzzles(RATE_LINE)
     expected = RateQuery(
         known=RateScenario(
-            work=Quantity.count(6, "mice"),
-            subjects=Quantity.count(6, "cats"),
-            time=Quantity.minutes(6),
+            work=Quantity(6, "mice"),
+            subjects=Quantity(6, "cats"),
+            time=6,
         ),
-        work=Quantity.count(100),
-        time=Quantity.minutes(50),
+        work=Quantity(100),
+        time=50,
     )
     assert specs == [PuzzleSpec(expected)]
 
@@ -197,7 +197,7 @@ def test_recovery_collects_errors_from_every_block():
 # then the kind's missing keys, then its values in the order the kind reads
 # them (a where-clause's in sorted key order), then the constructor's first
 # refusal, made only once every value has its type, then leftover keys.  A
-# count or time is a Quantity, built (and refused) as it is read.  Each
+# count (a Quantity) or time is built (and refused) as it is read.  Each
 # error is (str(error), span length).
 @pytest.mark.parametrize(
     "source, expected",
@@ -378,7 +378,7 @@ def test_hours_convert_at_parse_time():
         "puzzle rate { work = 150; subjects = 100; time = 1 h; "
         "find subjects where work = 60, time = 30 min }"
     )
-    assert spec.payload.known.time == Quantity.minutes(60)
+    assert spec.payload.known.time == 60
 
 
 def test_rationals_and_station_units():
@@ -454,8 +454,8 @@ def test_serialize_rejects_unexpressible_labels():
 
 
 def _rate_with_work(work):
-    known = RateScenario(work, Quantity.count(3), Quantity.minutes(4))
-    return PuzzleSpec(RateQuery(known, work=Quantity.count(5), subjects=Quantity.count(6)))
+    known = RateScenario(work, Quantity(3), 4)
+    return PuzzleSpec(RateQuery(known, work=Quantity(5), subjects=Quantity(6)))
 
 
 @pytest.mark.parametrize(
@@ -465,11 +465,11 @@ def _rate_with_work(work):
          "color 'sky blue' is not expressible in the DSL"),
         (PuzzleSpec(TransferInstance((("red", 2),), (), 1, "rojo-1")),
          "color 'rojo-1' is not expressible in the DSL"),
-        (_rate_with_work(Quantity.count(2, "min")),
+        (_rate_with_work(Quantity(2, "min")),
          "count label 'min' collides with a time unit"),
-        (_rate_with_work(Quantity.count(2, "h")),
+        (_rate_with_work(Quantity(2, "h")),
          "count label 'h' collides with a time unit"),
-        (_rate_with_work(Quantity.count(2, "two words")),
+        (_rate_with_work(Quantity(2, "two words")),
          "label 'two words' is not expressible in the DSL"),
     ],
 )
@@ -692,3 +692,15 @@ def test_locating_an_error_holds_only_the_tokens_it_names(monkeypatch):
         parse_puzzles(source)
     assert again.value.errors == info.value.errors
     assert len(located) == 1
+
+    # An error in the last chunk: locating starts at that chunk, at the same span.
+    source = "puzzle weighing { objects = 3 }\n" * 2_000 + "puzzle weighing { objects = 0 }\n"
+    expected = ["2001:29: negative_count: key 'objects' must be at least 1, got 0"]
+    for chunk in (speck._CHUNK, 256):
+        monkeypatch.setattr(speck, "_CHUNK", chunk)
+        located.clear()
+        with pytest.raises(ParseFailure) as at_end:
+            parse_puzzles(source)
+        assert [str(error) for error in at_end.value.errors] == expected
+        assert at_end.value.errors[0].span.length == 1
+    assert len(located) <= 2 * 256 < 16_000  # the file holds 8 tokens a line
