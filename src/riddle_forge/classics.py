@@ -146,7 +146,8 @@ class StationInstance(Value):
     def __init__(self, early_minutes: Fraction, saved_minutes: Fraction) -> None:
         early = _positive(early_minutes, "early_minutes")
         saved = _positive(saved_minutes, "saved_minutes")
-        if saved > 2 * early:
+        # saved > 2 * early, compared as integers: a Fraction takes longer to build.
+        if saved.numerator * early.denominator > 2 * early.numerator * saved.denominator:
             raise InvalidInstance("cannot exceed twice early_minutes; the meeting scenario "
                                   "would be inconsistent", "saved_minutes")
         _set(self, "early_minutes", early)

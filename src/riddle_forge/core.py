@@ -58,7 +58,10 @@ def _normalize_counts(
 ) -> tuple[tuple[str, int], ...]:
     """The (color, count) pairs of ``raw``: distinct nonempty names, whole
     counts >= 0 and, if ``nonempty``, at least one color."""
-    pairs = tuple(raw.items()) if isinstance(raw, Mapping) else tuple(raw)
+    if type(raw) is tuple:  # as the parser passes it: no Mapping (ABC) check
+        pairs = raw
+    else:
+        pairs = tuple(raw.items()) if isinstance(raw, Mapping) else tuple(raw)
     if nonempty and not pairs:
         raise InvalidInstance("needs at least one color", argument, kind="type_mismatch")
     seen = set()

@@ -68,15 +68,15 @@ class RateQuery(Value):
                  subjects: Quantity | None = None, time: int | Fraction | None = None) -> None:
         if not isinstance(known, RateScenario):
             raise InvalidInstance("known must be a RateScenario")
-        given = dict(zip(_FIELDS, (work, subjects, time)))
-        left_out = [field for field, value in given.items() if value is None]
+        given = (work, subjects, time)
+        left_out = [field for field, value in zip(_FIELDS, given) if value is None]
         if len(left_out) != 1:
             raise InvalidInstance("exactly one of work, subjects and time must be left out")
-        checked = {field: _checked(field, value)
-                   for field, value in given.items() if value is not None}
+        checked = [value if value is None else _checked(field, value)
+                   for field, value in zip(_FIELDS, given)]
         _set(self, "known", known)
-        for field in _FIELDS:
-            _set(self, field, checked.get(field))
+        for field, value in zip(_FIELDS, checked):
+            _set(self, field, value)
         _set(self, "target", left_out[0])
 
     @classmethod

@@ -16,9 +16,12 @@ a time, about ``_CHUNK`` characters, each character once, and the end of
 input is the empty string.  No token spans a newline, so the chunks' tokens
 are a whole-file lex's, and as the parser never looks past its current
 token it holds one chunk's tokens at most.  It tells a token's type from its
-first character and reads a number's value only where it expects one.  It
-carries ``(first, last)`` token-index pairs; only when there are errors is
-the source scanned again for their offsets, lines and columns.
+first character and reads a number's value only where it expects one.  Its
+loops step through the current token and its index in locals, and store
+them on the parser only where another method reads them (see ``_Parser``).
+It carries ``(first, last)`` token-index pairs; only when there are errors
+is the source scanned again for their offsets, lines and columns, from the
+chunks that hold them.
 
 Each ``key = value`` statement is one ``_Assign`` record that holds its
 parsed value: an ``int`` or ``Fraction`` for a number (its trailing word, if
@@ -152,7 +155,7 @@ def _is_number(tok: str) -> bool:
 
 def _int(tok: str) -> int | None:
     """An integer literal's value; None for any other token, or one too long to read."""
-    if _is_number(tok):
+    if tok[:1] in _NUMBER_START and tok != "-":  # _is_number(tok), without the call
         try:
             return int(tok)
         except ValueError:  # past the interpreter's int-max-str-digits limit
@@ -175,29 +178,33 @@ def _locate(
 ) -> list[ParseError]:
     """Give each error its range, line and column.
 
-    One pass of the lexer's own pattern finds the tokens again, counting
-    lines as it goes, and keeps the offsets of only those the errors name.
-    It starts at the chunk (see ``_chunks``' ``starts``) that holds the first
-    of them and stops at the last.  The index past the last token is the end
-    of input, which is never matched, so an error there runs the pass out.
+    The lexer's own pattern finds the tokens the errors name again,
+    counting lines as it goes.  It goes to each named token in turn: on from
+    the one before, or from the start of the token's chunk (see
+    ``_chunks``' ``starts``) if the one before is in an earlier chunk.  So
+    it matches tokens only of the chunks that hold named tokens.  The index
+    past the last token is the end of input, which is never matched, so an
+    error there runs the pass out.
     """
-    named = {index for span, _, _ in errors for index in span}
-    stop = max(named)
-    index, line_start = starts[bisect_right(starts, (min(named), len(source))) - 1]
-    line = source.count("\n", 0, line_start) + 1  # a chunk starts a line
     found = {}  # token index -> (start, end, line, column)
-    for match in _TOKEN_RE.finditer(source, line_start):
-        start = match.start()
-        first_char = source[start]
-        if first_char == "#":
-            continue
-        if index in named:
-            found[index] = (start, match.end(), line, start - line_start + 1)
-            if index == stop:
+    index, line, line_start, matches = 0, 1, 0, _TOKEN_RE.finditer(source)
+    for target in sorted({named for span, _, _ in errors for named in span}):
+        first, offset = starts[bisect_right(starts, (target, len(source))) - 1]
+        if index < first:
+            line += source.count("\n", line_start, offset)  # a chunk starts a line
+            index, line_start, matches = first, offset, _TOKEN_RE.finditer(source, offset)
+        for match in matches:
+            start = match.start()
+            first_char = source[start]
+            if first_char == "#":
+                continue
+            if index == target:
+                found[index] = (start, match.end(), line, start - line_start + 1)
+            index += 1
+            if first_char == "\n":
+                line, line_start = line + 1, start + 1
+            if index > target:
                 break
-        index += 1
-        if first_char == "\n":
-            line, line_start = line + 1, start + 1
     end = len(source)
     eof = (end, end, line, end - line_start + 1)
     located = []
@@ -260,66 +267,50 @@ class _Parser:
     """Reads the token stream of _chunks, one token at a time.
 
     ``tok`` is the current token and ``at`` its file-wide index; each step
-    takes the next pair from ``_stream``.  Never looking past ``tok``, the
-    parser holds one chunk's tokens at most and reads each token once.
+    takes the next pair from ``_next``.  ``parse_file`` and the statement
+    readers (``_parse_block``, ``_parse_assign``, ``_parse_colorlist``) step
+    through locals, and write the pair back to ``at`` and ``tok`` only where
+    another method reads it: before a raise (for ``_unexpected`` and
+    ``_recover``), a call to a method that starts at the current token, and
+    a statement reader's return.  Never looking past ``tok``, the parser
+    holds one chunk's tokens at most and reads each token once.
     """
 
-    __slots__ = ("errors", "starts", "_stream", "at", "tok")
+    __slots__ = ("errors", "starts", "_next", "at", "tok")
 
     def __init__(self, source: str):
         self.errors: list[_Error] = []
         self.starts: list[tuple[int, int]] = []  # see _chunks
-        self._stream = enumerate(chain.from_iterable(_chunks(source, self.starts)))
-        self.at, self.tok = next(self._stream)
-
-    def _skip_newlines(self) -> None:
-        while self.tok == "\n":
-            self.at, self.tok = next(self._stream)
-
-    def _skip_separators(self) -> None:
-        while self.tok in ("\n", ";"):
-            self.at, self.tok = next(self._stream)
+        self._next = enumerate(chain.from_iterable(_chunks(source, self.starts))).__next__
+        self.at, self.tok = self._next()
 
     def _unexpected(self, what: str) -> _BlockError:
         """The error for finding the current token where ``what`` should be."""
         at = self.at
         return _BlockError((at, at), f"expected {what}, found {_describe(self.tok)}")
 
-    def _expect(self, text: str, what: str) -> None:
-        """Step past the punctuation ``text``."""
-        if self.tok != text:
-            raise self._unexpected(what)
-        self.at, self.tok = next(self._stream)
-
     def _expect_word(self, what: str) -> tuple[str, _Span]:
         """Read a word; its text and span."""
         at, word = self.at, self.tok
         if word[:1] not in _WORD_START:
             raise self._unexpected(what)
-        self.at, self.tok = next(self._stream)
+        self.at, self.tok = self._next()
         return word, (at, at)
-
-    def _expect_int(self, what: str) -> tuple[int, int]:
-        """Read an integer literal; its value and index."""
-        at = self.at
-        value = _int(self.tok)
-        if value is None:
-            raise self._unexpected(what)
-        self.at, self.tok = next(self._stream)
-        return value, at
 
     # -- file / block structure ----------------------------------------
 
     def parse_file(self) -> list[PuzzleSpec]:
         specs: list[PuzzleSpec] = []
+        step = self._next
         while True:
-            self._skip_separators()
             at, tok = self.at, self.tok
+            while tok == "\n" or tok == ";":
+                at, tok = step()
             if tok == _EOF:
                 return specs
             try:
                 if tok != "puzzle":
-                    self.at, self.tok = next(self._stream)
+                    self.at, self.tok = step()
                     raise _BlockError((at, at), f"expected 'puzzle', found {_describe(tok)}")
                 spec = self._parse_block()
             except _BlockError as abort:
@@ -335,29 +326,40 @@ class _Parser:
             tok = self.tok
             if tok == _EOF or tok == "puzzle":
                 return
-            self.at, self.tok = next(self._stream)
+            self.at, self.tok = self._next()
             if tok == "}":
                 return
 
     def _parse_block(self) -> PuzzleSpec | None:
-        self.at, self.tok = next(self._stream)  # the 'puzzle' keyword
-        kind_name, kind_span = self._expect_word("a puzzle kind")
-        self._skip_newlines()
-        self._expect("{", "'{'")
+        step = self._next
+        at, tok = step()  # past the 'puzzle' keyword
+        if tok[:1] not in _WORD_START:
+            self.at, self.tok = at, tok
+            raise self._unexpected("a puzzle kind")
+        kind_name, kind_span = tok, (at, at)
+        at, tok = step()
+        while tok == "\n":
+            at, tok = step()
+        if tok != "{":
+            self.at, self.tok = at, tok
+            raise self._unexpected("'{'")
+        at, tok = step()
         assigns: list[_Assign] = []
         finds: list[_Find] = []
         while True:
-            self._skip_separators()
-            tok = self.tok
+            while tok == "\n" or tok == ";":
+                at, tok = step()
             if tok == "}":
-                self.at, self.tok = next(self._stream)
                 break
+            self.at, self.tok = at, tok
             if tok == _EOF:
-                raise _BlockError((self.at, self.at), "unterminated block: expected '}'")
+                raise _BlockError((at, at), "unterminated block: expected '}'")
             if tok == "find":
                 finds.append(self._parse_find())
             else:
                 assigns.append(self._parse_assign("a statement"))
+            at, tok = self.at, self.tok
+        self.at, self.tok = step()
         payload_type = _PAYLOAD_TYPES.get(kind_name)
         if payload_type is None:
             self.errors.append(
@@ -373,70 +375,100 @@ class _Parser:
 
     def _parse_assign(self, what: str) -> _Assign:
         """Read a ``key = value`` statement; ``what`` names the key in an error."""
-        stream = self._stream
-        key, key_span = self._expect_word(what)
-        if self.tok != "=":
+        step = self._next
+        key_at, key = self.at, self.tok
+        if key[:1] not in _WORD_START:
+            raise self._unexpected(what)
+        key_span = (key_at, key_at)
+        at, tok = step()
+        if tok != "=":
+            self.at, self.tok = at, tok
             raise self._unexpected("'='")
-        self.at, self.tok = at, tok = next(stream)
+        at, tok = step()
         if tok[:1] in _WORD_START:
-            self.at, self.tok = next(stream)
+            self.at, self.tok = step()
             return _Assign(key, key_span, tok, (at, at))
         if tok == "(":
+            self.at, self.tok = at, tok
             return self._parse_colorlist(key, key_span)
         value: int | Fraction | None = _int(tok)
         if value is None:
+            self.at, self.tok = at, tok
             raise self._unexpected("a value")
         span = (at, at)
-        self.at, self.tok = at, tok = next(stream)
+        at, tok = step()
         if tok == "/":
-            self.at, self.tok = next(stream)
-            den, den_at = self._expect_int("a denominator")
-            if den == 0:
-                raise _BlockError((den_at, den_at), "denominator must not be zero")
-            if den < 0:
-                raise _BlockError((den_at, den_at), "denominator must be positive")
+            at, tok = step()
+            den, den_at = _int(tok), at
+            if den is None:
+                self.at, self.tok = at, tok
+                raise self._unexpected("a denominator")
+            at, tok = step()
+            if den <= 0:
+                self.at, self.tok = at, tok
+                problem = "must not be zero" if den == 0 else "must be positive"
+                raise _BlockError((den_at, den_at), f"denominator {problem}")
             value = Fraction(value, den)
             # p, '/' and q sit on one line: a newline between them is a token.
             span = (span[0], den_at)
-            at, tok = self.at, self.tok
         if tok[:1] in _WORD_START:
-            self.at, self.tok = next(stream)
+            self.at, self.tok = step()
             return _Assign(key, key_span, value, span, tok, (at, at))
+        self.at, self.tok = at, tok
         return _Assign(key, key_span, value, span)
 
     def _parse_find(self) -> _Find:
         find_at = self.at
-        self.at, self.tok = next(self._stream)  # the 'find' keyword
+        self.at, self.tok = self._next()  # the 'find' keyword
         target, target_span = self._expect_word("a field to find")
         if self.tok != "where":
             raise self._unexpected("'where'")
-        self.at, self.tok = next(self._stream)
+        self.at, self.tok = self._next()
         clauses = [self._parse_assign("a key")]
         while self.tok == ",":
-            self.at, self.tok = next(self._stream)
+            self.at, self.tok = self._next()
             clauses.append(self._parse_assign("a key"))
         return _Find(target, target_span, tuple(clauses), (find_at, find_at))
 
     def _parse_colorlist(self, key: str, key_span: _Span) -> _Assign:
+        step = self._next
         span = (self.at, self.at)
-        self.at, self.tok = next(self._stream)  # the '('
+        at, tok = step()  # past the '('
         items: list[tuple[str, int, _Span, _Span]] = []
         while True:
-            self._skip_newlines()
-            if not items and self.tok == ")":
+            while tok == "\n":
+                at, tok = step()
+            if not items and tok == ")":
                 break  # the empty list
-            name, name_span = self._expect_word("a color name")
-            self._expect(":", "':'")
-            self._skip_newlines()
-            count, count_at = self._expect_int("a count")
-            if self.tok == "/":
-                raise _BlockError((self.at, self.at), "color counts must be integers")
-            items.append((name, count, name_span, (count_at, count_at)))
-            self._skip_newlines()
-            if self.tok != ",":
+            if tok[:1] not in _WORD_START:
+                self.at, self.tok = at, tok
+                raise self._unexpected("a color name")
+            name, name_span = tok, (at, at)
+            at, tok = step()
+            if tok != ":":
+                self.at, self.tok = at, tok
+                raise self._unexpected("':'")
+            at, tok = step()
+            while tok == "\n":
+                at, tok = step()
+            count, count_span = _int(tok), (at, at)
+            if count is None:
+                self.at, self.tok = at, tok
+                raise self._unexpected("a count")
+            at, tok = step()
+            if tok == "/":
+                self.at, self.tok = at, tok
+                raise _BlockError((at, at), "color counts must be integers")
+            items.append((name, count, name_span, count_span))
+            while tok == "\n":
+                at, tok = step()
+            if tok != ",":
                 break
-            self.at, self.tok = next(self._stream)
-        self._expect(")", "')'")
+            at, tok = step()
+        self.at, self.tok = at, tok
+        if tok != ")":
+            raise self._unexpected("')'")
+        self.at, self.tok = step()
         return _Assign(key, key_span, tuple(items), span)
 
 
@@ -626,8 +658,8 @@ class _Block:
             return None
         return self.make(Quantity, value, assign.word, at=(assign,))
 
-    def time(self, assign: _Assign | None) -> Fraction | None:
-        """A time in minutes; a bare number is minutes."""
+    def time(self, assign: _Assign | None) -> int | Fraction | None:
+        """A time in minutes, above 0; a bare number is minutes."""
         value = self._number(assign, "a number", counts=False)
         if value is None:
             return None
@@ -641,9 +673,11 @@ class _Block:
                      f"'{assign.key}'; expected 'min' or 'h'")
                 )
                 return None
-        # Checked before it is scaled, so that a refusal quotes the value as written.
-        checked = self.make(Quantity, value, at=(assign,))
-        return None if checked is None else checked.magnitude * scale
+        # Checked before it is scaled, so that a refusal quotes the value as written;
+        # the sign of a Fraction is its numerator's, and an int is its own numerator.
+        if value.numerator <= 0:
+            return self.make(Quantity, value, at=(assign,))  # refused, as a count would be
+        return value if scale == 1 else value * scale
 
     def integer(self, assign: _Assign | None) -> int | None:
         """A whole number."""

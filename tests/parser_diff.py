@@ -17,7 +17,8 @@ which counts the sources that move between ok and error, that parse to
 specs with other reprs, or to other values (other text: serialization
 round-trips, so a change to reprs alone moves only the first count), whose
 first error changes span or kind, that report a (span, kind) pair the
-first file does not, and whose errors change at all.
+first file does not, and whose errors change at all.  It exits 1 if any
+count but ``sources`` is nonzero, else 0.
 Pytest does not collect this file.
 """
 
@@ -100,8 +101,9 @@ def compare(before: list, after: list) -> dict[str, int]:
 def main(argv: list[str]) -> int:
     if argv[:1] == ["--compare"] and len(argv) == 3:
         before, after = (json.loads(Path(path).read_text(encoding="utf-8")) for path in argv[1:])
-        print(json.dumps(compare(before, after), indent=1))
-        return 0
+        counts = compare(before, after)
+        print(json.dumps(counts, indent=1))
+        return 1 if any(count for name, count in counts.items() if name != "sources") else 0
     if argv:
         print("usage: parser_diff.py [--compare BEFORE AFTER]", file=sys.stderr)
         return 2

@@ -199,6 +199,19 @@ def test_station_instance_validation():
         StationInstance(5.0, 1)  # floats are not exact
 
 
+def test_station_saved_at_twice_early_with_unlike_denominators():
+    # The bound is compared as integers; at the bound itself it still holds.
+    inst = StationInstance(Fraction(1, 3), Fraction(2, 3))
+    assert station_walk_formula(inst) == 0
+    with pytest.raises(InvalidInstance) as info:
+        StationInstance(Fraction(1, 3), Fraction(2, 3) + Fraction(1, 10**9))
+    assert str(info.value) == (
+        "saved_minutes cannot exceed twice early_minutes; "
+        "the meeting scenario would be inconsistent"
+    )
+    assert info.value.argument == "saved_minutes"
+
+
 def test_station_formula_nonnegative_everywhere_valid():
     rng = random.Random(3)
     for _ in range(300):

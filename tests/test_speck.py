@@ -1,6 +1,7 @@
 """Puzzle DSL: golden parses, precise error spans, round-trip properties."""
 
 import functools
+import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -565,13 +566,22 @@ def canonical_lines(count, seed):
         "puzzle pigeonhole { counts = (a: -1); required = 2 }",
         "puzzle pigeonhole { counts = (); required = 2 }",
         "puzzle transfer { container_a = (red: 1); container_b = (); moved = 2; query = moved }",
+        # Shapes the statement readers step through token by token.
+        "puzzle station { early = 31 / 2 min; saved = 1 min }",
+        "puzzle pigeonhole { counts = (a:\n1, b: 2); required = 2 }",
+        "puzzle pigeonhole { counts = (\n); required = 2 }",
+        "puzzle weighing { objects = 1/2/3 }",
+        "puzzle station { early = 1 / min; saved = 1 min }",
+        "puzzle pigeonhole { counts = (a 1); required = 2 }",
+        "puzzle pigeonhole { counts = (a: 1/2); required = 2 }",
     ],
     ids=[
         "zero-objects", "duplicate-key", "unknown-kind", "find-as-key", "zero-denominator",
         "negative-denominator", "zero-denominator-00", "5000-digits", "arabic-digit",
         "non-ascii-word", "crlf", "two-blocks-one-line", "colors-in-where", "no-separator",
         "zero-count", "zero-time", "repeated-color", "negative-color-count", "no-colors",
-        "moved-past-container",
+        "moved-past-container", "spaced-rational", "count-after-newline", "newline-only-list",
+        "two-slashes", "unit-as-denominator", "no-colon", "rational-color-count",
     ],
 )
 def test_edge_lines_read_alike_at_any_chunk_size(monkeypatch, line):
@@ -704,3 +714,34 @@ def test_locating_an_error_holds_only_the_tokens_it_names(monkeypatch):
         assert [str(error) for error in at_end.value.errors] == expected
         assert at_end.value.errors[0].span.length == 1
     assert len(located) <= 2 * 256 < 16_000  # the file holds 8 tokens a line
+
+    # An error in the first chunk and one in the last: locating walks those two
+    # chunks, not the file between them.
+    source = "puzzle weighing { objects = 0 }\n" + source
+    monkeypatch.setattr(speck, "_CHUNK", 256)  # 8 lines of 32 characters
+    expected = [
+        "1:29: negative_count: key 'objects' must be at least 1, got 0",
+        "2002:29: negative_count: key 'objects' must be at least 1, got 0",
+    ]
+    located.clear()
+    with pytest.raises(ParseFailure) as at_both_ends:
+        parse_puzzles(source)
+    assert [str(error) for error in at_both_ends.value.errors] == expected
+    assert [error.span.length for error in at_both_ends.value.errors] == [1, 1]
+    assert len(located) <= 2 * 8 * 8  # two chunks of 8 lines of 8 tokens
+
+
+def test_parser_diff_compare_fails_on_any_difference(tmp_path, capsys):
+    import parser_diff
+
+    ok, error = ["ok", 1, "a", "b"], ["error", [1, 1, 1, "syntax", "expected '='"]]
+    moved = ["error", [1, 2, 1, "syntax", "expected '='"]]
+    files = {}
+    for name, outcomes in {"before": [ok, error], "same": [ok, error],
+                           "moved": [ok, moved]}.items():
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(outcomes), encoding="utf-8")
+    assert parser_diff.main(["--compare", str(files["before"]), str(files["same"])]) == 0
+    assert '"first_error_moved": 0' in capsys.readouterr().out
+    assert parser_diff.main(["--compare", str(files["before"]), str(files["moved"])]) == 1
+    assert '"first_error_moved": 1' in capsys.readouterr().out
