@@ -39,7 +39,7 @@ class TransferInstance(Value):
                  container_b: tuple[tuple[str, int], ...], moved: int, query: str) -> None:
         a = _normalize_counts(container_a, "container_a", True)
         b = _normalize_counts(container_b, "container_b", False)
-        total_a = sum(count for _, count in a)
+        total_a = sum([count for _, count in a])
         if _positive_int(moved, "moved") > total_a:
             raise InvalidInstance(
                 f"must not exceed the {total_a} objects in container_a, got {moved}", "moved"
@@ -86,13 +86,13 @@ def transfer_probability_enumerate(inst: TransferInstance) -> Fraction:
     split this replaced: the CLI and the survey's ``enumerated`` column use it.
     """
     moved = inst.moved
-    after = sum(count for _, count in inst.container_b) + moved
+    after = sum([count for _, count in inst.container_b]) + moved
     if inst.query == "moved":
         return Fraction(moved, after)
     color = inst.query
     a_c = dict(inst.container_a).get(color, 0)
     b_c = dict(inst.container_b).get(color, 0)
-    total_a = sum(count for _, count in inst.container_a)
+    total_a = sum([count for _, count in inst.container_a])
     return Fraction(b_c * total_a + moved * a_c, total_a * after)
 
 

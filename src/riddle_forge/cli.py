@@ -121,7 +121,7 @@ def _strategy(n: int) -> tuple[tuple[str, ...], str]:
 
 def _solve_rate_report(label: str, query: RateQuery, args: argparse.Namespace) -> SolveReport:
     exact = solve_rate(query)
-    shown: str = str(exact)
+    shown = exact_text = str(exact)
     rounded = None
     if args.ceil_subjects and query.target == "subjects":
         rounded = ceil_subjects(exact)
@@ -129,23 +129,22 @@ def _solve_rate_report(label: str, query: RateQuery, args: argparse.Namespace) -
     report = SolveReport(label, query.puzzle_kind, shown)
     if args.explain:
         known = query.known
-        k = rate_constant(known)
+        k = str(rate_constant(known))
         report.explanation.append(
             f"rate constant: k = {known.work.magnitude}"
             f"/({known.subjects.magnitude}*{known.time}) = {k}"
         )
-        w, s = ("x" if q is None else q.magnitude for q in (query.work, query.subjects))
+        w = "x" if query.work is None else query.work.magnitude
+        s = "x" if query.subjects is None else query.subjects.magnitude
         t = "x" if query.time is None else query.time
         report.explanation.append(f"solve {w}/({s}*{t}) = {k}")
         # A time is a Fraction of minutes, with no label word.
         word = None if query.target == "time" else getattr(known, query.target).label
         suffix = f" {word}" if word else ""
         if rounded is not None and rounded != exact:
-            report.explanation.append(
-                f"x = {exact}{suffix}, rounded up to {rounded} whole"
-            )
+            report.explanation.append(f"x = {exact_text}{suffix}, rounded up to {shown} whole")
         else:
-            report.explanation.append(f"x = {exact}{suffix}")
+            report.explanation.append(f"x = {exact_text}{suffix}")
     return report
 
 
@@ -227,8 +226,8 @@ def _solve_pigeonhole_report(
 def _solve_transfer_report(
     label: str, inst: TransferInstance, args: argparse.Namespace
 ) -> SolveReport:
-    n = sum(count for _, count in inst.container_a)
-    d = sum(count for _, count in inst.container_b)
+    n = sum([count for _, count in inst.container_a])
+    d = sum([count for _, count in inst.container_b])
     if d >= 1:
         formula = transfer_probability_formula(n, d)
         answer = str(formula)
@@ -258,12 +257,11 @@ def _solve_station_report(
     label: str, inst: StationInstance, args: argparse.Namespace
 ) -> SolveReport:
     walked = station_walk_formula(inst)
-    report = SolveReport(label, inst.puzzle_kind, str(walked))
+    shown = str(walked)
+    report = SolveReport(label, inst.puzzle_kind, shown)
     x, y = inst.early_minutes, inst.saved_minutes
     if args.explain:
-        report.explanation.append(
-            f"walked = early - saved/2 = {x} - {y}/2 = {walked} min"
-        )
+        report.explanation.append(f"walked = early - saved/2 = {x} - {y}/2 = {shown} min")
     if args.check:
         report.checked = True
         if y < x:

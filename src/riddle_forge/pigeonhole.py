@@ -42,6 +42,12 @@ def guarantee_draws_formula(n_colors: int, required: int) -> int:
     return _positive_int(n_colors, "n_colors") * (_positive_int(required, "required") - 1) + 1
 
 
+def _check_feasible(inst: PigeonholeInstance) -> None:
+    """Raise ``Infeasible`` unless some color has ``required`` objects."""
+    if max(count for _, count in inst.color_counts) < inst.required:
+        raise Infeasible(f"no color has {inst.required} objects; the goal is unreachable")
+
+
 def guarantee_draws_oracle(inst: PigeonholeInstance) -> int:
     """Smallest D such that every D-draw sequence holds ``required`` of a color.
 
@@ -49,10 +55,7 @@ def guarantee_draws_oracle(inst: PigeonholeInstance) -> int:
     cannot do better, so the longest avoiding sequence has length
     sum(min(count, required - 1)); one more draw must complete some color.
     """
-    if max(count for _, count in inst.color_counts) < inst.required:
-        raise Infeasible(
-            f"no color has {inst.required} objects; the goal is unreachable"
-        )
+    _check_feasible(inst)
     stall = sum(min(count, inst.required - 1) for _, count in inst.color_counts)
     return stall + 1
 
@@ -68,7 +71,7 @@ def adversarial_sequence(
     """
     if limit is not None and (not _is_int(limit) or limit < 0):
         raise InvalidInstance(f"limit must be None or an integer >= 0, got {limit!r}")
-    guarantee_draws_oracle(inst)  # validates feasibility
+    _check_feasible(inst)
     budgets = [
         (label, min(count, inst.required - 1)) for label, count in inst.color_counts
     ]

@@ -3,7 +3,9 @@
 Three quantities (work done, subjects doing it, time taken) are linked by
 the invariant ratio k = work / (subjects * time): double the subjects and
 the same work takes half the time, and so on.  Solving a word problem means
-reading k off the known scenario and isolating the one unknown.
+reading k off the known scenario and isolating the one unknown.  A
+``RateScenario`` works its k out once, when it is built (so anew on a copy
+or pickle), and ``rate_constant`` reads it.
 """
 
 from __future__ import annotations
@@ -23,31 +25,40 @@ def _by_field(values: "RateScenario | RateQuery") -> dict[str, Quantity | Fracti
     return {field: getattr(values, field) for field in _FIELDS}
 
 
-def _checked(field: str, value: object) -> Quantity | Fraction:
-    """A count field's ``Quantity`` (strictly positive already), or the time
-    as a strictly positive ``Fraction`` of minutes."""
-    if field == "time":
-        return _positive(value, "time")
-    if not isinstance(value, Quantity):
-        raise InvalidInstance("must be a Quantity", field, kind="type_mismatch")
-    return value
+def _not_a_quantity(field: str) -> InvalidInstance:
+    """The refusal of a work or subjects that is not a (strictly positive) ``Quantity``."""
+    return InvalidInstance("must be a Quantity", field, kind="type_mismatch")
+
+
+def _ratio(top: Fraction, a: Fraction, b: Fraction) -> Fraction:
+    """top / (a * b), built as one Fraction: two operators would build two."""
+    return Fraction(top.numerator * a.denominator * b.denominator,
+                    top.denominator * a.numerator * b.numerator)
 
 
 class RateScenario(Value):
     """A complete (work, subjects, time) triple, all strictly positive; the
-    time is in minutes."""
+    time is in minutes.  ``k`` is its rate constant."""
 
-    __slots__ = _fields = ("work", "subjects", "time")
+    # ``k`` is worked out, not a field.
+    _fields = ("work", "subjects", "time")
+    __slots__ = (*_fields, "k")
 
     def __init__(self, work: Quantity, subjects: Quantity, time: int | Fraction) -> None:
-        checked = list(map(_checked, _FIELDS, (work, subjects, time)))
-        for field, value in zip(_FIELDS, checked):
-            _set(self, field, value)
+        if not isinstance(work, Quantity):
+            raise _not_a_quantity("work")
+        if not isinstance(subjects, Quantity):
+            raise _not_a_quantity("subjects")
+        time = _positive(time, "time")
+        _set(self, "work", work)
+        _set(self, "subjects", subjects)
+        _set(self, "time", time)
+        _set(self, "k", _ratio(work.magnitude, subjects.magnitude, time))
 
 
 def rate_constant(scenario: RateScenario) -> Fraction:
     """The invariant ratio work / (subjects * time), exactly."""
-    return scenario.work.magnitude / (scenario.subjects.magnitude * scenario.time)
+    return scenario.k
 
 
 class RateQuery(Value):
@@ -68,26 +79,31 @@ class RateQuery(Value):
                  subjects: Quantity | None = None, time: int | Fraction | None = None) -> None:
         if not isinstance(known, RateScenario):
             raise InvalidInstance("known must be a RateScenario")
-        given = (work, subjects, time)
-        left_out = [field for field, value in zip(_FIELDS, given) if value is None]
-        if len(left_out) != 1:
+        if (work is None) + (subjects is None) + (time is None) != 1:
             raise InvalidInstance("exactly one of work, subjects and time must be left out")
-        checked = [value if value is None else _checked(field, value)
-                   for field, value in zip(_FIELDS, given)]
+        if not (work is None or isinstance(work, Quantity)):
+            raise _not_a_quantity("work")
+        if not (subjects is None or isinstance(subjects, Quantity)):
+            raise _not_a_quantity("subjects")
+        if time is not None:
+            time = _positive(time, "time")
         _set(self, "known", known)
-        for field, value in zip(_FIELDS, checked):
-            _set(self, field, value)
-        _set(self, "target", left_out[0])
+        _set(self, "work", work)
+        _set(self, "subjects", subjects)
+        _set(self, "time", time)
+        _set(self, "target",
+             "work" if work is None else "subjects" if subjects is None else "time")
 
     @classmethod
     def from_block(cls, block) -> "RateQuery | None":
         """``work = 6; subjects = 6; time = 6 min; find subjects where ...``."""
-        readers = {"work": block.count, "subjects": block.count, "time": block.time}
-        known = [read(assign) for read, assign in zip(readers.values(), block.take(*readers))]
-        given = block.find(readers)
-        if given is None or None in known:
+        work, subjects, time = block.take(*_FIELDS)
+        work, subjects, time = block.count(work), block.count(subjects), block.time(time)
+        given = block.find({"work": block.count, "subjects": block.count, "time": block.time})
+        if given is None or work is None or subjects is None or time is None:
             return None
-        return cls(RateScenario(*known), **given)  # the readers refused every bad value
+        # The readers refused every bad value.
+        return cls(RateScenario(work, subjects, time), **given)
 
     def block_items(self) -> list[tuple[str, object]]:
         given = [(field, q) for field, q in _by_field(self).items() if q is not None]
@@ -96,12 +112,12 @@ class RateQuery(Value):
 
 def solve_rate(query: RateQuery) -> Fraction:
     """The unique unknown making the query's scenario share the known k."""
-    k = rate_constant(query.known)
+    k = query.known.k
     if query.target == "work":
         return k * query.subjects.magnitude * query.time
     if query.target == "subjects":
-        return query.work.magnitude / (k * query.time)
-    return query.work.magnitude / (k * query.subjects.magnitude)
+        return _ratio(query.work.magnitude, k, query.time)
+    return _ratio(query.work.magnitude, k, query.subjects.magnitude)
 
 
 def completed_scenario(query: RateQuery, solution: Fraction) -> RateScenario:

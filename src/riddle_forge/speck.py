@@ -89,11 +89,15 @@ class ParseError(Value):
 
 
 class ParseFailure(Exception):
-    """Raised by parse_puzzles when the source contains any errors."""
+    """Raised by parse_puzzles when the source contains any errors; its
+    message joins them only when it is asked for."""
 
     def __init__(self, errors: list[ParseError]):
         self.errors = list(errors)
-        super().__init__("; ".join(str(e) for e in self.errors))
+        super().__init__(self.errors)  # so a copy or a pickle is rebuilt from them
+
+    def __str__(self) -> str:
+        return "; ".join(map(str, self.errors))
 
 
 # ----------------------------------------------------------------------
@@ -225,8 +229,12 @@ class _Assign(NamedTuple):
     key_span: _Span
     value: int | Fraction | str | tuple[tuple[str, int, _Span, _Span], ...]
     span: _Span  # the value's
-    word: str | None = None  # a number's trailing unit-or-label word, if any
-    word_span: _Span | None = None
+    word: str | None  # a number's trailing unit-or-label word, if any
+    word_span: _Span | None
+
+
+# _record(_Assign, (all six fields)) builds a statement in C; _Assign(...) runs Python code.
+_record = tuple.__new__
 
 
 def _value_what(value: object) -> str:
@@ -387,7 +395,7 @@ class _Parser:
         at, tok = step()
         if tok[:1] in _WORD_START:
             self.at, self.tok = step()
-            return _Assign(key, key_span, tok, (at, at))
+            return _record(_Assign, (key, key_span, tok, (at, at), None, None))
         if tok == "(":
             self.at, self.tok = at, tok
             return self._parse_colorlist(key, key_span)
@@ -413,9 +421,9 @@ class _Parser:
             span = (span[0], den_at)
         if tok[:1] in _WORD_START:
             self.at, self.tok = step()
-            return _Assign(key, key_span, value, span, tok, (at, at))
+            return _record(_Assign, (key, key_span, value, span, tok, (at, at)))
         self.at, self.tok = at, tok
-        return _Assign(key, key_span, value, span)
+        return _record(_Assign, (key, key_span, value, span, None, None))
 
     def _parse_find(self) -> _Find:
         find_at = self.at
@@ -469,7 +477,7 @@ class _Parser:
         if tok != ")":
             raise self._unexpected("')'")
         self.at, self.tok = step()
-        return _Assign(key, key_span, tuple(items), span)
+        return _record(_Assign, (key, key_span, tuple(items), span, None, None))
 
 
 class _Block:

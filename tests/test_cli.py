@@ -679,6 +679,9 @@ def test_benchmark_tracer_leaves_output_unchanged(tmp_path, capsys, monkeypatch)
     tracer.main(argv)
     assert capsys.readouterr().out == plain
     assert set(tracer.summary()["layers"]) == set(LAYER_OF.values())
+    # Every rebound name is called, not only one per layer: cli must still call
+    # rate_constant next to solve_rate, for one.
+    assert {span[3] for span in tracer.spans if span is not None} == set(LAYER_OF)
 
 
 def test_many_color_transfer_is_checked_next_to_the_corpus(tmp_path, corpus_path):

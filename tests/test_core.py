@@ -29,6 +29,7 @@ from riddle_forge import (
     build_strategy,
     guarantee_draws_formula,
     parse_puzzles,
+    rate_constant,
     serialize_puzzle,
     station_walk_simulate,
     transfer_formula_survey,
@@ -83,12 +84,30 @@ _KNOWN_REPR = (
         lambda: RateScenario(Quantity(1), Quantity(1), 0.5),
         lambda: RateScenario(Quantity(1), Quantity(1), Quantity(1)),
         lambda: RateQuery(_KNOWN, Quantity(1), None, 0),
+        lambda: RateScenario(2, Quantity(1), 1),
+        lambda: RateScenario(Quantity(1), None, 1),
+        lambda: RateScenario(Quantity(1), Quantity(1), -1),
+        lambda: RateQuery(None, Quantity(1), Quantity(1)),
+        lambda: RateQuery(_KNOWN, Quantity(1), Quantity(1), 1),
+        lambda: RateQuery(_KNOWN, Quantity(1)),
+        lambda: RateQuery(_KNOWN),
+        lambda: RateQuery(_KNOWN, 2, None, 1),
+        lambda: RateQuery(_KNOWN, None, Fraction(2), 1),
+        lambda: RateQuery(_KNOWN, Quantity(1), None, Fraction(-1, 3)),
+        lambda: RateQuery(_KNOWN, Quantity(1), None, 0.5),
+        lambda: RateQuery(_KNOWN, Quantity(1), None, Quantity(1)),
+        lambda: RateScenario(2, 3, 0),
+        lambda: RateQuery(_KNOWN, 2, None, 0.5),
     ],
     ids=[
         "negative-fraction", "negative-int", "float", "zero-fraction-rate",
         "empty-color-label", "non-string-color-label",
         "string-unit", "string-magnitude", "none-magnitude", "decimal-magnitude",
         "string-station", "string-simulation", "float-time", "quantity-time", "zero-time-query",
+        "int-work", "none-subjects", "negative-time", "known-not-a-scenario",
+        "none-left-out", "two-left-out", "three-left-out", "int-work-query",
+        "fraction-subjects-query", "negative-time-query", "float-time-query",
+        "quantity-time-query", "two-bad-scenario-arguments", "two-bad-query-arguments",
     ],
 )
 def test_constructors_check_direct_callers(build):
@@ -148,6 +167,32 @@ def test_integer_counts_refuse_bools(build, flag):
          "time must be exact (int or Fraction), not Quantity"),
         (lambda: RateScenario(Quantity(1), 2, 1), "subjects", None,
          "subjects must be a Quantity"),
+        (lambda: RateScenario(2, Quantity(1), 1), "work", None, "work must be a Quantity"),
+        (lambda: RateScenario(Quantity(1), Quantity(1), Quantity(1)), "time", None,
+         "time must be exact (int or Fraction), not Quantity"),
+        (lambda: RateQuery(_KNOWN, 2, None, 1), "work", None, "work must be a Quantity"),
+        (lambda: RateQuery(_KNOWN, None, Fraction(2), 1), "subjects", None,
+         "subjects must be a Quantity"),
+        (lambda: RateQuery(_KNOWN, Quantity(1), None, 0.5), "time", None,
+         "time must be exact (int or Fraction), not float"),
+        (lambda: RateQuery("known", Quantity(1), None, 1), None, None,
+         "known must be a RateScenario"),
+        (lambda: RateQuery(_KNOWN, Quantity(1), Quantity(1), 1), None, None,
+         "exactly one of work, subjects and time must be left out"),
+        (lambda: RateQuery(_KNOWN, Quantity(1)), None, None,
+         "exactly one of work, subjects and time must be left out"),
+        (lambda: RateQuery(_KNOWN), None, None,
+         "exactly one of work, subjects and time must be left out"),
+        # Two bad arguments: the first in field order is refused.
+        (lambda: RateScenario(2, 3, 0), "work", None, "work must be a Quantity"),
+        (lambda: RateScenario(Quantity(1), 3, 0.5), "subjects", None,
+         "subjects must be a Quantity"),
+        (lambda: RateQuery(None, 2, 3, 4), None, None, "known must be a RateScenario"),
+        (lambda: RateQuery(_KNOWN, 2, 3, 4), None, None,
+         "exactly one of work, subjects and time must be left out"),
+        (lambda: RateQuery(_KNOWN, 2, None, 0.5), "work", None, "work must be a Quantity"),
+        (lambda: RateQuery(_KNOWN, None, 3, -1), "subjects", None,
+         "subjects must be a Quantity"),
         (lambda: WeighingInstance(0), "n_objects", None, "n_objects must be at least 1, got 0"),
         (lambda: PigeonholeInstance((("a", 1),), -2), "required", None,
          "required must be at least 1, got -2"),
@@ -175,7 +220,12 @@ def test_integer_counts_refuse_bools(build, flag):
          "the meeting scenario would be inconsistent"),
     ],
     ids=["zero-count", "negative-time", "zero-time-query", "float-time", "quantity-time",
-         "int-subjects", "zero-objects", "negative-required", "zero-moved",
+         "int-subjects", "int-work", "quantity-time-scenario", "int-work-query",
+         "fraction-subjects-query", "float-time-query", "known-not-a-scenario",
+         "none-left-out", "two-left-out", "three-left-out", "work-before-subjects-and-time",
+         "subjects-before-time", "known-before-the-rest", "left-out-count-before-work",
+         "work-before-time-query", "subjects-before-time-query", "zero-objects",
+         "negative-required", "zero-moved",
          "zero-colors", "zero-d", "zero-survey-bound", "repeated-color", "negative-color-count",
          "no-colors", "empty-container-a", "moved-past-container", "negative-saved",
          "saved-past-twice-early"],
@@ -277,4 +327,7 @@ def test_value_contract(cls, args, expected_repr):
             assert copied.suspects == value.suspects == tuple(range(13))
         if cls is RateQuery:
             assert copied.target == value.target == "subjects"
+        if cls is RateScenario:
+            # The rate constant is worked out anew, not carried over as a field.
+            assert rate_constant(copied) == rate_constant(value) == Fraction(1, 6)
     assert repr(value) == expected_repr

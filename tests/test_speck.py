@@ -1,7 +1,9 @@
 """Puzzle DSL: golden parses, precise error spans, round-trip properties."""
 
+import copy
 import functools
 import json
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -53,6 +55,21 @@ def test_parses_the_documented_rate_block():
         time=50,
     )
     assert specs == [PuzzleSpec(expected)]
+
+
+def test_parse_failure_survives_copy_and_pickle():
+    # The message is the errors joined; a copy or a pickle keeps both.
+    with pytest.raises(ParseFailure) as info:
+        parse_puzzles("puzzle weighing { objects = 0 }\nx\n")
+    failure = info.value
+    message = ("1:29: negative_count: key 'objects' must be at least 1, got 0; "
+               "2:1: syntax: expected 'puzzle', found 'x'")
+    assert str(failure) == message
+    assert [str(error) for error in failure.errors] == message.split("; ")
+    for copied in (copy.copy(failure), pickle.loads(pickle.dumps(failure))):
+        assert type(copied) is ParseFailure
+        assert copied.errors == failure.errors
+        assert str(copied) == message
 
 
 def test_empty_input_yields_empty_list():
