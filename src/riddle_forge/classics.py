@@ -168,7 +168,10 @@ class StationInstance(Value):
 
 def station_walk_formula(inst: StationInstance) -> Fraction:
     """Minutes walked before pickup: early - saved/2, exactly."""
-    return inst.early_minutes - inst.saved_minutes / 2
+    early, saved = inst.early_minutes, inst.saved_minutes
+    # Built as one Fraction from numerators and denominators: two operators would build two.
+    return Fraction(2 * early.numerator * saved.denominator - saved.numerator * early.denominator,
+                    2 * early.denominator * saved.denominator)
 
 
 def station_walk_simulate(
@@ -186,7 +189,9 @@ def station_walk_simulate(
     instant where the car's position equals the walker's; the walked time
     and the minutes saved against the usual round trip are then read off
     the two motions.  Arguments must be exact (int or Fraction), so every
-    step is exact too.
+    step is exact too: each is one Fraction built from the numerators and
+    denominators of the steps before it, and each comparison is one of
+    integers.
 
     Returns (walked_minutes, saved_minutes).
     """
@@ -194,20 +199,35 @@ def station_walk_simulate(
     car_speed = _exact(car_speed, "car_speed")
     walk_speed = _exact(walk_speed, "walk_speed")
     early_minutes = _exact(early_minutes, "early_minutes")
-    if min(distance, car_speed, walk_speed, early_minutes) <= 0:
-        raise InvalidInstance("all simulation parameters must be positive")
-    if walk_speed >= car_speed:
+    d, dd = distance.numerator, distance.denominator
+    c, cd = car_speed.numerator, car_speed.denominator
+    w, wd = walk_speed.numerator, walk_speed.denominator
+    e, ed = early_minutes.numerator, early_minutes.denominator
+    # Every type is checked before any sign; a Fraction's sign is its numerator's.
+    if d <= 0 or c <= 0 or w <= 0 or e <= 0:
+        _positive(distance, "distance")  # refuses the first parameter not above 0
+        _positive(car_speed, "car_speed")
+        _positive(walk_speed, "walk_speed")
+        _positive(early_minutes, "early_minutes")
+    if w * cd >= c * wd:  # walk_speed >= car_speed
         raise InvalidInstance("the car must be faster than the walker")
 
-    departure = -distance / car_speed  # car leaves home here to land at t = 0
-    # car: distance + car_speed * t; walker: distance - walk_speed * (t + early)
-    meeting_time = -walk_speed * early_minutes / (car_speed + walk_speed)
-    if meeting_time <= departure:
+    # The car drives distance / car_speed each way: it leaves home at -trip,
+    # and on a usual day it is home again at +trip.
+    trip = Fraction(d * cd, dd * c)
+    r, rd = trip.numerator, trip.denominator
+    # car: distance + car_speed * t; walker: distance - walk_speed * (t + early),
+    # so they meet at -walk_speed * early_minutes / (car_speed + walk_speed).
+    meeting_time = Fraction(-w * e * cd, ed * (c * wd + w * cd))
+    t, td = meeting_time.numerator, meeting_time.denominator
+    if t * rd <= -r * td:  # meeting_time <= the car's departure
         raise InvalidInstance("the walker reaches home before the car sets out")
-    meeting_point = distance + car_speed * meeting_time
+    meeting_point = Fraction(d * cd * td + dd * c * t, dd * cd * td)  # car's position then
+    p, pd = meeting_point.numerator, meeting_point.denominator
 
-    walked_minutes = meeting_time + early_minutes
-    usual_home_arrival = distance / car_speed
-    today_home_arrival = meeting_time + meeting_point / car_speed
-    saved_minutes = usual_home_arrival - today_home_arrival
+    walked_minutes = Fraction(t * ed + e * td, td * ed)  # meeting_time + early_minutes
+    # meeting_time + meeting_point / car_speed
+    today_home_arrival = Fraction(t * pd * c + p * cd * td, td * pd * c)
+    h, hd = today_home_arrival.numerator, today_home_arrival.denominator
+    saved_minutes = Fraction(r * hd - h * rd, rd * hd)  # usual home arrival - today's
     return walked_minutes, saved_minutes

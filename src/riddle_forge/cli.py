@@ -13,6 +13,7 @@ import functools
 import json
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -264,11 +265,14 @@ def _solve_station_report(
         report.explanation.append(f"walked = early - saved/2 = {x} - {y}/2 = {shown} min")
     if args.check:
         report.checked = True
-        if y < x:
+        # y and x over a common denominator, as integers: a Fraction takes longer to build.
+        y_part, x_part = y.numerator * x.denominator, x.numerator * y.denominator
+        if y_part < x_part:
             # A parameter family realising (X, Y): car speed 1, walker speed
-            # Y/(2X - Y) < 1, distance X, beyond the meeting point.
+            # Y/(2X - Y) < 1 (one Fraction), distance X, beyond the meeting point.
             sim_walked, sim_saved = station_walk_simulate(
-                distance=x, car_speed=1, walk_speed=y / (2 * x - y), early_minutes=x
+                distance=x, car_speed=1, walk_speed=Fraction(y_part, 2 * x_part - y_part),
+                early_minutes=x
             )
             report.oracle = str(sim_walked)
             report.agreement = sim_walked == walked and sim_saved == y

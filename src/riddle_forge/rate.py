@@ -19,6 +19,10 @@ from .errors import InvalidInstance
 
 # The attribute names of a RateScenario's and a RateQuery's three quantities.
 _FIELDS = ("work", "subjects", "time")
+# The block reader of each field, and for each field a find clause may target
+# the other two, sorted: the keys its where-clause gives, in reading order.
+_READERS = {"work": "count", "subjects": "count", "time": "time"}
+_WHERE = {target: tuple(sorted(set(_FIELDS) - {target})) for target in _FIELDS}
 
 
 def _by_field(values: "RateScenario | RateQuery") -> dict[str, Quantity | Fraction | None]:
@@ -99,7 +103,7 @@ class RateQuery(Value):
         """``work = 6; subjects = 6; time = 6 min; find subjects where ...``."""
         work, subjects, time = block.take(*_FIELDS)
         work, subjects, time = block.count(work), block.count(subjects), block.time(time)
-        given = block.find({"work": block.count, "subjects": block.count, "time": block.time})
+        given = block.find(_WHERE, _READERS)
         if given is None or work is None or subjects is None or time is None:
             return None
         # The readers refused every bad value.

@@ -25,9 +25,10 @@ chunks that hold them.
 
 Each ``key = value`` statement is one ``_Assign`` record that holds its
 parsed value: an ``int`` or ``Fraction`` for a number (its trailing word, if
-any, in ``word``), a ``str`` for a word, or a tuple of ``(name, count,
-name_span, count_span)`` items for a color list.  The block's value readers
-tell the three apart by the value's Python type.
+any, in ``word``), a ``str`` for a word, or a tuple of ``(name, count)``
+pairs for a color list, the payloads' own form, with each pair's
+``(name_span, count_span)`` apart in ``item_spans``.  The block's value
+readers tell the three apart by the value's Python type.
 
 Errors carry precise source spans and a kind; parsing recovers at block
 boundaries so one bad block does not hide errors in the next.
@@ -227,13 +228,14 @@ class _Assign(NamedTuple):
 
     key: str
     key_span: _Span
-    value: int | Fraction | str | tuple[tuple[str, int, _Span, _Span], ...]
+    value: int | Fraction | str | tuple[tuple[str, int], ...]
     span: _Span  # the value's
     word: str | None  # a number's trailing unit-or-label word, if any
     word_span: _Span | None
+    item_spans: tuple[tuple[_Span, _Span], ...] | None  # a color list's (name, count) spans
 
 
-# _record(_Assign, (all six fields)) builds a statement in C; _Assign(...) runs Python code.
+# _record(_Assign, (all seven fields)) builds a statement in C; _Assign(...) runs Python code.
 _record = tuple.__new__
 
 
@@ -395,7 +397,7 @@ class _Parser:
         at, tok = step()
         if tok[:1] in _WORD_START:
             self.at, self.tok = step()
-            return _record(_Assign, (key, key_span, tok, (at, at), None, None))
+            return _record(_Assign, (key, key_span, tok, (at, at), None, None, None))
         if tok == "(":
             self.at, self.tok = at, tok
             return self._parse_colorlist(key, key_span)
@@ -421,9 +423,9 @@ class _Parser:
             span = (span[0], den_at)
         if tok[:1] in _WORD_START:
             self.at, self.tok = step()
-            return _record(_Assign, (key, key_span, value, span, tok, (at, at)))
+            return _record(_Assign, (key, key_span, value, span, tok, (at, at), None))
         self.at, self.tok = at, tok
-        return _record(_Assign, (key, key_span, value, span, None, None))
+        return _record(_Assign, (key, key_span, value, span, None, None, None))
 
     def _parse_find(self) -> _Find:
         find_at = self.at
@@ -442,7 +444,8 @@ class _Parser:
         step = self._next
         span = (self.at, self.at)
         at, tok = step()  # past the '('
-        items: list[tuple[str, int, _Span, _Span]] = []
+        items: list[tuple[str, int]] = []
+        spans: list[tuple[_Span, _Span]] = []
         while True:
             while tok == "\n":
                 at, tok = step()
@@ -467,7 +470,8 @@ class _Parser:
             if tok == "/":
                 self.at, self.tok = at, tok
                 raise _BlockError((at, at), "color counts must be integers")
-            items.append((name, count, name_span, count_span))
+            items.append((name, count))
+            spans.append((name_span, count_span))
             while tok == "\n":
                 at, tok = step()
             if tok != ",":
@@ -477,7 +481,7 @@ class _Parser:
         if tok != ")":
             raise self._unexpected("')'")
         self.at, self.tok = step()
-        return _record(_Assign, (key, key_span, tuple(items), span, None, None))
+        return _record(_Assign, (key, key_span, tuple(items), span, None, None, tuple(spans)))
 
 
 class _Block:
@@ -563,17 +567,18 @@ class _Block:
             assign = at[fields.index(argument)]
             span = assign.span
             if exc.index is not None:
-                _, _, name_span, count_span = assign.value[exc.index]
+                name_span, count_span = assign.item_spans[exc.index]
                 span = name_span if kind is ParseErrorKind.DUPLICATE_KEY else count_span
             problem = str(exc)[len(argument):]  # "<argument> <problem>"
             self.errors.append((span, kind, f"key '{assign.key}'{problem}"))
             return None
 
-    def find(self, readers: dict) -> dict | None:
+    def find(self, where: dict[str, tuple[str, ...]], readers: dict[str, str]) -> dict | None:
         """The given values of the block's one ``find`` clause.
 
-        Its target is a key of ``readers``; the where-clause gives every
-        other key, each read by its reader, in sorted order.
+        Its target is a key of ``where``, which maps each target to the keys
+        its where-clause gives, sorted; each is read, in that order, by the
+        reader (a method of this class) that ``readers`` names for it.
         """
         finds, errors = self.finds, self.errors
         if not finds:
@@ -589,18 +594,18 @@ class _Block:
             )
             return None
         find = finds[0]
-        if find.target not in readers:
+        expected = where.get(find.target)
+        if expected is None:
             errors.append(
                 (find.target_span, ParseErrorKind.SYNTAX,
-                 f"find target must be one of {', '.join(readers)}; "
+                 f"find target must be one of {', '.join(where)}; "
                  f"got '{find.target}'")
             )
             return None
-        expected = sorted(readers.keys() - {find.target})
         before = len(errors)
-        clause_table: dict[str, _Assign] = {}
+        given: dict = {}  # each expected key's clause, then the value read from it
         for clause in find.clauses:
-            if clause.key in clause_table:
+            if clause.key in given:
                 errors.append(
                     (clause.key_span, ParseErrorKind.DUPLICATE_KEY,
                      f"duplicate key '{clause.key}' in where-clause")
@@ -612,17 +617,16 @@ class _Block:
                      f"expected {' and '.join(expected)}")
                 )
             else:
-                clause_table[clause.key] = clause
-        given = {}
+                given[clause.key] = clause
         for name in expected:
-            clause = clause_table.get(name)
+            clause = given.get(name)
             if clause is None:
                 errors.append(
                     (find.span, ParseErrorKind.MISSING_KEY,
                      f"where-clause is missing key '{name}'")
                 )
             else:
-                given[name] = readers[name](clause)
+                given[name] = getattr(self, readers[name])(clause)
         return None if len(errors) > before else given
 
     # value readers
@@ -705,7 +709,7 @@ class _Block:
             return None
         if not isinstance(assign.value, tuple):
             return self._mismatch(assign, "a color list like (blue: 2, red: 3)")
-        return tuple([(name, count) for name, count, _, _ in assign.value])
+        return assign.value
 
 
 def parse_puzzles(source: str) -> list[PuzzleSpec]:

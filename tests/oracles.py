@@ -2,12 +2,16 @@
 
 These deliberately re-derive answers from first principles (enumerating
 elementary outcomes) so that package formulas and package oracles can both
-be checked against a third route.
+be checked against a third route.  The station oracle here takes one
+``Fraction`` operator a step, a reference for the package's, which builds
+each step from integers.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
+
+from riddle_forge import InvalidInstance
 
 
 def exhaustive_max_avoiding(counts: tuple[int, ...], required: int) -> int:
@@ -92,3 +96,53 @@ def hypergeometric_transfer(container_a, container_b, moved, color):
         for k in range(max(0, moved - others), min(a_c, moved) + 1)
     )
     return Fraction(favorable, comb(total_a, moved) * after)
+
+
+def station_walk_by_operators(distance, car_speed, walk_speed, early_minutes):
+    """The station kinematic oracle with one ``Fraction`` operator per step.
+
+    The same meeting of two linear motions as ``station_walk_simulate``,
+    written as the motions read, so that the package's integer arithmetic
+    can be checked against it.  Arguments are exact; a parameter that is not
+    above 0 is refused in the package's words, the first one in argument
+    order.  Returns (walked_minutes, saved_minutes).
+    """
+    params = {"distance": distance, "car_speed": car_speed, "walk_speed": walk_speed,
+              "early_minutes": early_minutes}
+    for argument, value in params.items():
+        if value <= 0:
+            raise InvalidInstance(f"must be strictly positive, got {value}", argument,
+                                  kind="negative_count")
+    distance, car_speed, walk_speed, early_minutes = map(Fraction, params.values())
+    if walk_speed >= car_speed:
+        raise InvalidInstance("the car must be faster than the walker")
+
+    departure = -distance / car_speed  # car leaves home here to land at t = 0
+    # car: distance + car_speed * t; walker: distance - walk_speed * (t + early)
+    meeting_time = -walk_speed * early_minutes / (car_speed + walk_speed)
+    if meeting_time <= departure:
+        raise InvalidInstance("the walker reaches home before the car sets out")
+    meeting_point = distance + car_speed * meeting_time
+
+    walked_minutes = meeting_time + early_minutes
+    usual_home_arrival = distance / car_speed
+    today_home_arrival = meeting_time + meeting_point / car_speed
+    saved_minutes = usual_home_arrival - today_home_arrival
+    return walked_minutes, saved_minutes
+
+
+def station_check_by_operators(early, saved):
+    """(answer, oracle, agreement) of ``solve --check`` on a station puzzle.
+
+    The answer is early - saved/2; the check runs the operator-by-operator
+    oracle on the CLI's parameter family (car speed 1, walker speed
+    saved/(2*early - saved), distance early) when saved < early, and is
+    unverifiable (None, None) otherwise.
+    """
+    walked = early - saved / 2
+    if not saved < early:
+        return str(walked), None, None
+    sim_walked, sim_saved = station_walk_by_operators(
+        early, 1, saved / (2 * early - saved), early
+    )
+    return str(walked), str(sim_walked), sim_walked == walked and sim_saved == saved

@@ -18,7 +18,7 @@ from riddle_forge import (
     transfer_probability_enumerate,
     transfer_probability_formula,
 )
-from oracles import elementary_transfer, hypergeometric_transfer
+from oracles import elementary_transfer, hypergeometric_transfer, station_walk_by_operators
 
 
 def test_formula_known_values():
@@ -231,15 +231,26 @@ def test_simulation_classic_configuration():
 
 
 def test_simulation_rejects_bad_parameters():
-    with pytest.raises(InvalidInstance):
-        station_walk_simulate(0, 1, Fraction(1, 2), 10)
-    with pytest.raises(InvalidInstance):
-        station_walk_simulate(10, 1, Fraction(-1, 2), 10)
+    # The first parameter that is not above 0 is refused, but only once every type is checked.
+    for params, argument, kind, message in [
+        ((0, 1, Fraction(1, 2), 10), "distance", "negative_count",
+         "distance must be strictly positive, got 0"),
+        ((10, 1, Fraction(-1, 2), 10), "walk_speed", "negative_count",
+         "walk_speed must be strictly positive, got -1/2"),
+        ((10, -1, Fraction(1, 2), 0), "car_speed", "negative_count",
+         "car_speed must be strictly positive, got -1"),
+        ((0, 1, 0.5, 10), "walk_speed", "type_mismatch",
+         "walk_speed must be exact (int or Fraction), not float"),
+    ]:
+        with pytest.raises(InvalidInstance) as info:
+            station_walk_simulate(*params)
+        assert (info.value.argument, info.value.kind, str(info.value)) == (argument, kind, message)
     for at in range(4):  # floats are not exact, in any position
         params = [10, 1, Fraction(1, 2), 10]
         params[at] = float(params[at])
-        with pytest.raises(InvalidInstance):
+        with pytest.raises(InvalidInstance) as info:
             station_walk_simulate(*params)
+        assert info.value.argument == ("distance", "car_speed", "walk_speed", "early_minutes")[at]
     with pytest.raises(InvalidInstance, match="the car must be faster than the walker"):
         station_walk_simulate(10, 1, 1, 10)  # walker as fast as the car
     home_first = "the walker reaches home before the car sets out"
@@ -301,3 +312,39 @@ def test_simulation_is_independent_of_the_parameter_family(early, share, car_spe
         early_minutes=early,
     )
     assert cli_family == second_family == (early - saved / 2, saved)
+
+
+# Numerators and denominators small and near 10^30, and a few values not above 0.
+_part = st.one_of(st.integers(1, 1000), st.integers(10**30 - 1000, 10**30 + 1000))
+_exact_value = st.one_of(
+    st.builds(Fraction, st.one_of(_part, st.integers(-2, 0)), _part), _part
+)
+
+
+def _simulated(simulate, *params):
+    """The oracle's result, or its refusal as (message, argument, kind)."""
+    try:
+        return simulate(*params)
+    except InvalidInstance as exc:
+        return str(exc), exc.argument, exc.kind
+
+
+@given(
+    distance=_exact_value,
+    car_speed=_exact_value,
+    walk_speed=_exact_value,
+    early=_exact_value,
+    # The walker's speed as drawn, as fast as the car, or a share of the car's below 1.
+    walker_share=st.one_of(
+        st.none(), st.just(1), st.builds(lambda p, q: Fraction(p, p + q), _part, _part)
+    ),
+)
+def test_simulation_matches_the_operator_by_operator_reference(
+    distance, car_speed, walk_speed, early, walker_share
+):
+    if walker_share is not None:
+        walk_speed = car_speed * walker_share
+    params = (distance, car_speed, walk_speed, early)
+    assert _simulated(station_walk_simulate, *params) == _simulated(
+        station_walk_by_operators, *params
+    )

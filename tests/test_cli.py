@@ -1,5 +1,6 @@
 """CLI behaviour: reports, exit codes, JSON stability, sweeps."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -9,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -18,8 +20,15 @@ from hypothesis import strategies as st
 
 import riddle_forge.cli as cli
 import riddle_forge.speck as speck
-from riddle_forge import ParseFailure, PuzzleSpec, parse_puzzles, station_walk_simulate
+from riddle_forge import (
+    ParseFailure,
+    PuzzleSpec,
+    StationInstance,
+    parse_puzzles,
+    station_walk_simulate,
+)
 from riddle_forge.cli import main
+from oracles import station_check_by_operators
 
 CORPUS = resources.files("riddle_forge") / "corpus" / "classic_problems.speck"
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -360,6 +369,27 @@ def test_station_check_is_exact_beyond_float_range(tmp_path, capsys, early, save
     (report,) = json.loads(out)
     assert report["agreement"] is True
     assert report["oracle"] == report["answer"]
+
+
+# Numerators and denominators small and near 10^30.
+_station_part = st.one_of(st.integers(1, 1000), st.integers(10**30 - 1000, 10**30 + 1000))
+
+
+@given(
+    early=st.builds(Fraction, _station_part, _station_part),
+    share=st.one_of(
+        st.just(Fraction(1)),  # saved = early: unverifiable
+        st.just(Fraction(2)),  # saved = 2 * early: met at the station door
+        st.builds(Fraction, _station_part, _station_part).filter(lambda share: share < 2),
+    ),
+)
+def test_station_report_matches_the_operator_by_operator_reference(early, share):
+    saved = early * share
+    args = argparse.Namespace(check=True, explain=True)
+    report = cli._solve_station_report("x", StationInstance(early, saved), args)
+    assert (report.answer, report.oracle, report.agreement) == station_check_by_operators(
+        early, saved
+    )
 
 
 def test_unverifiable_check_reads_n_a_in_text(tmp_path, capsys):

@@ -367,6 +367,17 @@ def test_recovery_collects_errors_from_every_block():
                  "found the word 'x'", 1),
             ],
         ),
+        (  # one item a line: a refused count is placed at the count, a repeated
+            # name at the name, whatever its count
+            "puzzle pigeonhole { counts = (\n  a: 1,\n  b: -2,\n  a: 3\n); required = 2 }\n"
+            "puzzle transfer { container_a = (\n  c: 1,\n  c: -1\n); container_b = (\n"
+            "  d: -4\n); moved = 1; query = c }",
+            [
+                ("3:6: negative_count: key 'counts' needs a whole count >= 0 for color 'b', "
+                 "got -2", 2),
+                ("8:3: duplicate_key: key 'container_a' names color 'c' twice", 1),
+            ],
+        ),
     ],
 )
 def test_errors_within_a_block_come_in_a_fixed_order(source, expected):
