@@ -56,16 +56,26 @@ def _positive(value: int | Fraction, argument: str) -> Fraction:
 def _normalize_counts(
     raw: "Mapping[str, int] | Iterable[tuple[str, int]]", argument: str, nonempty: bool
 ) -> tuple[tuple[str, int], ...]:
-    """The (color, count) pairs of ``raw``: distinct nonempty names, whole
-    counts >= 0 and, if ``nonempty``, at least one color."""
+    """The (color, count) pairs of ``raw``, a mapping or an iterable of
+    2-tuples: distinct nonempty names, whole counts >= 0 and, if
+    ``nonempty``, at least one color."""
     if type(raw) is tuple:  # as the parser passes it: no Mapping (ABC) check
         pairs = raw
+    elif isinstance(raw, Mapping):
+        pairs = tuple(raw.items())
+    elif isinstance(raw, Iterable):
+        pairs = tuple(raw)
     else:
-        pairs = tuple(raw.items()) if isinstance(raw, Mapping) else tuple(raw)
+        raise InvalidInstance(f"must be a mapping or an iterable of (color, count) pairs, "
+                              f"not {type(raw).__name__}", argument, kind="type_mismatch")
     if nonempty and not pairs:
         raise InvalidInstance("needs at least one color", argument, kind="type_mismatch")
     seen = set()
-    for index, (label, count) in enumerate(pairs):
+    for index, pair in enumerate(pairs):
+        if type(pair) is not tuple or len(pair) != 2:
+            raise InvalidInstance(f"needs (color, count) pairs, got {pair!r}",
+                                  argument, index, "type_mismatch")
+        label, count = pair
         if not isinstance(label, str) or not label:
             raise InvalidInstance(
                 "needs color names that are nonempty strings", argument, index, "type_mismatch"

@@ -19,10 +19,8 @@ from .errors import InvalidInstance
 
 # The attribute names of a RateScenario's and a RateQuery's three quantities.
 _FIELDS = ("work", "subjects", "time")
-# The block reader of each field, and for each field a find clause may target
-# the other two, sorted: the keys its where-clause gives, in reading order.
+# The block reader of each field.
 _READERS = {"work": "count", "subjects": "count", "time": "time"}
-_WHERE = {target: tuple(sorted(set(_FIELDS) - {target})) for target in _FIELDS}
 
 
 def _by_field(values: "RateScenario | RateQuery") -> dict[str, Quantity | Fraction | None]:
@@ -78,6 +76,9 @@ class RateQuery(Value):
     _fields = ("known", "work", "subjects", "time")
     __slots__ = (*_fields, "target")
     puzzle_kind = "rate"
+    # For each field a find clause may target, the other two, sorted: the
+    # keys its where-clause gives, in reading order.
+    find_targets = {target: tuple(sorted(set(_FIELDS) - {target})) for target in _FIELDS}
 
     def __init__(self, known: RateScenario, work: Quantity | None = None,
                  subjects: Quantity | None = None, time: int | Fraction | None = None) -> None:
@@ -103,7 +104,7 @@ class RateQuery(Value):
         """``work = 6; subjects = 6; time = 6 min; find subjects where ...``."""
         work, subjects, time = block.take(*_FIELDS)
         work, subjects, time = block.count(work), block.count(subjects), block.time(time)
-        given = block.find(_WHERE, _READERS)
+        given = block.find(cls.find_targets, _READERS)
         if given is None or work is None or subjects is None or time is None:
             return None
         # The readers refused every bad value.

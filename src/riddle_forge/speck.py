@@ -34,9 +34,12 @@ Errors carry precise source spans and a kind; parsing recovers at block
 boundaries so one bad block does not hide errors in the next.
 
 Which keys a kind takes, and how its payload is written back, lives with
-the kind's payload class (``from_block``, ``block_items``), and which values
-it accepts with its constructor; this module holds the grammar, the value
-readers, which check only a value's type and unit, and the value text.
+the kind's payload class (``from_block``, ``block_items``), as do the targets
+a ``find`` clause may name (``find_targets``; a class without it takes no
+``find``), and which values it accepts with its constructor.  The parser
+builds each block's key table as it reads the statements; this module holds
+the grammar, the value readers, which check only a value's type and unit,
+and the value text.  It knows a kind only by its row in ``_PAYLOAD_TYPES``.
 """
 
 from __future__ import annotations
@@ -260,7 +263,8 @@ class _BlockError(Exception):
 
 
 # Kind name -> payload class.  Each class reads its own block
-# (``from_block``) and names its own statements (``block_items``).
+# (``from_block``), names its own statements (``block_items``) and, if it
+# takes a ``find`` clause, the clause's targets (``find_targets``).
 _PAYLOAD_TYPES = {
     payload_type.puzzle_kind: payload_type
     for payload_type in (
@@ -354,7 +358,9 @@ class _Parser:
             self.at, self.tok = at, tok
             raise self._unexpected("'{'")
         at, tok = step()
-        assigns: list[_Assign] = []
+        # The key table and its duplicate keys, reported only once the block is whole.
+        table: dict[str, _Assign] = {}
+        errors: list[_Error] = []
         finds: list[_Find] = []
         while True:
             while tok == "\n" or tok == ";":
@@ -367,7 +373,10 @@ class _Parser:
             if tok == "find":
                 finds.append(self._parse_find())
             else:
-                assigns.append(self._parse_assign("a statement"))
+                assign = self._parse_assign("a statement")
+                if table.setdefault(assign.key, assign) is not assign:
+                    errors.append((assign.key_span, ParseErrorKind.DUPLICATE_KEY,
+                                   f"duplicate key '{assign.key}'"))
             at, tok = self.at, self.tok
         self.at, self.tok = step()
         payload_type = _PAYLOAD_TYPES.get(kind_name)
@@ -378,7 +387,7 @@ class _Parser:
                  + ", ".join(_PAYLOAD_TYPES))
             )
             return None
-        block = _Block(kind_name, kind_span, assigns, finds)
+        block = _Block(kind_name, kind_span, table, finds, errors)
         spec = block.build(payload_type)
         self.errors.extend(block.errors)
         return spec
@@ -487,38 +496,34 @@ class _Parser:
 class _Block:
     """One block's statements, as a payload class's ``from_block`` reads them.
 
-    ``build`` makes the block's spec, or gives None with the reasons in
-    ``errors``.  ``take`` claims keys from the table.  The readers ``word``,
-    ``count``, ``time``, ``integer`` and ``colors`` turn a statement into a
-    value of the type its key takes, or report an error and give None, as
-    they do when given None (a missing key, already reported).  ``find``
-    reads the ``find ... where ...`` clause.  Which values a kind accepts is
+    The parser hands over the key table (each key's first statement) and
+    the duplicate keys as the first ``errors``.  ``build`` makes the block's
+    spec, or gives None with the reasons in ``errors``.  ``take`` claims keys
+    from the table.  The readers ``word``, ``count``, ``time``, ``integer``
+    and ``colors`` turn a statement into a value of the type its key takes,
+    or report an error and give None, as they do when given None (a missing
+    key, already reported).  ``find`` reads the ``find ... where ...``
+    clause, given the targets of the kind's class.  Which values a kind accepts is
     its constructor's rule: ``make`` calls it and places its refusal.
     """
 
     __slots__ = ("kind", "kind_span", "table", "finds", "errors")
 
-    def __init__(self, kind: str, kind_span: _Span, assigns: list[_Assign], finds: list[_Find]):
+    def __init__(self, kind: str, kind_span: _Span, table: dict[str, _Assign],
+                 finds: list[_Find], errors: list[_Error]):
         self.kind = kind
         self.kind_span = kind_span
+        self.table = table
         self.finds = finds
-        self.table: dict[str, _Assign] = {}
-        self.errors: list[_Error] = []
-        for assign in assigns:
-            if assign.key in self.table:
-                self.errors.append(
-                    (assign.key_span, ParseErrorKind.DUPLICATE_KEY,
-                     f"duplicate key '{assign.key}'")
-                )
-            else:
-                self.table[assign.key] = assign
+        self.errors = errors
 
     def build(self, payload_type: type) -> PuzzleSpec | None:
         kind, errors, table = self.kind, self.errors, self.table
-        if self.finds and payload_type is not RateQuery:
+        if self.finds and not hasattr(payload_type, "find_targets"):
+            takers = [name for name, cls in _PAYLOAD_TYPES.items() if hasattr(cls, "find_targets")]
             errors.append(
                 (self.finds[0].span, ParseErrorKind.SYNTAX,
-                 f"'find' is only meaningful in rate puzzles, not {kind}")
+                 f"'find' is only meaningful in {' or '.join(takers)} puzzles, not {kind}")
             )
 
         label = self.word(table.pop("label", None))

@@ -98,6 +98,14 @@ _KNOWN_REPR = (
         lambda: RateQuery(_KNOWN, Quantity(1), None, Quantity(1)),
         lambda: RateScenario(2, 3, 0),
         lambda: RateQuery(_KNOWN, 2, None, 0.5),
+        lambda: PigeonholeInstance("ab", 2),
+        lambda: PigeonholeInstance(5, 2),
+        lambda: PigeonholeInstance((("a", 1, 2),), 2),
+        lambda: PigeonholeInstance(None, 2),
+        lambda: TransferInstance("ab", (), 1, "moved"),
+        lambda: TransferInstance((("a", 1),), 5, 1, "moved"),
+        lambda: TransferInstance((("a", 1),), (("b", 1, 2),), 1, "moved"),
+        lambda: TransferInstance(None, (), 1, "moved"),
     ],
     ids=[
         "negative-fraction", "negative-int", "float", "zero-fraction-rate",
@@ -108,6 +116,8 @@ _KNOWN_REPR = (
         "none-left-out", "two-left-out", "three-left-out", "int-work-query",
         "fraction-subjects-query", "negative-time-query", "float-time-query",
         "quantity-time-query", "two-bad-scenario-arguments", "two-bad-query-arguments",
+        "string-colors", "int-colors", "color-triple", "none-colors", "string-container",
+        "int-container", "container-triple", "none-container",
     ],
 )
 def test_constructors_check_direct_callers(build):
@@ -218,6 +228,19 @@ def test_integer_counts_refuse_bools(build, flag):
         (lambda: StationInstance(5, 11), "saved_minutes", None,
          "saved_minutes cannot exceed twice early_minutes; "
          "the meeting scenario would be inconsistent"),
+        (lambda: PigeonholeInstance("ab", 2), "color_counts", 0,
+         "color_counts needs (color, count) pairs, got 'a'"),
+        (lambda: PigeonholeInstance(5, 2), "color_counts", None,
+         "color_counts must be a mapping or an iterable of (color, count) pairs, not int"),
+        (lambda: PigeonholeInstance((("a", 1), ("b", 1, 2)), 2), "color_counts", 1,
+         "color_counts needs (color, count) pairs, got ('b', 1, 2)"),
+        (lambda: PigeonholeInstance(None, 2), "color_counts", None,
+         "color_counts must be a mapping or an iterable of (color, count) pairs, "
+         "not NoneType"),
+        (lambda: TransferInstance((("a", 1),), [["b", 1]], 1, "moved"), "container_b", 0,
+         "container_b needs (color, count) pairs, got ['b', 1]"),
+        (lambda: TransferInstance(5, (), 1, "moved"), "container_a", None,
+         "container_a must be a mapping or an iterable of (color, count) pairs, not int"),
     ],
     ids=["zero-count", "negative-time", "zero-time-query", "float-time", "quantity-time",
          "int-subjects", "int-work", "quantity-time-scenario", "int-work-query",
@@ -228,7 +251,8 @@ def test_integer_counts_refuse_bools(build, flag):
          "negative-required", "zero-moved",
          "zero-colors", "zero-d", "zero-survey-bound", "repeated-color", "negative-color-count",
          "no-colors", "empty-container-a", "moved-past-container", "negative-saved",
-         "saved-past-twice-early"],
+         "saved-past-twice-early", "string-colors", "int-colors", "color-triple",
+         "none-colors", "list-pair", "int-container"],
 )
 def test_each_rule_names_the_refused_argument(build, argument, index, message):
     with pytest.raises(InvalidInstance) as info:

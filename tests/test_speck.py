@@ -29,6 +29,7 @@ from riddle_forge import (
     parse_puzzles,
     serialize_puzzle,
 )
+from riddle_forge.core import Value, _positive_int, _set
 from specgen import random_spec
 
 RATE_LINE = (
@@ -97,6 +98,11 @@ def test_duplicate_key_error_at_the_second_key():
     (error,) = errors_of("puzzle weighing { objects = 3; objects = 4 }")
     assert error.kind is ParseErrorKind.DUPLICATE_KEY
     assert (error.span.line, error.span.column, error.span.length) == (1, 32, 7)
+    # A block that a syntax error aborts, or of no known kind, reports only that error.
+    (error,) = errors_of("puzzle weighing { objects = 3; objects = 4; = }")
+    assert error.kind is ParseErrorKind.SYNTAX
+    (error,) = errors_of("puzzle frobnicate { objects = 3; objects = 4 }")
+    assert error.kind is ParseErrorKind.UNKNOWN_KIND
 
 
 def test_missing_key_and_type_mismatch_and_bad_unit():
@@ -382,6 +388,73 @@ def test_recovery_collects_errors_from_every_block():
 )
 def test_errors_within_a_block_come_in_a_fixed_order(source, expected):
     assert [(str(e), e.span.length) for e in errors_of(source)] == expected
+
+
+class Toy(Value):
+    """A kind known to ``speck`` only by its row in ``_PAYLOAD_TYPES``: the
+    line y = x + offset, with x or y to find from the other.
+
+    ``puzzle toy { offset = 2; find y where x = 3 }``
+    """
+
+    __slots__ = _fields = ("offset", "x", "y")
+    puzzle_kind = "toy"
+    find_targets = {"x": ("y",), "y": ("x",)}
+
+    def __init__(self, offset: int, x: int | None = None, y: int | None = None) -> None:
+        _set(self, "offset", _positive_int(offset, "offset"))
+        if (x if y is None else y - offset) > 9:
+            raise InvalidInstance("x must be at most 9", kind="negative_count")
+        _set(self, "x", x)
+        _set(self, "y", y)
+
+    @classmethod
+    def from_block(cls, block):
+        (offset,) = block.take("offset")
+        value = block.integer(offset)
+        given = block.find(cls.find_targets, {"x": "integer", "y": "integer"})
+        if value is None or given is None:
+            return None
+        return block.make(cls, value, given.get("x"), given.get("y"), at=(offset,))
+
+    def block_items(self):
+        target, given = ("y", "x") if self.y is None else ("x", "y")
+        return [("offset", self.offset), ("find", (target, [(given, getattr(self, given))]))]
+
+
+@pytest.fixture
+def toy_kind(monkeypatch):
+    monkeypatch.setitem(speck._PAYLOAD_TYPES, "toy", Toy)
+
+
+def test_a_kind_is_known_by_its_table_row_alone(toy_kind):
+    for source, expected in [
+        ("puzzle toy { offset = 2; find y where x = 3 }", Toy(2, x=3)),
+        ("puzzle toy { label = t; offset = 1; find x where y = 4 }", Toy(1, y=4)),
+    ]:
+        (spec,) = parse_puzzles(source)
+        assert spec.payload == expected and spec.kind == "toy"
+        assert serialize_puzzle(spec) == source
+    # Its own find targets, and its own key table.
+    errors = errors_of("puzzle toy { offset = 2; offset = 3; find z where x = 1 }")
+    assert [str(e) for e in errors] == [
+        "1:26: duplicate_key: duplicate key 'offset'",
+        "1:43: syntax: find target must be one of x, y; got 'z'",
+    ]
+    # A kind without find targets names every kind that has them.
+    (error,) = errors_of("puzzle weighing { objects = 3; find y where x = 1 }")
+    assert error.message == "'find' is only meaningful in rate or toy puzzles, not weighing"
+
+
+def test_a_toy_constructors_refusals_are_placed(toy_kind):
+    # One that names its argument, at that argument's value.
+    (error,) = errors_of("puzzle toy { offset = 0; find y where x = 1 }")
+    assert str(error) == "1:23: negative_count: key 'offset' must be at least 1, got 0"
+    # One that names none, at the kind keyword, worded as raised, under its kind.
+    (error,) = errors_of("puzzle toy { offset = 1; find y where x = 10 }")
+    assert error.kind is ParseErrorKind.NEGATIVE_COUNT
+    assert (error.span.column, error.span.length) == (8, 3)
+    assert error.message == "x must be at most 9"
 
 
 def test_error_spans_stay_inside_the_offending_block():
