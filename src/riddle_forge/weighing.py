@@ -93,26 +93,36 @@ def _worst_case_table(limit: int) -> list[int]:
     The first row of a resumed build finds its crossing by bisection.  Both
     rely on f being nondecreasing, which is checked row by row.  The
     recursion never consults the closed form it is used to verify.
+
+    The loop also carries ``aside`` = m - 2 * low (+1 a row, -2 a step of the
+    crossing) and ``prev`` = f(m - 1), which the nondecreasing check reads.
     """
     table = _worst_case
     if limit < len(table):  # rows are only ever appended, so these are final
         return table
     with _growing:  # rows are appended in place, one grower at a time
         low = _crossing(table, len(table))
+        aside, prev, append = len(table) - 2 * low, table[-1], table.append
         for m in range(len(table), limit + 1):
-            while table[low] < table[m - 2 * low]:  # stops by a = m // 2 (see _crossing)
+            pans = table[low]
+            while pans < table[aside]:  # stops by a = m // 2 (see _crossing)
                 low += 1
+                aside -= 2
+                pans = table[low]
             # Just left of the crossing the set-aside class is the worse outcome,
             # at the crossing the pans are.
-            best = table[m - 2 * low + 2] if low > 1 else m
-            if table[low] < best:
-                best = table[low]
-            if 1 + best < table[m - 1]:
+            best = table[aside + 2] if low > 1 else m
+            if pans < best:
+                best = pans
+            best += 1
+            if best < prev:
                 raise RuntimeError(
                     f"minimax table decreases at {m} suspects; its pan-size "
                     "crossing needs it nondecreasing"
                 )
-            table.append(1 + best)
+            append(best)
+            prev = best
+            aside += 1
     return table
 
 

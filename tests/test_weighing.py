@@ -98,11 +98,20 @@ def test_minimax_table_resumes_where_it_stopped(monkeypatch):
     assert weighing._worst_case == expected
 
 
-def test_minimax_table_rejects_a_decreasing_row(monkeypatch):
-    # f(3) = 5 is corrupt: f(4) is at most 1 + max(f(2), f(0)) = 2.
-    monkeypatch.setattr(weighing, "_worst_case", [0, 0, 1, 5])
-    with pytest.raises(RuntimeError, match="decreases at 4 suspects"):
-        min_weighings_oracle(WeighingInstance(4))
+@pytest.mark.parametrize(
+    "corrupt, limit, row",
+    [
+        # f(3) = 5: f(4) is at most 1 + max(f(2), f(0)) = 2, below the row before the build.
+        ([0, 0, 1, 5], 4, 4),
+        # f(2) = 2: f(4) = 3 passes, then f(5) = 1 + f(3) = 2 falls below that new row.
+        ([0, 0, 2, 1], 14, 5),
+    ],
+    ids=["first-new-row", "after-the-first-new-row"],
+)
+def test_minimax_table_rejects_a_decreasing_row(monkeypatch, corrupt, limit, row):
+    monkeypatch.setattr(weighing, "_worst_case", corrupt)
+    with pytest.raises(RuntimeError, match=f"decreases at {row} suspects"):
+        min_weighings_oracle(WeighingInstance(limit))
 
 
 def test_oracle_is_threadsafe_idempotent_cache():
