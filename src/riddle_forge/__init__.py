@@ -38,7 +38,6 @@ from .rate import (
     RateQuery,
     RateScenario,
     ceil_subjects,
-    completed_scenario,
     rate_constant,
     solve_rate,
 )
@@ -59,7 +58,6 @@ from .weighing import (
     min_weighings_oracle,
     render_strategy,
     simulate_strategy,
-    strategy_depth,
     strategy_to_dict,
 )
 
@@ -86,7 +84,6 @@ __all__ = [
     "adversarial_sequence",
     "build_strategy",
     "ceil_subjects",
-    "completed_scenario",
     "formula_applicable",
     "guarantee_draws_formula",
     "guarantee_draws_oracle",
@@ -100,7 +97,6 @@ __all__ = [
     "solve_rate",
     "station_walk_formula",
     "station_walk_simulate",
-    "strategy_depth",
     "strategy_to_dict",
     "transfer_formula_survey",
     "transfer_probability_enumerate",

@@ -125,13 +125,6 @@ def solve_rate(query: RateQuery) -> Fraction:
     return _ratio(query.work.magnitude, k, query.subjects.magnitude)
 
 
-def completed_scenario(query: RateQuery, solution: Fraction) -> RateScenario:
-    """The query's scenario with the solved value plugged back in."""
-    values = _by_field(query)
-    values[query.target] = solution if query.target == "time" else Quantity(solution)
-    return RateScenario(**values)
-
-
 def ceil_subjects(value: Fraction) -> int:
     """Smallest whole subject count covering an exact rational answer."""
     value = _exact(value, "subject count")

@@ -16,11 +16,11 @@ a time, about ``_CHUNK`` characters, each character once, and the end of
 input is the empty string.  No token spans a newline, so the chunks' tokens
 are a whole-file lex's, and as the parser never looks past its current
 token it holds one chunk's tokens at most.  It tells a token's type from its
-first character and reads a number's value only where it expects one.  Its
-loops step through the current token and its index in locals, and store
-them on the parser only where another method reads them (see ``_Parser``).
-It carries ``(first, last)`` token-index pairs; only when there are errors
-is the source scanned again for their offsets, lines and columns, from the
+first character and reads a number's value only where it expects one.  Each
+reader is handed the current token and its index, and hands back the pair
+it stopped at; a syntax error carries the pair to resume from.  The parser
+carries ``(first, last)`` token-index pairs; only when there are errors is
+the source scanned again for their offsets, lines and columns, from the
 chunks that hold them.
 
 Each ``key = value`` statement is one ``_Assign`` record that holds its
@@ -156,14 +156,9 @@ def _chunks(
     yield repeat(_EOF)
 
 
-def _is_number(tok: str) -> bool:
-    # A '-' with no digits after it is a token of its own.
-    return tok[:1] in _NUMBER_START and tok != "-"
-
-
 def _int(tok: str) -> int | None:
     """An integer literal's value; None for any other token, or one too long to read."""
-    if tok[:1] in _NUMBER_START and tok != "-":  # _is_number(tok), without the call
+    if tok[:1] in _NUMBER_START and tok != "-":  # a lone '-' is a token of its own
         try:
             return int(tok)
         except ValueError:  # past the interpreter's int-max-str-digits limit
@@ -176,7 +171,7 @@ def _describe(tok: str) -> str:
         return "end of input"
     if tok == "\n":
         return "end of line"
-    if _is_number(tok) and _int(tok) is None:
+    if tok[:1] in _NUMBER_START and tok != "-" and _int(tok) is None:
         return f"an integer literal too long to read ({len(tok)} characters)"
     return f"'{tok}'"
 
@@ -256,10 +251,17 @@ class _Find(NamedTuple):
 
 
 class _BlockError(Exception):
-    """Internal: a syntax error that aborts the current block (or reports a stray token)."""
+    """Internal: a syntax error that aborts the current block (or reports a stray
+    token), and in ``resume`` the (index, token) pair to recover from."""
 
-    def __init__(self, span: _Span, message: str):
+    def __init__(self, span: _Span, message: str, resume: tuple[int, str]):
         self.error = (span, ParseErrorKind.SYNTAX, message)
+        self.resume = resume
+
+
+def _unexpected(at: int, tok: str, what: str) -> _BlockError:
+    """The error for finding ``tok``, at index ``at``, where ``what`` should be."""
+    return _BlockError((at, at), f"expected {what}, found {_describe(tok)}", (at, tok))
 
 
 # Kind name -> payload class.  Each class reads its own block
@@ -280,83 +282,61 @@ _TIME_UNITS = {"min": 1, "h": 60}
 class _Parser:
     """Reads the token stream of _chunks, one token at a time.
 
-    ``tok`` is the current token and ``at`` its file-wide index; each step
-    takes the next pair from ``_next``.  ``parse_file`` and the statement
-    readers (``_parse_block``, ``_parse_assign``, ``_parse_colorlist``) step
-    through locals, and write the pair back to ``at`` and ``tok`` only where
-    another method reads it: before a raise (for ``_unexpected`` and
-    ``_recover``), a call to a method that starts at the current token, and
-    a statement reader's return.  Never looking past ``tok``, the parser
-    holds one chunk's tokens at most and reads each token once.
+    Each step takes the next (index, token) pair from ``_next``; the index
+    is file-wide.  A reader is handed the pair it starts at, steps through
+    it in locals and hands back, with what it read, the pair it stopped at;
+    a ``_BlockError`` carries the pair to recover from.  Never looking past
+    its current token, the parser holds one chunk's tokens at most and
+    reads each token once.
     """
 
-    __slots__ = ("errors", "starts", "_next", "at", "tok")
+    __slots__ = ("errors", "starts", "_next")
 
     def __init__(self, source: str):
         self.errors: list[_Error] = []
         self.starts: list[tuple[int, int]] = []  # see _chunks
         self._next = enumerate(chain.from_iterable(_chunks(source, self.starts))).__next__
-        self.at, self.tok = self._next()
-
-    def _unexpected(self, what: str) -> _BlockError:
-        """The error for finding the current token where ``what`` should be."""
-        at = self.at
-        return _BlockError((at, at), f"expected {what}, found {_describe(self.tok)}")
-
-    def _expect_word(self, what: str) -> tuple[str, _Span]:
-        """Read a word; its text and span."""
-        at, word = self.at, self.tok
-        if word[:1] not in _WORD_START:
-            raise self._unexpected(what)
-        self.at, self.tok = self._next()
-        return word, (at, at)
-
-    # -- file / block structure ----------------------------------------
 
     def parse_file(self) -> list[PuzzleSpec]:
         specs: list[PuzzleSpec] = []
         step = self._next
+        at, tok = step()
         while True:
-            at, tok = self.at, self.tok
             while tok == "\n" or tok == ";":
                 at, tok = step()
             if tok == _EOF:
                 return specs
             try:
-                if tok != "puzzle":
-                    self.at, self.tok = step()
-                    raise _BlockError((at, at), f"expected 'puzzle', found {_describe(tok)}")
-                spec = self._parse_block()
+                if tok != "puzzle":  # recovery starts past the stray token
+                    raise _BlockError((at, at), f"expected 'puzzle', found {_describe(tok)}",
+                                      step())
+                spec, at, tok = self._parse_block(*step())  # past 'puzzle'
             except _BlockError as abort:
                 self.errors.append(abort.error)
-                self._recover()
+                at, tok = self._recover(*abort.resume)
                 continue
             if spec is not None:
                 specs.append(spec)
 
-    def _recover(self) -> None:
-        """Skip forward to the next block boundary."""
-        while True:
-            tok = self.tok
-            if tok == _EOF or tok == "puzzle":
-                return
-            self.at, self.tok = self._next()
+    def _recover(self, at: int, tok: str) -> tuple[int, str]:
+        """Skip forward from ``tok`` to the next block boundary; the pair there."""
+        while tok != _EOF and tok != "puzzle":
             if tok == "}":
-                return
+                return self._next()
+            at, tok = self._next()
+        return at, tok
 
-    def _parse_block(self) -> PuzzleSpec | None:
+    def _parse_block(self, at: int, tok: str) -> tuple[PuzzleSpec | None, int, str]:
+        """Read a block from its kind word on."""
         step = self._next
-        at, tok = step()  # past the 'puzzle' keyword
         if tok[:1] not in _WORD_START:
-            self.at, self.tok = at, tok
-            raise self._unexpected("a puzzle kind")
+            raise _unexpected(at, tok, "a puzzle kind")
         kind_name, kind_span = tok, (at, at)
         at, tok = step()
         while tok == "\n":
             at, tok = step()
         if tok != "{":
-            self.at, self.tok = at, tok
-            raise self._unexpected("'{'")
+            raise _unexpected(at, tok, "'{'")
         at, tok = step()
         # The key table and its duplicate keys, reported only once the block is whole.
         table: dict[str, _Assign] = {}
@@ -367,18 +347,17 @@ class _Parser:
                 at, tok = step()
             if tok == "}":
                 break
-            self.at, self.tok = at, tok
             if tok == _EOF:
-                raise _BlockError((at, at), "unterminated block: expected '}'")
+                raise _BlockError((at, at), "unterminated block: expected '}'", (at, tok))
             if tok == "find":
-                finds.append(self._parse_find())
+                find, at, tok = self._parse_find(at, tok)
+                finds.append(find)
             else:
-                assign = self._parse_assign("a statement")
+                assign, at, tok = self._parse_assign(at, tok, "a statement")
                 if table.setdefault(assign.key, assign) is not assign:
                     errors.append((assign.key_span, ParseErrorKind.DUPLICATE_KEY,
                                    f"duplicate key '{assign.key}'"))
-            at, tok = self.at, self.tok
-        self.at, self.tok = step()
+        at, tok = step()
         payload_type = _PAYLOAD_TYPES.get(kind_name)
         if payload_type is None:
             self.errors.append(
@@ -386,72 +365,71 @@ class _Parser:
                  f"unknown puzzle kind '{kind_name}'; expected one of "
                  + ", ".join(_PAYLOAD_TYPES))
             )
-            return None
+            return None, at, tok
         block = _Block(kind_name, kind_span, table, finds, errors)
         spec = block.build(payload_type)
         self.errors.extend(block.errors)
-        return spec
+        return spec, at, tok
 
-    def _parse_assign(self, what: str) -> _Assign:
+    def _parse_assign(self, at: int, tok: str, what: str) -> tuple[_Assign, int, str]:
         """Read a ``key = value`` statement; ``what`` names the key in an error."""
         step = self._next
-        key_at, key = self.at, self.tok
-        if key[:1] not in _WORD_START:
-            raise self._unexpected(what)
-        key_span = (key_at, key_at)
+        if tok[:1] not in _WORD_START:
+            raise _unexpected(at, tok, what)
+        key, key_span = tok, (at, at)
         at, tok = step()
         if tok != "=":
-            self.at, self.tok = at, tok
-            raise self._unexpected("'='")
+            raise _unexpected(at, tok, "'='")
         at, tok = step()
         if tok[:1] in _WORD_START:
-            self.at, self.tok = step()
-            return _record(_Assign, (key, key_span, tok, (at, at), None, None, None))
+            return _record(_Assign, (key, key_span, tok, (at, at), None, None, None)), *step()
         if tok == "(":
-            self.at, self.tok = at, tok
-            return self._parse_colorlist(key, key_span)
+            return self._parse_colorlist(at, tok, key, key_span)
         value: int | Fraction | None = _int(tok)
         if value is None:
-            self.at, self.tok = at, tok
-            raise self._unexpected("a value")
+            raise _unexpected(at, tok, "a value")
         span = (at, at)
         at, tok = step()
         if tok == "/":
             at, tok = step()
             den, den_at = _int(tok), at
             if den is None:
-                self.at, self.tok = at, tok
-                raise self._unexpected("a denominator")
+                raise _unexpected(at, tok, "a denominator")
             at, tok = step()
             if den <= 0:
-                self.at, self.tok = at, tok
                 problem = "must not be zero" if den == 0 else "must be positive"
-                raise _BlockError((den_at, den_at), f"denominator {problem}")
+                raise _BlockError((den_at, den_at), f"denominator {problem}", (at, tok))
             value = Fraction(value, den)
             # p, '/' and q sit on one line: a newline between them is a token.
             span = (span[0], den_at)
         if tok[:1] in _WORD_START:
-            self.at, self.tok = step()
-            return _record(_Assign, (key, key_span, value, span, tok, (at, at), None))
-        self.at, self.tok = at, tok
-        return _record(_Assign, (key, key_span, value, span, None, None, None))
+            return _record(_Assign, (key, key_span, value, span, tok, (at, at), None)), *step()
+        return _record(_Assign, (key, key_span, value, span, None, None, None)), at, tok
 
-    def _parse_find(self) -> _Find:
-        find_at = self.at
-        self.at, self.tok = self._next()  # the 'find' keyword
-        target, target_span = self._expect_word("a field to find")
-        if self.tok != "where":
-            raise self._unexpected("'where'")
-        self.at, self.tok = self._next()
-        clauses = [self._parse_assign("a key")]
-        while self.tok == ",":
-            self.at, self.tok = self._next()
-            clauses.append(self._parse_assign("a key"))
-        return _Find(target, target_span, tuple(clauses), (find_at, find_at))
-
-    def _parse_colorlist(self, key: str, key_span: _Span) -> _Assign:
+    def _parse_find(self, at: int, tok: str) -> tuple[_Find, int, str]:
+        """Read a ``find ... where ...`` clause from its keyword on."""
         step = self._next
-        span = (self.at, self.at)
+        find_span = (at, at)
+        at, tok = step()
+        if tok[:1] not in _WORD_START:
+            raise _unexpected(at, tok, "a field to find")
+        target, target_span = tok, (at, at)
+        at, tok = step()
+        if tok != "where":
+            raise _unexpected(at, tok, "'where'")
+        clauses = []
+        while True:
+            clause, at, tok = self._parse_assign(*step(), "a key")  # past 'where' or ','
+            clauses.append(clause)
+            if tok != ",":
+                return _Find(target, target_span, tuple(clauses), find_span), at, tok
+
+    def _parse_colorlist(
+        self, at: int, tok: str, key: str, key_span: _Span
+    ) -> tuple[_Assign, int, str]:
+        """Read the color list that ``key`` is given, from its '(' on."""
+        step = self._next
+        span = (at, at)
         at, tok = step()  # past the '('
         items: list[tuple[str, int]] = []
         spans: list[tuple[_Span, _Span]] = []
@@ -461,24 +439,20 @@ class _Parser:
             if not items and tok == ")":
                 break  # the empty list
             if tok[:1] not in _WORD_START:
-                self.at, self.tok = at, tok
-                raise self._unexpected("a color name")
+                raise _unexpected(at, tok, "a color name")
             name, name_span = tok, (at, at)
             at, tok = step()
             if tok != ":":
-                self.at, self.tok = at, tok
-                raise self._unexpected("':'")
+                raise _unexpected(at, tok, "':'")
             at, tok = step()
             while tok == "\n":
                 at, tok = step()
             count, count_span = _int(tok), (at, at)
             if count is None:
-                self.at, self.tok = at, tok
-                raise self._unexpected("a count")
+                raise _unexpected(at, tok, "a count")
             at, tok = step()
             if tok == "/":
-                self.at, self.tok = at, tok
-                raise _BlockError((at, at), "color counts must be integers")
+                raise _BlockError((at, at), "color counts must be integers", (at, tok))
             items.append((name, count))
             spans.append((name_span, count_span))
             while tok == "\n":
@@ -486,11 +460,10 @@ class _Parser:
             if tok != ",":
                 break
             at, tok = step()
-        self.at, self.tok = at, tok
         if tok != ")":
-            raise self._unexpected("')'")
-        self.at, self.tok = step()
-        return _record(_Assign, (key, key_span, tuple(items), span, None, None, tuple(spans)))
+            raise _unexpected(at, tok, "')'")
+        assign = _record(_Assign, (key, key_span, tuple(items), span, None, None, tuple(spans)))
+        return assign, *step()
 
 
 class _Block:

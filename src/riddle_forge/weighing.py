@@ -231,13 +231,6 @@ def simulate_strategy(tree: Leaf | Weigh, heavy_index: int) -> tuple[int, int]:
     return node.identified, used
 
 
-def strategy_depth(tree: Leaf | Weigh) -> int:
-    """Worst-case number of weighings the tree can spend."""
-    if isinstance(tree, Leaf):
-        return 0
-    return 1 + max(strategy_depth(child) for _, child in tree.branches())
-
-
 def _ids(objects: tuple[int, ...]) -> str:
     return " ".join(str(i) for i in objects)
 

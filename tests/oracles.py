@@ -4,14 +4,16 @@ These deliberately re-derive answers from first principles (enumerating
 elementary outcomes) so that package formulas and package oracles can both
 be checked against a third route.  The station oracle here takes one
 ``Fraction`` operator a step, a reference for the package's, which builds
-each step from integers.
+each step from integers.  ``strategy_depth`` and ``completed_scenario`` are
+checks only the tests need: a strategy tree's worst case, and a rate answer
+substituted back into its scenario.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
-from riddle_forge import InvalidInstance
+from riddle_forge import InvalidInstance, Leaf, Quantity, RateQuery, RateScenario, Weigh
 
 
 def exhaustive_max_avoiding(counts: tuple[int, ...], required: int) -> int:
@@ -146,3 +148,17 @@ def station_check_by_operators(early, saved):
         early, 1, saved / (2 * early - saved), early
     )
     return str(walked), str(sim_walked), sim_walked == walked and sim_saved == saved
+
+
+def strategy_depth(tree: Leaf | Weigh) -> int:
+    """Worst-case number of weighings the tree can spend."""
+    if isinstance(tree, Leaf):
+        return 0
+    return 1 + max(strategy_depth(child) for _, child in tree.branches())
+
+
+def completed_scenario(query: RateQuery, solution: Fraction) -> RateScenario:
+    """The query's scenario with the solved value plugged back in."""
+    values = {field: getattr(query, field) for field in ("work", "subjects", "time")}
+    values[query.target] = solution if query.target == "time" else Quantity(solution)
+    return RateScenario(**values)

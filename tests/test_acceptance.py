@@ -25,7 +25,6 @@ from riddle_forge import (
     TransferInstance,
     WeighingInstance,
     build_strategy,
-    completed_scenario,
     formula_applicable,
     guarantee_draws_formula,
     guarantee_draws_oracle,
@@ -41,7 +40,7 @@ from riddle_forge import (
     transfer_probability_enumerate,
 )
 from riddle_forge.cli import main
-from oracles import exhaustive_max_avoiding
+from oracles import completed_scenario, exhaustive_max_avoiding
 from specgen import random_spec
 
 

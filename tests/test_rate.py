@@ -13,10 +13,10 @@ from riddle_forge import (
     RateQuery,
     RateScenario,
     ceil_subjects,
-    completed_scenario,
     rate_constant,
     solve_rate,
 )
+from oracles import completed_scenario
 
 
 def scenario(work, subjects, time):

@@ -217,6 +217,62 @@ def test_recovery_collects_errors_from_every_block():
     assert [e.span.line for e in errors] == [1, 3]
 
 
+# One row per syntax error that aborts a block, in the order the parser
+# raises them.  Each source goes on past the error so that recovery resuming
+# one token early or late changes the error list: mostly a '}' that recovery
+# must skip, then a stray 'x' that it must report.
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("} } x }", ["1:1: syntax: expected 'puzzle', found '}'",
+                     "1:5: syntax: expected 'puzzle', found 'x'"]),
+        ("puzzle } x }", ["1:8: syntax: expected a puzzle kind, found '}'",
+                          "1:10: syntax: expected 'puzzle', found 'x'"]),
+        ("puzzle weighing } x }", ["1:17: syntax: expected '{', found '}'",
+                                   "1:19: syntax: expected 'puzzle', found 'x'"]),
+        ("puzzle weighing { objects = 3\n", ["2:1: syntax: unterminated block: expected '}'"]),
+        ("puzzle weighing { objects } x }", ["1:27: syntax: expected '=', found '}'",
+                                             "1:29: syntax: expected 'puzzle', found 'x'"]),
+        ("puzzle weighing { objects = } objects = 0 }",
+         ["1:29: syntax: expected a value, found '}'",
+          "1:31: syntax: expected 'puzzle', found 'objects'"]),
+        ("puzzle weighing { objects = 1/} x }",
+         ["1:31: syntax: expected a denominator, found '}'",
+          "1:33: syntax: expected 'puzzle', found 'x'"]),
+        ("puzzle weighing { objects = 1/0 } x",
+         ["1:31: syntax: denominator must not be zero",
+          "1:35: syntax: expected 'puzzle', found 'x'"]),
+        ("puzzle weighing { objects = 1/-2 } x",
+         ["1:31: syntax: denominator must be positive",
+          "1:36: syntax: expected 'puzzle', found 'x'"]),
+        ("puzzle pigeonhole { counts = (} x }",
+         ["1:31: syntax: expected a color name, found '}'",
+          "1:33: syntax: expected 'puzzle', found 'x'"]),
+        ("puzzle pigeonhole { counts = (a } x }",
+         ["1:33: syntax: expected ':', found '}'",
+          "1:35: syntax: expected 'puzzle', found 'x'"]),
+        ("puzzle pigeonhole { counts = (a: } x }",
+         ["1:34: syntax: expected a count, found '}'",
+          "1:36: syntax: expected 'puzzle', found 'x'"]),
+        ("puzzle pigeonhole { counts = (a: 1/2) } x",
+         ["1:35: syntax: color counts must be integers",
+          "1:41: syntax: expected 'puzzle', found 'x'"]),
+        ("puzzle pigeonhole { counts = (a: 1 } x }",
+         ["1:36: syntax: expected ')', found '}'",
+          "1:38: syntax: expected 'puzzle', found 'x'"]),
+        ("puzzle rate { find } x }", ["1:20: syntax: expected a field to find, found '}'",
+                                      "1:22: syntax: expected 'puzzle', found 'x'"]),
+        ("puzzle rate { find work } x }", ["1:25: syntax: expected 'where', found '}'",
+                                           "1:27: syntax: expected 'puzzle', found 'x'"]),
+        ("puzzle rate { find work where } x }",
+         ["1:31: syntax: expected a key, found '}'",
+          "1:33: syntax: expected 'puzzle', found 'x'"]),
+    ],
+)
+def test_each_syntax_error_resumes_where_it_should(source, expected):
+    assert [str(e) for e in errors_of(source)] == expected
+
+
 # Within one block: duplicate keys, then a misplaced 'find', then the label,
 # then the kind's missing keys, then its values in the order the kind reads
 # them (a where-clause's in sorted key order), then the constructor's first

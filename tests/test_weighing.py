@@ -15,10 +15,9 @@ from riddle_forge import (
     min_weighings_oracle,
     render_strategy,
     simulate_strategy,
-    strategy_depth,
     strategy_to_dict,
 )
-from oracles import exhaustive_worst_case
+from oracles import exhaustive_worst_case, strategy_depth
 
 
 def test_formula_known_values():
