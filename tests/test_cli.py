@@ -132,6 +132,51 @@ def test_solve_json_with_no_reports_is_an_empty_list(
     assert out == "[]\n"
 
 
+_EOL_ERROR = "{path}:2:11: syntax: expected a value, found end of line\n"
+
+
+@pytest.mark.parametrize(
+    "raw, code, stdout, stderr",
+    [
+        # Newlines are universal: the '\r' is gone before the parser counts columns
+        # (parse_puzzles, given the same text with its '\r's, puts this error at 2:12).
+        (b"puzzle weighing {\r\n objects =\r\n}", 1, "[]\n", _EOL_ERROR),
+        (b"puzzle weighing {\r objects =\r}", 1, "[]\n", _EOL_ERROR),
+        (b"\xef\xbb\xbfpuzzle weighing {\r\n objects =\r\n}", 1, "[]\n", _EOL_ERROR),
+        (
+            b"puzzle weighing {\r\n objects = 3\r\n}\r\n", 0,
+            '[\n  {\n    "label": "in#1",\n    "kind": "weighing",\n    "answer": "1"\n  }\n]\n',
+            "",
+        ),
+        # The BOM is dropped before decoding, so an error's position does not count it.
+        (
+            b"\xef\xbb\xbfpuzzle weighing { objects = 3 }\n\xff\n", 1, "[]\n",
+            "error: {path}: 'utf-8' codec can't decode byte 0xff in position 32: "
+            "invalid start byte\n",
+        ),
+        # A file that is a BOM, or only the start of one, reads as empty.
+        (b"\xef\xbb\xbf", 0, "[]\n", ""),
+        (b"\xef", 0, "[]\n", ""),
+        (b"\xef\xbb", 0, "[]\n", ""),
+        (
+            b"\xef\xbbx", 1, "[]\n",
+            "error: {path}: 'utf-8' codec can't decode bytes in position 0-1: "
+            "invalid continuation byte\n",
+        ),
+    ],
+    ids=["crlf", "lone-cr", "bom-crlf", "crlf-solved", "bom-then-0xff", "bom-only",
+         "bom-first-byte", "bom-first-two-bytes", "bom-broken-off"],
+)
+def test_solve_reads_bytes_as_utf_8_sig_with_universal_newlines(
+    tmp_path, capsys, raw, code, stdout, stderr
+):
+    path = tmp_path / "in.speck"
+    path.write_bytes(raw)
+    assert run_main(["solve", "--format", "json", str(path)], capsys) == (
+        code, stdout, stderr.format(path=path)
+    )
+
+
 _JSON_TEXT = st.text(st.characters(exclude_categories=()), max_size=8)  # surrogates too
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | _JSON_TEXT,
@@ -203,6 +248,25 @@ def test_cli_import_loads_no_class_generator():
     added = _modules_after("import riddle_forge.cli") - _modules_after("pass")
     assert "riddle_forge.cli" in added
     assert {"dataclasses", "inspect"} & added == set()
+
+
+def test_solve_loads_no_module():
+    # The arguments are parsed first, as the benchmark's child does; then a solve of
+    # every kind, checked and explained, must find everything it needs loaded.
+    golden = Path(__file__).resolve().parent / "golden" / "all_kinds.speck"
+    argv = ["solve", str(golden), "--check", "--explain", "--format", "json"]
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; import riddle_forge.cli as cli; argv = sys.argv[1:]; "
+         "cli.build_parser().parse_args(argv); before = set(sys.modules); code = cli.main(argv); "
+         "print(code, *sorted(set(sys.modules) - before), file=sys.stderr)", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": package_root},
+    )
+    assert probe.stderr.split() == ["2"]
 
 
 def test_solve_parse_error_exits_one(tmp_path, capsys):
